@@ -11,7 +11,7 @@ from pathlib import Path
 
 import click
 
-from .encoder import EncodingConfig, encode_mcm, predict_size, preprocess_trivial
+from .encoder import EncodingConfig, encode_mcm, predict_size
 from .graphio import format_graph, format_instance, parse_graph, parse_instance
 from .model import (
     McmError,
@@ -282,12 +282,10 @@ def _bench_one(path: Path, backends, timeout, encoding):
     if inst.is_empty:
         record.update(trivial="SAT", outcomes={})
         return record
-    cfg = EncodingConfig(ops=ops, variant=encoding)
-    pre = preprocess_trivial(inst, ops)
-    if pre.verdict is not None:
-        record.update(trivial=pre.verdict, outcomes={})
+    enc = encode_mcm(inst, EncodingConfig(ops=ops, variant=encoding))
+    if enc.trivial_verdict is not None:
+        record.update(trivial=enc.trivial_verdict, outcomes={})
         return record
-    enc = encode_mcm(inst, cfg)
     nvars, ncons = enc.formula.stats()
     outcomes = {}
     for b in backends:

@@ -115,10 +115,16 @@ def apply_a_operation(u: int, v: int, p: AOperationParams) -> int:
     return pre >> p.right_shift
 
 
-def _find_params(u: int, v: int, value: int, max_shift: int, right_shifts: bool):
-    """Search shift/sign assignments realizing value from (u, v)."""
+def find_params(
+    u: int, v: int, value: int, max_shift: int, right_shifts: bool, signs=(0, 1)
+):
+    """First shift assignment, over the given signs, realizing value from (u, v).
+
+    Shifts are tried in order sign, l1, l2, r, smallest first; None when
+    no assignment with shifts up to max_shift works.
+    """
     r_range = range(max_shift + 1) if right_shifts else (0,)
-    for sign in (0, 1):
+    for sign in signs:
         for l1 in range(max_shift + 1):
             for l2 in range(max_shift + 1):
                 pre = abs((u << l1) + (-1) ** sign * (v << l2))
@@ -158,7 +164,7 @@ def check_solution(inst: McmInstance, graph: AdderGraph) -> tuple[bool, list[str
                     f"node {k}: operation yields {got}, node claims {node.value}"
                 )
         else:
-            if _find_params(u, v, node.value, max_shift, right_shifts=True) is None:
+            if find_params(u, v, node.value, max_shift, right_shifts=True) is None:
                 problems.append(
                     f"node {k}: {node.value} unreachable from ({u}, {v})"
                 )

@@ -4,8 +4,9 @@ The C source below is a line-for-line port of RefSolver._solve_python
 and its helpers: same normalization input, same decision order, same
 island reductions, so verdicts and models are identical to the Python
 path (cross-checked in the test suite).  It is compiled on first use
-with whatever C compiler is around and cached next to the package; when
-that fails the Python implementation simply runs instead.
+with whatever C compiler is around and cached under
+`$XDG_CACHE_HOME/mcmsat` (by default `~/.cache/mcmsat`); when that
+fails the Python implementation simply runs instead.
 """
 
 from __future__ import annotations

@@ -293,13 +293,7 @@ class RefSolver:
 
     # -- main loop -------------------------------------------------------
 
-    def solve(
-        self,
-        deadline=None,
-        max_steps=None,
-        collect=None,
-        lock_islands: bool = True,
-    ):
+    def solve(self, deadline=None, max_steps=None, collect=None):
         """Run the search to completion (or deadline/step budget).
 
         With `collect`, every model is passed to the callback and the
@@ -308,21 +302,15 @@ class RefSolver:
         """
         if self.root_conflict:
             return UNSAT, None
-        if collect is None and lock_islands and self.use_native:
+        if collect is None and self.use_native:
             from . import native
 
             core = native.load()
             if core is not None:
                 return native.run(core, self, deadline, max_steps)
-        return self._solve_python(deadline, max_steps, collect, lock_islands)
+        return self._solve_python(deadline, max_steps, collect)
 
-    def _solve_python(
-        self,
-        deadline=None,
-        max_steps=None,
-        collect=None,
-        lock_islands: bool = True,
-    ):
+    def _solve_python(self, deadline=None, max_steps=None, collect=None):
         if self.root_conflict:
             return UNSAT, None
         enumerating = collect is not None
@@ -378,7 +366,7 @@ class RefSolver:
                     # Occurs only in satisfied rows: fix it, never revisit.
                     self._assign(head, 0, FORCED, [])
                     continue
-                if lock_islands and pending > 0:
+                if pending > 0:
                     component = self._flood_island(head)
                     if component is not None:
                         self._island = component

@@ -1,10 +1,10 @@
 """Solver backends, model decoding, and the descending optimization loop.
 
 A backend is either the bundled reference solver ("internal") or an
-external command template run on an OPB file.  The optimizer encodes
-fresh at each level, descending from one below the upper bound until the
-first UNSAT proves optimality; a timeout stops early with the best
-verified solution so far.
+external command template run on an OPB file.  The optimizer descends
+from one below the upper bound until the first UNSAT proves optimality,
+encoding fresh at each level its best graph does not already fit; a
+timeout stops early with the best verified solution so far.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from .encoder import (
 )
 from .model import (
     AdderGraph,
-    AOperationParams,
     GraphNode,
     McmError,
     McmInstance,
     csd_upper_bound,
+    find_params,
     recoding_witness,
     verify_solution,
 )
@@ -58,7 +58,9 @@ class DecodeError(McmError):
 @dataclass(frozen=True)
 class SolveOutcome:
     status: str  # SAT / UNSAT / UNKNOWN
-    model: Model | None  # present iff status == SAT
+    # Present iff status == SAT, except on the levels optimal_mcm records
+    # with backend "witness": a known graph fits them, so they carry no model.
+    model: Model | None
     elapsed: float
     backend: str
 
@@ -142,103 +144,70 @@ def solve_portfolio(
 # -- decoding ----------------------------------------------------------------
 
 
-def _shift_pair(u: int, v: int, target: int, max_shift: int, sign: int):
-    """Find (l1, l2) with |u<<l1 +/- v<<l2| == target."""
-    for l1 in range(max_shift + 1):
-        su = u << l1
-        for l2 in range(max_shift + 1):
-            sv = v << l2
-            value = su + sv if sign == 0 else abs(su - sv)
-            if value == target:
-                return l1, l2
-    return None
-
-
-def _power_split(value: int, sign: int, max_shift: int):
-    """value as 2^a + 2^b (sign 0) or 2^a - 2^b (sign 1)."""
-    for a in range(max_shift + 1):
-        for b in range(max_shift + 1):
-            got = (1 << a) + (1 << b) if sign == 0 else (1 << a) - (1 << b)
-            if got == value:
-                return a, b
-    return None
-
-
 def decode_solution(res: EncodeResult, model: Model) -> AdderGraph:
-    """Rebuild the operation list from a satisfying assignment.
+    """Rebuild the operations the targets depend on from a satisfying assignment.
 
-    Shift amounts are re-derived arithmetically from the decoded values,
-    which tolerates models where several list selectors were true.
+    Those are the pinned slots, one bound slot per target and the
+    operands of their chosen candidates, followed back; other slots may
+    hold any value, 0 included.  Shift amounts are re-derived from the
+    decoded values, which tolerates models where several list selectors
+    were true.
     """
-    inst = res.inst
-    max_shift = inst.bit_width - 1
-    nodes: list[GraphNode] = []
-    pinned_by_slot = {p.slot: p for p in res.pinned}
-    value_index: dict[int, int] = {1: 0}
+    max_shift = res.inst.bit_width - 1
+    pinned = {p.slot: p for p in res.pinned}
+    needed = set(pinned)
+    for target, members, sels in res.binding:
+        bound = [m for m, sel in zip(members, sels) if model[sel] == 1]
+        if not bound:
+            raise DecodeError(f"decode failure: target {target} bound to no slot")
+        needed.add(bound[-1])
+    chosen = {}
+    for slot in range(len(res.candidates), 0, -1):
+        if slot in needed and slot not in pinned:
+            cand = next(
+                (c for c in res.candidates[slot - 1] if model[c.cond] == 1), None
+            )
+            if cand is None:
+                raise DecodeError(f"decode failure: slot {slot} selected no candidate")
+            chosen[slot] = cand
+            needed.update((cand.op1, cand.op2))
+    needed.discard(0)
 
-    total_slots = len(res.op_values) if res.op_values else len(res.pinned)
-    for slot in range(1, total_slots + 1):
-        pin = pinned_by_slot.get(slot)
+    nodes: list[GraphNode] = []
+    node_of = {0: 0}  # slot -> node index
+    value_of = {0: 1}  # slot -> value
+    value_index = {1: 0}
+    for slot in sorted(needed):
+        pin = pinned.get(slot)
         if pin is not None:
             left = value_index.get(pin.left_value)
             right = value_index.get(pin.right_value)
             if left is None or right is None:
                 raise DecodeError("decode failure: pinned operand missing")
-            nodes.append(GraphNode(pin.value, left, right, pin.params))
-            value_index.setdefault(pin.value, slot)
-            continue
-        vec = res.op_values[slot - 1]
-        value = model.value_of(vec)
-        pre_vec = res.pre_shift_values[slot - 1]
-        pre_value = model.value_of(pre_vec) if pre_vec is not None else value
-        if value < 1 or pre_value < 1:
-            raise DecodeError(f"decode failure: slot {slot} holds {value}")
-        if pre_value % value:
-            raise DecodeError("decode failure: inconsistent right shift")
-        right_shift = (pre_value // value).bit_length() - 1
-        if value << right_shift != pre_value:
-            raise DecodeError("decode failure: inconsistent right shift")
-        chosen = next(
-            (c for c in res.candidates[slot - 1] if model[c.cond] == 1), None
-        )
-        if chosen is None:
-            raise DecodeError(f"decode failure: slot {slot} selected no candidate")
-        kind = chosen.kind
-        if kind in (EXACTLY2, POWER_DIFF):
-            sign = 0 if kind == EXACTLY2 else 1
-            split = _power_split(pre_value, sign, max_shift)
-            if split is None:
-                raise DecodeError(f"decode failure: slot {slot} value {pre_value}")
-            left = right = 0
-            params = AOperationParams(split[0], split[1], right_shift, sign)
-        elif kind in (ADD_SHIFT_POW, SUB_SHIFT_POW, SUB_POW_SHIFT):
-            u = 1 if chosen.op1 == 0 else nodes[chosen.op1 - 1].value
-            sign = 0 if kind == ADD_SHIFT_POW else 1
-            found = None
-            for k in range(max_shift + 1):
-                for l1 in range(max_shift + 1):
-                    su = u << l1
-                    value_try = su + (1 << k) if sign == 0 else abs(su - (1 << k))
-                    if value_try == pre_value:
-                        found = (l1, k)
-                        break
-                if found:
-                    break
+            value, params = pin.value, pin.params
+        else:
+            cand = chosen[slot]
+            value = model.value_of(res.op_values[slot - 1])
+            pre_vec = res.pre_shift_values[slot - 1]
+            pre_value = model.value_of(pre_vec) if pre_vec is not None else value
+            if value < 1 or pre_value < 1:
+                raise DecodeError(f"decode failure: slot {slot} holds {value}")
+            right_shift = (pre_value // value).bit_length() - 1
+            if value << right_shift != pre_value:
+                raise DecodeError("decode failure: inconsistent right shift")
+            sign = 0 if cand.kind in (EXACTLY2, ADD_SHIFT_POW, ADD_PAIR) else 1
+            found = find_params(
+                value_of[cand.op1], value_of[cand.op2], pre_value, max_shift,
+                right_shifts=False, signs=(sign,),
+            )
             if found is None:
                 raise DecodeError(f"decode failure: slot {slot} value {pre_value}")
-            left, right = chosen.op1, 0
-            params = AOperationParams(found[0], found[1], right_shift, sign)
-        else:
-            u = nodes[chosen.op1 - 1].value
-            v = nodes[chosen.op2 - 1].value
-            sign = 0 if kind == ADD_PAIR else 1
-            split = _shift_pair(u, v, pre_value, max_shift, sign)
-            if split is None:
-                raise DecodeError(f"decode failure: slot {slot} value {pre_value}")
-            left, right = chosen.op1, chosen.op2
-            params = AOperationParams(split[0], split[1], right_shift, sign)
+            left, right = node_of[cand.op1], node_of[cand.op2]
+            params = replace(found, right_shift=right_shift)
         nodes.append(GraphNode(value, left, right, params))
-        value_index.setdefault(value, slot)
+        node_of[slot] = len(nodes)
+        value_of[slot] = value
+        value_index.setdefault(value, len(nodes))
     return AdderGraph(tuple(nodes))
 
 
@@ -459,9 +428,11 @@ def optimal_mcm(
 ) -> OptimizationReport:
     """Descend one level at a time until the first UNSAT proves optimality.
 
-    The upper bound must be realizable; by default it comes from the
-    signed-digit recoding which always is.  On a timeout the report is
-    unproven and carries the best verified graph found so far.
+    A level the last decoded graph fits is recorded SAT with backend
+    "witness" and is not solved.  The upper bound must be realizable; by
+    default it comes from the signed-digit recoding which always is.  On
+    a timeout the report is unproven and carries the best verified graph
+    found so far.
     """
     start = time.monotonic()
     if cfg is None:
@@ -486,13 +457,16 @@ def optimal_mcm(
             levels.append((0, SolveOutcome(UNSAT, None, 0.0, "preprocess")))
             proven = True
             break
+        if best_graph is not None and best_graph.cost <= level:
+            # The graph, padded with unused operations, already fits.
+            levels.append((level, SolveOutcome(SAT, None, 0.0, "witness")))
+            best_ops = level
+            continue
         enc = encode_mcm(inst, replace(cfg, ops=level))
-        hint = best_graph if best_graph is not None and best_graph.cost <= level else None
-        outcome = solve_encoding(enc, backend, per_level_timeout, hint_graph=hint)
+        outcome = solve_encoding(enc, backend, per_level_timeout)
         levels.append((level, outcome))
         if outcome.status == SAT:
-            graph = decode_solution(enc, outcome.model)
-            best_graph = prune_graph(graph, inst.targets)
+            best_graph = decode_solution(enc, outcome.model)
             best_ops = level
             continue
         if outcome.status == UNSAT:

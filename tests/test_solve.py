@@ -1,3 +1,4 @@
+import importlib
 import os
 import stat
 import sys
@@ -5,7 +6,14 @@ import textwrap
 
 import pytest
 
-from mcmsat.encoder import EncodingConfig, encode_mcm
+from mcmsat.encoder import (
+    ADD_PAIR,
+    ADD_SHIFT_POW,
+    EXACTLY2,
+    SUB_PAIR,
+    EncodingConfig,
+    encode_mcm,
+)
 from mcmsat.model import (
     McmError,
     csd_upper_bound,
@@ -22,6 +30,8 @@ from mcmsat.solve import (
     solve,
     solve_portfolio,
 )
+
+ADDITIONS = (EXACTLY2, ADD_SHIFT_POW, ADD_PAIR)
 
 
 def toy_unsat_formula():
@@ -165,6 +175,47 @@ def test_decode_right_shift_mode():
     assert verify_solution(inst, graph)
 
 
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_decode_every_candidate_kind(variant):
+    # 3 is reachable by every kind at slot 2, so with the target bound
+    # there each pinned kind is the one decoded.
+    inst = normalize_targets([3])
+    cfg = EncodingConfig(ops=2, variant=variant, trivial_precompute=False)
+    kinds = []
+    for index in range(len(encode_mcm(inst, cfg).candidates[1])):
+        enc = encode_mcm(inst, cfg)
+        cand = enc.candidates[1][index]
+        target, members, sels = enc.binding[0]
+        enc.formula.add(((1, cand.cond),), GE, 1)
+        enc.formula.add(((1, sels[members.index(2)]),), GE, 1)
+        outcome = solve(enc.formula, phases=enc.phase_hints)
+        assert outcome.status == "SAT", cand.kind
+        graph = decode_solution(enc, outcome.model)
+        assert verify_solution(inst, graph), cand.kind
+        assert graph.nodes[-1].value == target
+        assert graph.nodes[-1].params.sign == (cand.kind not in ADDITIONS)
+        kinds.append(cand.kind)
+    assert len(set(kinds)) == 8
+
+
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_decode_ignores_unused_zero_slot(variant):
+    # A model of the unpinned formula: 25 is bound to slot 2, and slot 3
+    # computes 3 - 3 = 0 through sub_pair (1, 1).  No target depends on it.
+    inst = normalize_targets([25])
+    enc = encode_mcm(
+        inst, EncodingConfig(ops=3, variant=variant, trivial_precompute=False)
+    )
+    cand = next(c for c in enc.candidates[2] if (c.kind, c.op1, c.op2) == (SUB_PAIR, 1, 1))
+    enc.formula.add(((1, cand.cond),), GE, 1)
+    outcome = solve(enc.formula, phases=enc.phase_hints)
+    assert outcome.status == "SAT"
+    assert outcome.model.value_of(enc.op_values[2]) == 0
+    graph = decode_solution(enc, outcome.model)
+    assert verify_solution(inst, graph)
+    assert graph.cost == 2
+
+
 def test_prune_graph_drops_unused():
     inst = normalize_targets([29, 43])
     enc = encode_mcm(inst, EncodingConfig(ops=5, variant=3))
@@ -229,6 +280,31 @@ def test_optimal_timeout_keeps_best_verified(monkeypatch):
     assert report.graph.cost <= report.optimal_ops <= 6
     if not report.proven:
         assert report.per_level[-1][1].status == "UNKNOWN"
+
+
+def test_optimal_skips_levels_the_graph_fits(monkeypatch):
+    solve_mod = importlib.import_module("mcmsat.solve")
+    solved = []
+    real = solve_mod.solve_encoding
+
+    def spy(enc, *args, **kwargs):
+        solved.append(enc.cfg.ops)
+        return real(enc, *args, **kwargs)
+
+    monkeypatch.setattr(solve_mod, "solve_encoding", spy)
+    inst = normalize_targets([45, 75, 105])
+    report = optimal_mcm(inst)
+    assert solved == [8, 4, 3]
+    assert [(ops, oc.status) for ops, oc in report.per_level] == [
+        (8, "SAT"), (7, "SAT"), (6, "SAT"), (5, "SAT"), (4, "SAT"), (3, "UNSAT"),
+    ]
+    witness = [(ops, oc) for ops, oc in report.per_level if ops in (7, 6, 5)]
+    assert all(
+        oc.backend == "witness" and oc.model is None and oc.elapsed == 0.0
+        for _, oc in witness
+    )
+    assert report.optimal_ops == 4 and report.proven
+    assert verify_solution(inst, report.graph)
 
 
 def test_optimal_trivial_levels_recorded():
@@ -316,9 +392,8 @@ def test_hinted_solve_agrees_with_unhinted():
 
 
 def test_optimal_pair_subtraction_warm_start():
-    # The 4-op graph for (93, 99) holds a subtraction of two non-root
-    # operands, so the level-3 solve is warm-started through the
-    # pair-subtraction branch of the witness hints.
+    # The graphs decoded for (93, 99) hold a subtraction of two non-root
+    # operands; the descent once crashed warm-starting from them.
     from mcmsat.oracle import brute_force_optimal
 
     inst = normalize_targets([93, 99])
