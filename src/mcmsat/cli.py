@@ -71,7 +71,17 @@ def _common_encoding_options(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a domain error as one `Error: ...` line and exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except McmError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(package_name="mcmsat")
 def main():
     """Exact minimal-adder constant multiplication via 0-1 constraint solving."""

@@ -1,10 +1,12 @@
 """Optional compiled core for the reference solver.
 
 The C source below is a line-for-line port of RefSolver._solve_python
-and its helpers: same normalization input, same decision order, same
-island reductions, so verdicts and models are identical to the Python
-path (cross-checked in the test suite).  It is compiled on first use
-with whatever C compiler is around and cached under
+and its helpers: same decision order, same island reductions, so
+verdicts and models are identical to the Python path (cross-checked in
+the test suite).  It reads RefSolver's int32 row store in place, through
+the addresses of its arrays, and searches in time slices of about
+SLICE seconds, so a deadline is checked between slices.  It is compiled
+on first use with whatever C compiler is around and cached under
 `$XDG_CACHE_HOME/mcmsat` (by default `~/.cache/mcmsat`); when that
 fails the Python implementation simply runs instead.
 """
@@ -18,14 +20,16 @@ import os
 import subprocess
 import tempfile
 import time
+from array import array
 from pathlib import Path
 
 from .pb import SAT, UNKNOWN, UNSAT, Model
+from .refsolver import UNASSIGNED
 
 log = logging.getLogger(__name__)
 
 RUNNING, C_SAT, C_UNSAT = 0, 1, 2
-CHUNK = 4_000_000
+SLICE = 0.05  # seconds per mcm_run call: the deadline is checked in between
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -396,58 +400,42 @@ def load():
         return None
 
 
-def _i32(values) -> ctypes.Array:
-    return (ctypes.c_int32 * len(values))(*values)
-
-
 def run(lib, solver, deadline, max_steps):
-    """Execute the solver's prepared problem on the compiled core."""
+    """Search the solver's row store on the compiled core, in time slices."""
     nv, nr = solver.nvars, solver.nrows
-    row_ptr, row_coef, row_lit = [0], [], []
-    for coefs, lits in zip(solver.coefs, solver.lits):
-        row_coef.extend(coefs)
-        row_lit.extend(lits)
-        row_ptr.append(len(row_coef))
-    pos_ptr, pos_row, pos_coef = [0], [], []
-    neg_ptr, neg_row, neg_coef = [0], [], []
-    for v in range(nv + 1):
-        pos_row.extend(solver.pos_rows[v])
-        pos_coef.extend(solver.pos_coefs[v])
-        pos_ptr.append(len(pos_row))
-        neg_row.extend(solver.neg_rows[v])
-        neg_coef.extend(solver.neg_coefs[v])
-        neg_ptr.append(len(neg_row))
-    maxposs = _i32(solver.maxposs)
-    satsum = _i32([0] * max(nr, 1))
-    assigned = (ctypes.c_int8 * (nv + 1))(*([-1] * (nv + 1)))
-    phases = (ctypes.c_uint8 * (nv + 1))(*solver.phases)
-    keepalive = [
-        _i32(row_ptr), _i32(row_coef or [0]), _i32(row_lit or [0]),
-        _i32(solver.bounds or [0]),
-        _i32(pos_ptr), _i32(pos_row or [0]), _i32(pos_coef or [0]),
-        _i32(neg_ptr), _i32(neg_row or [0]), _i32(neg_coef or [0]),
-        phases, maxposs, satsum, assigned,
-    ]
-    ctx = lib.mcm_new(nv, nr, *[ctypes.cast(a, ctypes.c_void_p) for a in keepalive])
+    # The search state is copied; the row store is read in place.
+    maxposs = array("i", solver.maxposs)
+    satsum = array("i", [0]) * nr
+    assigned = array("b", [UNASSIGNED]) * (nv + 1)
+    store = (
+        solver.row_ptr, solver.row_coef, solver.row_lit, solver.bounds,
+        solver.pos_ptr, solver.pos_row, solver.pos_coef,
+        solver.neg_ptr, solver.neg_row, solver.neg_coef,
+        solver.phases, maxposs, satsum, assigned,
+    )
+    # An empty array's address is 0, which the core never reads.
+    ctx = lib.mcm_new(nv, nr, *(a.buffer_info()[0] for a in store))
     if not ctx:
         return solver._solve_python(deadline, max_steps)
+    stats = (ctypes.c_int64 * 4)()
+    budget = 1000
     try:
         while True:
-            rc = lib.mcm_run(ctx, CHUNK)
-            stats = (ctypes.c_int64 * 4)()
+            start = time.perf_counter()
+            rc = lib.mcm_run(ctx, budget)
+            elapsed = time.perf_counter() - start
             lib.mcm_stats(ctx, stats)
-            solver.decisions = stats[0]
-            solver.propagations = stats[1]
-            solver.conflicts = stats[2]
-            solver.islands = stats[3]
+            solver.decisions, solver.propagations, solver.conflicts, solver.islands = stats
             if rc == C_SAT:
-                values = [0] + [max(assigned[v], 0) for v in range(1, nv + 1)]
-                return SAT, Model(tuple(values))
+                return SAT, Model((0,) + tuple(assigned[1:]))
             if rc == C_UNSAT:
                 return UNSAT, None
             if deadline is not None and time.monotonic() > deadline:
                 return UNKNOWN, None
             if max_steps is not None and solver.decisions > max_steps:
                 return UNKNOWN, None
+            # Aim the next call at SLICE seconds from this call's step rate,
+            # growing at most tenfold since step costs drift during a search.
+            budget = max(1, int(budget * min(10.0, SLICE / max(elapsed, 1e-9))))
     finally:
         lib.mcm_free(ctx)

@@ -12,6 +12,8 @@ import logging
 import re
 from dataclasses import dataclass
 
+from .model import McmError
+
 log = logging.getLogger(__name__)
 
 GE = ">="
@@ -22,7 +24,7 @@ UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
 
-class PbError(Exception):
+class PbError(McmError):
     """Malformed constraint, out-of-range variable, or unparsable text."""
 
 
@@ -118,32 +120,12 @@ class PbFormula:
     def stats(self) -> tuple[int, int]:
         return self.var_count, len(self.constraints)
 
-    def emit_opb(
-        self, include_annotations: bool = False, split_equalities: bool = False
-    ) -> str:
-        """Serialize to OPB text, byte-for-byte reproducible.
-
-        split_equalities rewrites each `=` row as a >= pair for solvers
-        without equality support (the constraint count header grows
-        accordingly).
-        """
-
-        total = sum(
-            2 if (c.relation == EQ and split_equalities) else 1
-            for c in self.constraints
-        )
-        lines = [f"* #variable= {self.var_count} #constraint= {total}"]
+    def emit_opb(self, include_annotations: bool = False) -> str:
+        """Serialize to OPB text, byte-for-byte reproducible."""
+        lines = [f"* #variable= {self.var_count} #constraint= {len(self.constraints)}"]
         for idx, c in enumerate(self.constraints):
             if include_annotations and idx in self.annotations:
                 lines.append(f"* {self.annotations[idx]}")
-            if c.relation == EQ and split_equalities:
-                for terms, bound in (
-                    (c.terms, c.bound),
-                    (tuple((-coef, var) for coef, var in c.terms), -c.bound),
-                ):
-                    parts = [f"{coef:+d} x{var}" for coef, var in terms]
-                    lines.append(" ".join(parts) + f" {GE} {bound} ;")
-                continue
             parts = [f"{coef:+d} x{var}" for coef, var in c.terms]
             parts.append(c.relation)
             parts.append(str(c.bound))

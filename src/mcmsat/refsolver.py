@@ -16,15 +16,21 @@ sound reductions keep the search from thrashing on don't-care blocks
 Both reductions preserve completeness and determinism; neither stores
 learned constraints.  A compiled core with the identical algorithm is
 used when a C compiler is available (see native.py); the Python paths
-below are the reference and the fallback.  Intended for desk-scale
-instances; use an external solver beyond ~10-bit constants.
+below are the reference and the fallback; both read one row store of
+flat int32 arrays.  A row whose positive coefficients sum beyond
+2^31 - 1 does not fit that store and is refused with PbError.  Intended
+for desk-scale instances; use an external solver beyond ~10-bit
+constants.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
+from collections import Counter
+from itertools import accumulate
 
-from .pb import EQ, SAT, UNKNOWN, UNSAT, Model, PbFormula
+from .pb import EQ, SAT, UNKNOWN, UNSAT, Model, PbError, PbFormula
 
 FORCED = 0  # propagated, frozen autarky, or exhausted decision
 OPEN = 1  # decision whose second phase is still untried
@@ -33,70 +39,91 @@ ISLAND_LIMIT = 96  # component size above which normal branching takes over
 ISLAND_ROW_GATE = 64  # skip the component flood for busier variables
 
 UNASSIGNED = -1
+INT32_MAX = 2**31 - 1
 
 
 class RefSolver:
     def __init__(self, formula: PbFormula, phases=None, use_native: bool = True):
-        self.nvars = formula.var_count
+        self.nvars = nv = formula.var_count
         # Preferred first value per variable; affects search order only.
-        self.phases = bytearray(self.nvars + 1)
-        if phases:
-            for var, phase in phases.items():
-                self.phases[var] = phase
+        phases = phases or {}
+        self.phases = array("B", [phases.get(v, 0) for v in range(nv + 1)])
         self.use_native = use_native
         self.root_conflict = False
-        rows: list[tuple[list[int], list[int], int]] = []
+        # The row store: each row normalized once to positive coefficients
+        # over literals (+v / -v) and a >= bound, its terms ordered by
+        # coefficient descending, then literal, in flat int32 arrays.  The
+        # compiled core reads them in place, so they are never resized
+        # after this constructor.
+        row_ptr, row_coef, row_lit, bounds = (array("i", [0]), array("i"),
+                                              array("i"), array("i"))
+        maxposs = []
 
         def add_row(terms, bound):
-            # Normalize to positive coefficients over literals (+v / -v).
-            lits, coefs = [], []
+            row = []
             for coef, var in terms:
                 if coef > 0:
-                    lits.append(var)
-                    coefs.append(coef)
+                    row.append((-coef, var))
                 else:
-                    lits.append(-var)
-                    coefs.append(-coef)
-                    bound += -coef
+                    row.append((coef, -var))
+                    bound -= coef
             if bound <= 0:
                 return
-            if sum(coefs) < bound:
+            total = -sum(key for key, _ in row)
+            if total < bound:
                 self.root_conflict = True
                 return
-            order = sorted(range(len(coefs)), key=lambda i: (-coefs[i], lits[i]))
-            rows.append(
-                ([coefs[i] for i in order], [lits[i] for i in order], bound)
-            )
+            if total > INT32_MAX:
+                # The total bounds every coefficient and the bound too.
+                raise PbError(f"row coefficients sum to {total}, beyond the "
+                              "bundled solver's int32 range")
+            row.sort()
+            row_coef.extend([-key for key, _ in row])
+            row_lit.extend([lit for _, lit in row])
+            row_ptr.append(len(row_lit))
+            bounds.append(bound)
+            maxposs.append(total)
 
         for c in formula.constraints:
             add_row(c.terms, c.bound)
             if c.relation == EQ:
                 add_row([(-coef, var) for coef, var in c.terms], -c.bound)
 
-        self.coefs = [r[0] for r in rows]
-        self.lits = [r[1] for r in rows]
-        self.bounds = [r[2] for r in rows]
-        self.nrows = len(rows)
-        # Occurrences split by polarity: assigning v=1 satisfies pos rows
-        # and shrinks neg rows; v=0 the other way around.
-        nv = self.nvars + 1
-        self.pos_rows = [[] for _ in range(nv)]
-        self.pos_coefs = [[] for _ in range(nv)]
-        self.neg_rows = [[] for _ in range(nv)]
-        self.neg_coefs = [[] for _ in range(nv)]
+        self.row_ptr, self.row_coef, self.row_lit = row_ptr, row_coef, row_lit
+        self.bounds = bounds
+        self.nrows = len(bounds)
+        # Occurrences split by polarity, rows ascending within a variable:
+        # assigning v=1 satisfies its pos rows and shrinks its neg rows;
+        # v=0 the other way around.  A counting sort over the row store.
+        count = Counter(row_lit)
+        self.pos_ptr = array("i", accumulate([0] + [count[v] for v in range(nv + 1)]))
+        self.neg_ptr = array("i", accumulate([0] + [count[-v] for v in range(nv + 1)]))
+        pos_next, neg_next = self.pos_ptr.tolist(), self.neg_ptr.tolist()
+        self.pos_row = array("i", [0]) * pos_next[-1]
+        self.pos_coef = array("i", [0]) * pos_next[-1]
+        self.neg_row = array("i", [0]) * neg_next[-1]
+        self.neg_coef = array("i", [0]) * neg_next[-1]
         for ridx in range(self.nrows):
-            for a, lit in zip(self.coefs[ridx], self.lits[ridx]):
+            for i in range(row_ptr[ridx], row_ptr[ridx + 1]):
+                lit = row_lit[i]
                 if lit > 0:
-                    self.pos_rows[lit].append(ridx)
-                    self.pos_coefs[lit].append(a)
+                    j = pos_next[lit]
+                    pos_next[lit] = j + 1
+                    self.pos_row[j], self.pos_coef[j] = ridx, row_coef[i]
                 else:
-                    self.neg_rows[-lit].append(ridx)
-                    self.neg_coefs[-lit].append(a)
+                    j = neg_next[-lit]
+                    neg_next[-lit] = j + 1
+                    self.neg_row[j], self.neg_coef[j] = ridx, row_coef[i]
+        pos = (self.pos_ptr, self.pos_row, self.pos_coef)
+        neg = (self.neg_ptr, self.neg_row, self.neg_coef)
+        # By value: (ptr, rows, coefs) of the occurrences an assignment
+        # satisfies, then of those it shrinks.
+        self._sides = (neg + pos, pos + neg)
 
-        self.maxposs = [sum(cs) for cs in self.coefs]
+        self.maxposs = maxposs
         self.satsum = [0] * self.nrows
         self.queued = bytearray(self.nrows)
-        self.assigned = [UNASSIGNED] * nv
+        self.assigned = [UNASSIGNED] * (nv + 1)
         self.trail = []  # vars in assignment order
         self.kinds = []
         self._head = 1
@@ -114,24 +141,17 @@ class RefSolver:
         self.assigned[var] = value
         self.trail.append(var)
         self.kinds.append(kind)
-        if value == 1:
-            gain_rows = self.pos_rows[var]
-            gain_coefs = self.pos_coefs[var]
-            loss_rows = self.neg_rows[var]
-            loss_coefs = self.neg_coefs[var]
-        else:
-            gain_rows = self.neg_rows[var]
-            gain_coefs = self.neg_coefs[var]
-            loss_rows = self.pos_rows[var]
-            loss_coefs = self.pos_coefs[var]
+        gp, gr, gc, lp, lr, lc = self._sides[value]
         satsum = self.satsum
-        for r, a in zip(gain_rows, gain_coefs):
+        lo, hi = gp[var], gp[var + 1]
+        for r, a in zip(gr[lo:hi], gc[lo:hi]):
             satsum[r] += a
         conflict = -1
         maxposs = self.maxposs
         bounds = self.bounds
         queued = self.queued
-        for r, a in zip(loss_rows, loss_coefs):
+        lo, hi = lp[var], lp[var + 1]
+        for r, a in zip(lr[lo:hi], lc[lo:hi]):
             mp = maxposs[r] = maxposs[r] - a
             if mp < bounds[r]:
                 conflict = r
@@ -155,19 +175,12 @@ class RefSolver:
             assigned[var] = UNASSIGNED
             if var < lowest:
                 lowest = var
-            if value == 1:
-                gain_rows = self.pos_rows[var]
-                gain_coefs = self.pos_coefs[var]
-                loss_rows = self.neg_rows[var]
-                loss_coefs = self.neg_coefs[var]
-            else:
-                gain_rows = self.neg_rows[var]
-                gain_coefs = self.neg_coefs[var]
-                loss_rows = self.pos_rows[var]
-                loss_coefs = self.pos_coefs[var]
-            for r, a in zip(gain_rows, gain_coefs):
+            gp, gr, gc, lp, lr, lc = self._sides[value]
+            lo, hi = gp[var], gp[var + 1]
+            for r, a in zip(gr[lo:hi], gc[lo:hi]):
                 satsum[r] -= a
-            for r, a in zip(loss_rows, loss_coefs):
+            lo, hi = lp[var], lp[var + 1]
+            for r, a in zip(lr[lo:hi], lc[lo:hi]):
                 maxposs[r] += a
         return lowest
 
@@ -177,8 +190,9 @@ class RefSolver:
         bounds = self.bounds
         maxposs = self.maxposs
         satsum = self.satsum
-        coefs = self.coefs
-        lits = self.lits
+        row_ptr = self.row_ptr
+        row_coef = self.row_coef
+        row_lit = self.row_lit
         queued = self.queued
 
         def flush(ridx):
@@ -196,13 +210,11 @@ class RefSolver:
             slack = maxposs[ridx] - bound
             if slack < 0:
                 return flush(ridx)
-            row_coefs = coefs[ridx]
-            row_lits = lits[ridx]
-            for i in range(len(row_coefs)):
-                a = row_coefs[i]
+            for i in range(row_ptr[ridx], row_ptr[ridx + 1]):
+                a = row_coef[i]
                 if a <= slack:
                     break
-                lit = row_lits[i]
+                lit = row_lit[i]
                 var = lit if lit > 0 else -lit
                 if assigned[var] == UNASSIGNED:
                     self.propagations += 1
@@ -246,8 +258,8 @@ class RefSolver:
         satsum = self.satsum
         bounds = self.bounds
         count = 0
-        for occ in (self.pos_rows[var], self.neg_rows[var]):
-            for r in occ:
+        for ptr, rows in ((self.pos_ptr, self.pos_row), (self.neg_ptr, self.neg_row)):
+            for r in rows[ptr[var]:ptr[var + 1]]:
                 if satsum[r] < bounds[r]:
                     count += 1
                     if count > cap:
@@ -263,18 +275,20 @@ class RefSolver:
         assigned = self.assigned
         satsum = self.satsum
         bounds = self.bounds
-        lits = self.lits
+        row_ptr = self.row_ptr
+        row_lit = self.row_lit
+        occurrences = ((self.pos_ptr, self.pos_row), (self.neg_ptr, self.neg_row))
         seen_rows = set()
         vars_seen = {start}
         stack = [start]
         while stack:
             var = stack.pop()
-            for occ in (self.pos_rows[var], self.neg_rows[var]):
-                for ridx in occ:
+            for ptr, rows in occurrences:
+                for ridx in rows[ptr[var]:ptr[var + 1]]:
                     if ridx in seen_rows or satsum[ridx] >= bounds[ridx]:
                         continue
                     seen_rows.add(ridx)
-                    for lit in lits[ridx]:
+                    for lit in row_lit[row_ptr[ridx]:row_ptr[ridx + 1]]:
                         v = lit if lit > 0 else -lit
                         if assigned[v] == UNASSIGNED and v not in vars_seen:
                             vars_seen.add(v)
@@ -311,8 +325,6 @@ class RefSolver:
         return self._solve_python(deadline, max_steps, collect)
 
     def _solve_python(self, deadline=None, max_steps=None, collect=None):
-        if self.root_conflict:
-            return UNSAT, None
         enumerating = collect is not None
         queue = list(range(self.nrows))
         for r in queue:

@@ -110,6 +110,24 @@ def test_optimize_unproven_exit_code(runner, instance_file, monkeypatch):
         assert verify_solution(normalize_targets([29, 43]), graph)
 
 
+@pytest.mark.parametrize(
+    "text, extra, message",
+    [
+        ("29\nabc\n", [], "Error: bad instance line 2: 'abc'"),
+        ("29\n43\n", ["--backend", "/nonexistent/solver"],
+         "Error: backend executable missing: /nonexistent/solver"),
+    ],
+    ids=["bad-line", "missing-backend"],
+)
+def test_errors_print_one_line(runner, tmp_path, text, extra, message):
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    result = runner.invoke(main, ["optimize", str(path), *extra])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [message]
+    assert "Traceback" not in result.output
+
+
 def test_verify_pass(runner, instance_file, tmp_path):
     graph = tmp_path / "ok.graph"
     graph.write_text("7 = 1<<3 - 1\n29 = 7<<2 + 1\n43 = 7<<1 + 29\n")

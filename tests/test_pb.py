@@ -132,16 +132,3 @@ def test_parse_solver_output_garbage_raises():
 def test_constraint_validation():
     with pytest.raises(PbError):
         PbConstraint(((1, 1),), "<=", 0).validate()
-
-
-def test_emit_split_equalities():
-    f = PbFormula()
-    vec = f.new_bitvec(2)
-    f.add(tuple((1, v) for v in vec.bits), EQ, 1)
-    text = f.emit_opb(split_equalities=True)
-    lines = text.splitlines()
-    assert lines[0].endswith("#constraint= 2")
-    assert lines[1] == "+1 x1 +1 x2 >= 1 ;"
-    assert lines[2] == "-1 x1 -1 x2 >= -1 ;"
-    # Default emission keeps the single equality row.
-    assert "= 1 ;" in f.emit_opb()

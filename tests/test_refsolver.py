@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from mcmsat.pb import EQ, GE, PbFormula
+from mcmsat.pb import EQ, GE, PbError, PbFormula
 from mcmsat.refsolver import RefSolver, enumerate_models, solve_formula
 
 
@@ -92,6 +92,30 @@ def test_python_and_native_agree_exactly():
         assert py[0] == nat[0]
         if py[1] is not None and nat[1] is not None:
             assert py[1].values == nat[1].values
+
+
+@pytest.mark.parametrize("use_native", [False, True])
+def test_rows_beyond_int32_are_refused(use_native):
+    # Truncated to int32, the first row would read 0*x1 + x2 >= 0: SAT.
+    f = PbFormula()
+    x1, x2 = f.new_var(), f.new_var()
+    f.add(((2**32, x1), (1, x2)), GE, 2**32)
+    f.add(((-1, x1),), GE, 0)
+    with pytest.raises(PbError, match="int32"):
+        solve_formula(f, use_native=use_native)
+
+
+def test_int32_max_coefficient_solves_on_both_paths():
+    big = 2**31 - 1
+    f = PbFormula()
+    x1, x2 = f.new_var(), f.new_var()
+    f.add(((big, x1),), GE, big)
+    f.add(((-big, x2),), GE, 0)
+    results = [solve_formula(f, use_native=n) for n in (False, True)]
+    assert results[0] == results[1]
+    assert results[0][0] == "SAT" and results[0][1].values == (0, 1, 0)
+    f.add(((big, x2),), GE, 1)
+    assert [solve_formula(f, use_native=n)[0] for n in (False, True)] == ["UNSAT"] * 2
 
 
 def test_enumerate_models_is_exhaustive():

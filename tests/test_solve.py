@@ -3,6 +3,7 @@ import os
 import stat
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from mcmsat.solve import (
     optimal_mcm,
     prune_graph,
     solve,
+    solve_encoding,
     solve_portfolio,
 )
 
@@ -98,6 +100,15 @@ def test_external_backend_round_trip(tmp_path):
     assert outcome.status == "SAT"
     graph = decode_solution(enc, outcome.model)
     assert verify_solution(inst, graph)
+
+
+def test_internal_timeout_returns_within_slack():
+    # 683 has optimum 4: refuting it at 3 ops takes far longer than 0.5 s.
+    enc = encode_mcm(normalize_targets([683]), EncodingConfig(ops=3))
+    start = time.monotonic()
+    outcome = solve_encoding(enc, timeout=0.5)
+    assert outcome.status == "UNKNOWN"
+    assert time.monotonic() - start < 2
 
 
 def test_external_backend_missing_executable():
