@@ -28,7 +28,6 @@ from .solve import (
     optimal_mcm,
     solve,
     solve_encoding,
-    solve_portfolio,
     witness_phase_hints,
 )
 

@@ -19,9 +19,10 @@ from .model import (
     csd_upper_bound,
     normalize_targets,
     recoding_upper_bounds,
+    verify_solution,
 )
 from .pb import SAT, UNKNOWN, UNSAT
-from .solve import default_backend, optimal_mcm, solve
+from .solve import DecodeError, decode_solution, default_backend, optimal_mcm, solve
 
 IMPROVEMENT_FLAGS = (
     "nonzero_sub",
@@ -152,7 +153,7 @@ def _report_json(inst, report):
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
 @_common_encoding_options
 @click.option("--upper-bound", type=int, help="Override the recoding upper bound.")
-@click.option("--backend", multiple=True, help="Solver backend(s); default internal.")
+@click.option("--backend", multiple=True, help="Backend; repeat to race several (default internal).")
 @click.option("--timeout", type=float, default=300.0, show_default=True,
               help="Per-level wall clock limit in seconds.")
 @click.option("--out", type=click.Path(dir_okay=False), help="Write the graph here.")
@@ -166,12 +167,11 @@ def optimize(instance, encoding, right_shifts, no_improvements, improvement,
     """
     inst, _ = _load_instance(instance)
     cfg = _config(1, encoding, right_shifts, no_improvements, improvement)
-    backends = list(backend) or [default_backend()]
     report = optimal_mcm(
         inst,
         upper_bound=upper_bound,
         cfg=cfg,
-        backend=backends if len(backends) > 1 else backends[0],
+        backend=list(backend) or [default_backend()],
         per_level_timeout=timeout,
     )
     if out:
@@ -300,6 +300,8 @@ def _bench_one(path: Path, backends, timeout, encoding):
     outcomes = {}
     for b in backends:
         oc = solve(enc.formula, b, timeout, enc.phase_hints)
+        if oc.status == SAT and not verify_solution(inst, decode_solution(enc, oc.model)):
+            raise DecodeError(f"{path.name}: backend {b} gave a graph that does not verify")
         outcomes[b] = {"status": oc.status, "elapsed": round(oc.elapsed, 3)}
     decisive = [o for o in outcomes.values() if o["status"] != UNKNOWN]
     vbs = (
@@ -315,7 +317,7 @@ def _bench_one(path: Path, backends, timeout, encoding):
 
 @main.command()
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
-@click.option("--backend", multiple=True, help="Backends to race; default internal.")
+@click.option("--backend", multiple=True, help="Backend; repeat to run several in turn (default internal).")
 @click.option("--timeout", type=float, default=300.0, show_default=True)
 @click.option("--encoding", type=click.IntRange(1, 3), default=3, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
@@ -323,9 +325,10 @@ def _bench_one(path: Path, backends, timeout, encoding):
 @click.option("--out", type=click.Path(dir_okay=False), help="Report JSON path.")
 @click.option("--json", "as_json", is_flag=True)
 def bench(directory, backend, timeout, encoding, jobs, out, as_json):
-    """Run every *.txt instance in DIRECTORY against the backends.
+    """Run every *.txt instance in DIRECTORY on each backend in turn.
 
-    Instances decided by preprocessing are marked trivial and skipped.
+    Every SAT model is decoded and its graph verified.  Instances
+    decided by preprocessing are marked trivial and skipped.
     """
     backends = list(backend) or [default_backend()]
     paths = sorted(Path(directory).glob("*.txt"))

@@ -1,6 +1,6 @@
 """Constraint gadgets over bit vectors: XORs, ripple adders/subtractors
 (plain, conditional, and conditional with a shared carry/borrow chain),
-constant and variable barrel shifts, list selectors, and popcount pins.
+constant and variable barrel shifts, and popcount pins.
 
 All vectors are big-endian (index 0 is the MSB).  Carry/borrow chains
 have length N-1; chain[i] feeds result bit i and is defined from the
@@ -250,49 +250,6 @@ def encode_shift(
     f.add(tuple((1, s) for s in selectors.bits), EQ, 1)
     for amount in range(n):
         encode_cond_shift(f, selectors[amount], out, src, amount, direction)
-    return selectors
-
-
-def equate_var_list_to_var(
-    f: PbFormula, members: list[BitVec], out: BitVec | None = None
-) -> tuple[BitVec, tuple[int, ...]]:
-    """out equals at least one member; returns (out, selector vars).
-
-    Multiple selectors may be true when the chosen members agree.
-    """
-    if not members:
-        raise PbError("empty member list")
-    width = _check_widths(*members)
-    if out is None:
-        out = f.new_bitvec(width)
-    elif len(out) != width:
-        raise PbError("output width mismatch")
-    selectors = tuple(f.new_var() for _ in members)
-    f.add(tuple((1, s) for s in selectors), GE, 1)
-    for sel, member in zip(selectors, members):
-        for i in range(width):
-            encode_cond_copy(f, sel, member[i], out[i])
-    return out, selectors
-
-
-def equate_var_list_to_const(
-    f: PbFormula, members: list[BitVec], constant: int
-) -> tuple[int, ...]:
-    """At least one member equals the constant; returns the selector vars."""
-    if not members:
-        raise PbError("empty member list")
-    width = _check_widths(*members)
-    if not 0 <= constant < (1 << width):
-        raise PbError("constant too wide")
-    selectors = tuple(f.new_var() for _ in members)
-    f.add(tuple((1, s) for s in selectors), GE, 1)
-    for sel, member in zip(selectors, members):
-        for i in range(width):
-            bit = (constant >> (width - 1 - i)) & 1
-            if bit:
-                f.add(((-1, sel), (1, member[i])), GE, 0)
-            else:
-                f.add(((-1, sel), (-1, member[i])), GE, -1)
     return selectors
 
 

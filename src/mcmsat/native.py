@@ -5,7 +5,7 @@ and its helpers: same decision order, same island reductions, so
 verdicts and models are identical to the Python path (cross-checked in
 the test suite).  It reads RefSolver's int32 row store in place, through
 the addresses of its arrays, and searches in time slices of about
-SLICE seconds, so a deadline is checked between slices.  It is compiled
+SLICE seconds, asking the caller's stop predicate in between.  It is compiled
 on first use with whatever C compiler is around and cached under
 `$XDG_CACHE_HOME/mcmsat` (by default `~/.cache/mcmsat`); when that
 fails the Python implementation simply runs instead.
@@ -29,7 +29,7 @@ from .refsolver import UNASSIGNED
 log = logging.getLogger(__name__)
 
 RUNNING, C_SAT, C_UNSAT = 0, 1, 2
-SLICE = 0.05  # seconds per mcm_run call: the deadline is checked in between
+SLICE = 0.05  # seconds per mcm_run call: the stop predicate is asked in between
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -400,8 +400,11 @@ def load():
         return None
 
 
-def run(lib, solver, deadline, max_steps):
-    """Search the solver's row store on the compiled core, in time slices."""
+def run(lib, solver, stop):
+    """Search the solver's row store on the compiled core, in time slices.
+
+    Returns UNKNOWN once `stop()` (asked after each slice) is True.
+    """
     nv, nr = solver.nvars, solver.nrows
     # The search state is copied; the row store is read in place.
     maxposs = array("i", solver.maxposs)
@@ -416,7 +419,7 @@ def run(lib, solver, deadline, max_steps):
     # An empty array's address is 0, which the core never reads.
     ctx = lib.mcm_new(nv, nr, *(a.buffer_info()[0] for a in store))
     if not ctx:
-        return solver._solve_python(deadline, max_steps)
+        return solver._solve_python(stop)
     stats = (ctypes.c_int64 * 4)()
     budget = 1000
     try:
@@ -430,9 +433,7 @@ def run(lib, solver, deadline, max_steps):
                 return SAT, Model((0,) + tuple(assigned[1:]))
             if rc == C_UNSAT:
                 return UNSAT, None
-            if deadline is not None and time.monotonic() > deadline:
-                return UNKNOWN, None
-            if max_steps is not None and solver.decisions > max_steps:
+            if stop is not None and stop():
                 return UNKNOWN, None
             # Aim the next call at SLICE seconds from this call's step rate,
             # growing at most tenfold since step costs drift during a search.

@@ -25,7 +25,6 @@ constants.
 
 from __future__ import annotations
 
-import time
 from array import array
 from collections import Counter
 from itertools import accumulate
@@ -307,12 +306,15 @@ class RefSolver:
 
     # -- main loop -------------------------------------------------------
 
-    def solve(self, deadline=None, max_steps=None, collect=None):
-        """Run the search to completion (or deadline/step budget).
+    def solve(self, stop=None, collect=None):
+        """Run the search to completion, or until `stop()` returns True.
 
-        With `collect`, every model is passed to the callback and the
-        search keeps going (exhaustively, autarky reductions disabled)
-        until the callback returns False or the tree is spent.
+        `stop` takes no arguments and is asked every 1024 steps here and
+        between the compiled core's time slices; its True ends the
+        search as UNKNOWN.  With `collect`, every model is passed to the
+        callback and the search keeps going (exhaustively, autarky
+        reductions disabled) until the callback returns False or the
+        tree is spent.
         """
         if self.root_conflict:
             return UNSAT, None
@@ -321,10 +323,10 @@ class RefSolver:
 
             core = native.load()
             if core is not None:
-                return native.run(core, self, deadline, max_steps)
-        return self._solve_python(deadline, max_steps, collect)
+                return native.run(core, self, stop)
+        return self._solve_python(stop, collect)
 
-    def _solve_python(self, deadline=None, max_steps=None, collect=None):
+    def _solve_python(self, stop=None, collect=None):
         enumerating = collect is not None
         queue = list(range(self.nrows))
         for r in queue:
@@ -335,11 +337,8 @@ class RefSolver:
         steps = 0
         while True:
             steps += 1
-            if steps & 1023 == 0:
-                if deadline is not None and time.monotonic() > deadline:
-                    return UNKNOWN, None
-                if max_steps is not None and self.decisions > max_steps:
-                    return UNKNOWN, None
+            if steps & 1023 == 0 and stop is not None and stop():
+                return UNKNOWN, None
             if self._island is not None:
                 if len(self.trail) < self._island_height:
                     self._island = None  # backtracked out, resume normally
@@ -386,18 +385,6 @@ class RefSolver:
                         continue
             if not self._decide(head):
                 return UNSAT, None
-
-
-def solve_formula(
-    formula: PbFormula,
-    timeout=None,
-    max_steps=None,
-    phases=None,
-    use_native: bool = True,
-):
-    solver = RefSolver(formula, phases=phases, use_native=use_native)
-    deadline = None if timeout is None else time.monotonic() + timeout
-    return solver.solve(deadline=deadline, max_steps=max_steps)
 
 
 def enumerate_models(formula: PbFormula, limit=None):

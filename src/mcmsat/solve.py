@@ -1,21 +1,24 @@
 """Solver backends, model decoding, and the descending optimization loop.
 
 A backend is either the bundled reference solver ("internal") or an
-external command template run on an OPB file.  The optimizer descends
-from one below the upper bound until the first UNSAT proves optimality,
-encoding fresh at each level its best graph does not already fit; a
-timeout stops early with the best verified solution so far.
+external command template run on an OPB file.  `solve` is the one place
+that runs them: it races a list of them, and the bundled solver asks a
+stop predicate between time slices.  The optimizer descends from one
+below the upper bound until the first UNSAT proves optimality, encoding
+fresh at each level its best graph does not already fit; a timeout
+stops early with the best verified solution so far.
 """
 
 from __future__ import annotations
 
 import os
 import shlex
+import signal
 import subprocess
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 from .encoder import (
     ADD_PAIR,
@@ -40,11 +43,12 @@ from .model import (
     recoding_witness,
     verify_solution,
 )
-from .pb import SAT, UNKNOWN, UNSAT, Model, PbFormula, parse_solver_output
+from .pb import EQ, SAT, UNKNOWN, UNSAT, Model, PbFormula, parse_solver_output
 from .refsolver import RefSolver
 
 SOLVER_ENV_VAR = "MCMSAT_SOLVER"
 INTERNAL = "internal"
+POLL_S = 0.01  # how often a race with only externals left checks on them
 
 
 class SolverError(McmError):
@@ -71,74 +75,112 @@ def default_backend() -> str:
 
 def solve(
     formula: PbFormula,
-    backend: str = INTERNAL,
+    backend: str | list[str] = INTERNAL,
     timeout: float | None = None,
     phases: dict | None = None,
 ) -> SolveOutcome:
-    """Decide one formula.  UNKNOWN only on timeout or budget exhaustion.
+    """Race one or more backends on one formula; the first SAT or UNSAT wins.
 
     An external backend is a command template; `{opb}` is replaced with
-    the path of the problem file (appended when absent).
+    the path of the problem file (appended when absent).  Externals run
+    in their own sessions and are killed and reaped before this returns;
+    the internal solver runs in this thread until the timeout passes or
+    an external answers.  Every SAT model is checked against the formula.
+    A missing backend, unusable output or a model violating a row drops
+    that backend from the race; its error is raised only when no backend
+    answers SAT or UNSAT.
     """
+    backends = [backend] if isinstance(backend, str) else list(backend)
     start = time.monotonic()
-    if backend == INTERNAL:
-        solver = RefSolver(formula, phases=phases)
-        deadline = None if timeout is None else start + timeout
-        status, model = solver.solve(deadline=deadline)
-        return SolveOutcome(status, model, time.monotonic() - start, INTERNAL)
+    deadline = None if timeout is None else start + timeout
+    decided: list[SolveOutcome] = []
+    errors: list[McmError] = []
+    started: list[subprocess.Popen] = []
+    running: list[tuple[str, subprocess.Popen, str]] = []  # with output path
 
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".opb", prefix="mcmsat_", delete=False
-    ) as handle:
-        handle.write(formula.emit_opb())
-        path = handle.name
-    try:
-        argv = shlex.split(backend)
-        if any("{opb}" in a for a in argv):
-            argv = [a.replace("{opb}", path) for a in argv]
-        else:
-            argv.append(path)
+    def settle(name, answer):
+        """Record one backend's (status, model), produced by `answer()`."""
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=timeout
+            status, model = answer()
+            if status == SAT:
+                _check_model(formula, model, name)
+        except McmError as exc:
+            errors.append(exc)
+            return
+        if status != UNKNOWN:
+            decided.append(SolveOutcome(status, model, time.monotonic() - start, name))
+
+    def poll() -> bool:
+        """Settle the externals that have exited; True once one decided."""
+        for name, proc, out in list(running):
+            if proc.poll() is not None:
+                running.remove((name, proc, out))
+                settle(name, lambda: parse_solver_output(
+                    Path(out).read_text(), formula.var_count))
+        return bool(decided)
+
+    def stop() -> bool:
+        if deadline is not None and time.monotonic() > deadline:
+            return True
+        return poll()
+
+    with tempfile.TemporaryDirectory(prefix="mcmsat_") as tmp:
+        try:
+            externals = [b for b in backends if b != INTERNAL]
+            if externals:
+                opb = os.path.join(tmp, "formula.opb")
+                Path(opb).write_text(formula.emit_opb())
+            for i, name in enumerate(externals):
+                argv = shlex.split(name)
+                if any("{opb}" in a for a in argv):
+                    argv = [a.replace("{opb}", opb) for a in argv]
+                else:
+                    argv.append(opb)
+                out = os.path.join(tmp, f"{i}.out")
+                try:
+                    with open(out, "w") as sink:
+                        proc = subprocess.Popen(
+                            argv, stdout=sink, stderr=subprocess.DEVNULL,
+                            start_new_session=True,
+                        )
+                except OSError as exc:
+                    missing = isinstance(exc, FileNotFoundError)
+                    why = "missing" if missing else f"unusable ({exc.strerror})"
+                    errors.append(SolverError(f"backend executable {why}: {argv[0]}"))
+                    continue
+                started.append(proc)
+                running.append((name, proc, out))
+            if INTERNAL in backends:
+                settle(INTERNAL, lambda: RefSolver(formula, phases=phases).solve(stop))
+            while not stop() and running:
+                time.sleep(POLL_S)
+        finally:
+            for proc in started:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass  # the group has already exited
+                proc.wait()
+    if decided:
+        return decided[0]
+    if errors:
+        raise errors[0]
+    return SolveOutcome(UNKNOWN, None, time.monotonic() - start, ",".join(backends))
+
+
+def _check_model(formula: PbFormula, model: Model, backend: str) -> None:
+    """Raise SolverError naming the first row `model` violates."""
+    values = model.values
+    for idx, c in enumerate(formula.constraints):
+        lhs = 0
+        for coef, var in c.terms:
+            if values[var]:
+                lhs += coef
+        if lhs < c.bound or (c.relation == EQ and lhs != c.bound):
+            raise SolverError(
+                f"backend {backend}: model violates row {idx} "
+                f"({lhs} {c.relation} {c.bound} required)"
             )
-        except FileNotFoundError as exc:
-            raise SolverError(f"backend executable missing: {argv[0]}") from exc
-        except subprocess.TimeoutExpired:
-            return SolveOutcome(UNKNOWN, None, time.monotonic() - start, backend)
-        status, model = parse_solver_output(proc.stdout, formula.var_count)
-        return SolveOutcome(status, model, time.monotonic() - start, backend)
-    finally:
-        os.unlink(path)
-
-
-def solve_portfolio(
-    formula: PbFormula,
-    backends: list[str],
-    timeout: float | None = None,
-    phases: dict | None = None,
-) -> SolveOutcome:
-    """Run several backends concurrently; first decisive answer wins."""
-    if len(backends) == 1:
-        return solve(formula, backends[0], timeout, phases)
-    start = time.monotonic()
-    with ThreadPoolExecutor(max_workers=len(backends)) as pool:
-        futures = {
-            pool.submit(solve, formula, b, timeout, phases): b for b in backends
-        }
-        pending = set(futures)
-        best: SolveOutcome | None = None
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                outcome = fut.result()
-                if outcome.status != UNKNOWN:
-                    for other in pending:
-                        other.cancel()
-                    return outcome
-                best = outcome
-    assert best is not None
-    return SolveOutcome(UNKNOWN, None, time.monotonic() - start, best.backend)
 
 
 # -- decoding ----------------------------------------------------------------
@@ -414,8 +456,6 @@ def solve_encoding(
         hinted = witness_phase_hints(enc, hint_graph)
         if hinted is not None:
             phases = hinted
-    if isinstance(backend, (list, tuple)):
-        return solve_portfolio(enc.formula, list(backend), timeout, phases)
     return solve(enc.formula, backend, timeout, phases)
 
 

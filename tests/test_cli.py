@@ -242,6 +242,27 @@ def test_bench_aggregates_and_trivial_exclusion(runner, tmp_path):
     assert agg["avg_time"] == worked["outcomes"]["internal"]["elapsed"]
 
 
+def test_bench_verifies_sat_graphs(runner, tmp_path, monkeypatch):
+    import mcmsat.cli
+
+    checked = []
+
+    def refuse(inst, graph):
+        checked.append(graph)
+        return False
+
+    monkeypatch.setattr(mcmsat.cli, "verify_solution", refuse)
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "worked.txt").write_text("# ops: 3\n29\n43\n")
+    result = runner.invoke(main, ["bench", str(bench_dir), "--timeout", "60"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "Error: worked.txt: backend internal gave a graph that does not verify"
+    ]
+    assert len(checked) == 1 and checked[0].cost <= 3
+
+
 def test_bench_vbs_minimum_over_backends(runner, tmp_path, monkeypatch):
     import sys, stat, textwrap
 

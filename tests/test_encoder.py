@@ -12,7 +12,8 @@ from mcmsat.encoder import (
 from mcmsat.model import McmError, normalize_targets
 from mcmsat.oracle import brute_force_optimal
 from mcmsat.pb import parse_opb
-from mcmsat.refsolver import enumerate_models, solve_formula
+from mcmsat.refsolver import enumerate_models
+from mcmsat.solve import solve
 
 # Published size table for the two single-constant regression rows, as
 # (constraints, variables) per encoding variant.  Variant 1 matches with
@@ -152,7 +153,7 @@ def test_encode_partial_pinning_is_sound():
             assert res.trivial_verdict == expected
             continue
         assert [p.value for p in res.pinned] == [7]
-        status, _ = solve_formula(res.formula, phases=res.phase_hints)
+        status = solve(res.formula, phases=res.phase_hints).status
         assert status == expected
 
 
@@ -173,9 +174,9 @@ def test_encode_empty_instance_trivial():
 def test_worked_example_sat_and_unsat_levels(variant):
     inst = normalize_targets([29, 43])
     unsat = encode_mcm(inst, EncodingConfig(ops=2, variant=variant))
-    assert solve_formula(unsat.formula, phases=unsat.phase_hints)[0] == "UNSAT"
+    assert solve(unsat.formula, phases=unsat.phase_hints).status == "UNSAT"
     sat = encode_mcm(inst, EncodingConfig(ops=3, variant=variant))
-    assert solve_formula(sat.formula, phases=sat.phase_hints)[0] == "SAT"
+    assert solve(sat.formula, phases=sat.phase_hints).status == "SAT"
 
 
 @pytest.mark.parametrize("variant", [1, 2, 3])
@@ -188,14 +189,14 @@ def test_small_scale_completeness(variant):
         if enc.trivial_verdict is not None:
             assert enc.trivial_verdict == "SAT"
         else:
-            assert solve_formula(enc.formula, phases=enc.phase_hints)[0] == "SAT"
+            assert solve(enc.formula, phases=enc.phase_hints).status == "SAT"
         if cost > 1:
             enc = encode_mcm(inst, EncodingConfig(ops=cost - 1, variant=variant))
             if enc.trivial_verdict is not None:
                 assert enc.trivial_verdict == "UNSAT"
             else:
                 assert (
-                    solve_formula(enc.formula, phases=enc.phase_hints)[0] == "UNSAT"
+                    solve(enc.formula, phases=enc.phase_hints).status == "UNSAT"
                 )
 
 
@@ -204,10 +205,10 @@ def test_monotone_satisfiability():
     statuses = []
     for ops in (2, 3, 4):
         enc = encode_mcm(inst, EncodingConfig(ops=ops, variant=3))
-        statuses.append(solve_formula(enc.formula, phases=enc.phase_hints)[0])
+        statuses.append(solve(enc.formula, phases=enc.phase_hints).status)
     assert statuses == ["SAT", "SAT", "SAT"]
     enc = encode_mcm(inst, EncodingConfig(ops=1, variant=3))
-    assert solve_formula(enc.formula, phases=enc.phase_hints)[0] == "UNSAT"
+    assert solve(enc.formula, phases=enc.phase_hints).status == "UNSAT"
 
 
 def test_nonzero_sub_removes_exactly_zero_value_models():
@@ -248,7 +249,7 @@ def test_end_to_end_equisatisfiable_with_and_without_nonzero_sub():
         for nonzero in (False, True):
             cfg = EncodingConfig(ops=ops, variant=3, nonzero_sub=nonzero)
             enc = encode_mcm(inst, cfg)
-            assert solve_formula(enc.formula, phases=enc.phase_hints)[0] == expected
+            assert solve(enc.formula, phases=enc.phase_hints).status == expected
 
 
 def test_emitted_opb_round_trips():
@@ -271,7 +272,7 @@ def test_right_shift_mode_stays_correct():
     for ops, expected in ((2, "SAT"), (1, "UNSAT")):
         cfg = EncodingConfig(ops=ops, variant=3, right_shifts=True)
         enc = encode_mcm(inst, cfg)
-        assert solve_formula(enc.formula, phases=enc.phase_hints)[0] == expected
+        assert solve(enc.formula, phases=enc.phase_hints).status == expected
 
 
 def test_encode_rejects_oversized_width():
@@ -286,7 +287,7 @@ def test_encode_more_targets_than_ops_without_preprocessing():
     cfg = EncodingConfig(ops=1, variant=3, trivial_precompute=False)
     enc = encode_mcm(inst, cfg)
     assert enc.trivial_verdict is None
-    assert solve_formula(enc.formula, phases=enc.phase_hints)[0] == "UNSAT"
+    assert solve(enc.formula, phases=enc.phase_hints).status == "UNSAT"
 
 
 def test_annotations_optional_and_off_by_default():

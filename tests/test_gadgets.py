@@ -272,7 +272,7 @@ def test_shared_chain_joint_satisfiability(subtract, n):
     # Several gadgets on one chain: satisfiable for every in-range input
     # of the single enabled gadget, with the disabled gadgets' inputs and
     # outputs chosen existentially.
-    from mcmsat.refsolver import solve_formula
+    from mcmsat.refsolver import RefSolver
 
     for enabled_idx in range(3):
         for bv in range(1 << n):
@@ -303,7 +303,7 @@ def test_shared_chain_joint_satisfiability(subtract, n):
                     f.add(((1, b[i]),) if bit else ((-1, b[i]),), GE, bit)
                     bit = (cv >> (n - 1 - i)) & 1
                     f.add(((1, c[i]),) if bit else ((-1, c[i]),), GE, bit)
-                status, _ = solve_formula(f)
+                status, _ = RefSolver(f).solve()
                 assert status == "SAT", (subtract, enabled_idx, bv, cv)
 
 
@@ -390,66 +390,6 @@ def test_shift_models_for_single_bit_input():
 
 
 # -- list selectors and popcount pins ----------------------------------------
-
-
-def test_equate_var_list_to_var_truth_table():
-    n = 2
-    f = PbFormula()
-    v1, v2 = f.new_bitvec(n), f.new_bitvec(n)
-    out, sels = gadgets.equate_var_list_to_var(f, [v1, v2])
-    assert len(f.constraints) == 1 + 2 * n * 2
-    expected = set()
-    for m in universe(f):
-        chosen = [m[s - 1] for s in sels]
-        if sum(chosen) < 1:
-            continue
-        ov = vec_val(m, out)
-        ok = True
-        for flag, vec in zip(chosen, (v1, v2)):
-            if flag and vec_val(m, vec) != ov:
-                ok = False
-        if ok:
-            expected.add(m)
-    assert all_models(f) == expected
-
-
-def test_equate_var_list_single_member_forced():
-    f = PbFormula()
-    v = f.new_bitvec(4)
-    out, sels = gadgets.equate_var_list_to_var(f, [v])
-    for i in range(4):
-        bit = (3 >> (3 - i)) & 1
-        f.add(((1, v[i]),) if bit else ((-1, v[i]),), GE, bit)
-    models = all_models(f)
-    assert models and all(vec_val(m, out) == 3 for m in models)
-
-
-def test_equate_var_list_to_const_truth_table():
-    n = 3
-    f = PbFormula()
-    v1, v2 = f.new_bitvec(n), f.new_bitvec(n)
-    sels = gadgets.equate_var_list_to_const(f, [v1, v2], 5)
-    assert len(f.constraints) == 1 + n * 2
-    expected = set()
-    for m in universe(f):
-        chosen = [m[s - 1] for s in sels]
-        if sum(chosen) < 1:
-            continue
-        if all(
-            not flag or vec_val(m, vec) == 5
-            for flag, vec in zip(chosen, (v1, v2))
-        ):
-            expected.add(m)
-    assert all_models(f) == expected
-
-
-def test_equate_to_const_errors():
-    f = PbFormula()
-    v = f.new_bitvec(3)
-    with pytest.raises(PbError):
-        gadgets.equate_var_list_to_const(f, [], 1)
-    with pytest.raises(PbError):
-        gadgets.equate_var_list_to_const(f, [v], 8)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from mcmsat.pb import EQ, GE, PbError, PbFormula
-from mcmsat.refsolver import RefSolver, enumerate_models, solve_formula
+from mcmsat.refsolver import RefSolver, enumerate_models
 
 
 def brute_status(f: PbFormula) -> str:
@@ -53,20 +53,20 @@ def test_toy_unsat():
     x = f.new_var()
     f.add(((1, x),), GE, 1)
     f.add(((-1, x),), GE, 0)
-    assert solve_formula(f) == ("UNSAT", None)
+    assert RefSolver(f).solve() == ("UNSAT", None)
 
 
 def test_toy_sat_returns_model():
     f = PbFormula()
     x, y = f.new_var(), f.new_var()
     f.add(((1, x), (1, y)), GE, 2)
-    status, model = solve_formula(f)
+    status, model = RefSolver(f).solve()
     assert status == "SAT"
     assert model[x] == 1 and model[y] == 1
 
 
 def test_empty_formula_is_sat():
-    assert solve_formula(PbFormula())[0] == "SAT"
+    assert RefSolver(PbFormula()).solve()[0] == "SAT"
 
 
 @pytest.mark.parametrize("use_native", [False, True])
@@ -74,7 +74,7 @@ def test_completeness_against_enumeration(use_native):
     rng = random.Random(1234)
     for _ in range(200):
         f = random_formula(rng)
-        status, model = solve_formula(f, use_native=use_native)
+        status, model = RefSolver(f, use_native=use_native).solve()
         assert status == brute_status(f)
         if model is not None:
             for c in f.constraints:
@@ -102,7 +102,7 @@ def test_rows_beyond_int32_are_refused(use_native):
     f.add(((2**32, x1), (1, x2)), GE, 2**32)
     f.add(((-1, x1),), GE, 0)
     with pytest.raises(PbError, match="int32"):
-        solve_formula(f, use_native=use_native)
+        RefSolver(f, use_native=use_native).solve()
 
 
 def test_int32_max_coefficient_solves_on_both_paths():
@@ -111,11 +111,11 @@ def test_int32_max_coefficient_solves_on_both_paths():
     x1, x2 = f.new_var(), f.new_var()
     f.add(((big, x1),), GE, big)
     f.add(((-big, x2),), GE, 0)
-    results = [solve_formula(f, use_native=n) for n in (False, True)]
+    results = [RefSolver(f, use_native=n).solve() for n in (False, True)]
     assert results[0] == results[1]
     assert results[0][0] == "SAT" and results[0][1].values == (0, 1, 0)
     f.add(((big, x2),), GE, 1)
-    assert [solve_formula(f, use_native=n)[0] for n in (False, True)] == ["UNSAT"] * 2
+    assert [RefSolver(f, use_native=n).solve()[0] for n in (False, True)] == ["UNSAT"] * 2
 
 
 def test_enumerate_models_is_exhaustive():
@@ -136,13 +136,13 @@ def test_enumerate_models_limit():
 
 
 def test_budget_exhaustion_returns_unknown():
-    # A hard-ish satisfiable formula with a tiny step budget.
+    # A hard-ish satisfiable formula, stopped at the first check.
     f = PbFormula()
     vs = [f.new_var() for _ in range(30)]
     for i in range(0, 28):
         f.add(((1, vs[i]), (1, vs[i + 1]), (-1, vs[(i + 2) % 30])), GE, 0)
     f.add(tuple((1, v) for v in vs), EQ, 15)
-    status, model = solve_formula(f, max_steps=2, use_native=False)
+    status, model = RefSolver(f, use_native=False).solve(stop=lambda: True)
     assert status in ("UNKNOWN", "SAT", "UNSAT")  # must not hang or crash
 
 
@@ -156,7 +156,10 @@ def test_timeout_returns_unknown():
     for i in range(0, 60, 2):
         f.add(((1, vs[i]), (1, vs[i + 1])), EQ, 1)
     start = time.monotonic()
-    status, _ = solve_formula(f, timeout=0.2, use_native=False)
+    deadline = start + 0.2
+    status, _ = RefSolver(f, use_native=False).solve(
+        stop=lambda: time.monotonic() > deadline
+    )
     assert time.monotonic() - start < 30
     # 30 pairs x exactly one = 30 total, but 31 required: UNSAT, and small
     # enough that even the slow path may finish; both outcomes valid here.
@@ -166,9 +169,9 @@ def test_timeout_returns_unknown():
 def test_deterministic_repeat():
     rng = random.Random(7)
     f = random_formula(rng)
-    first = solve_formula(f)
+    first = RefSolver(f).solve()
     for _ in range(3):
-        assert solve_formula(f) == first
+        assert RefSolver(f).solve() == first
 
 
 def test_completeness_up_to_twenty_vars():
@@ -183,7 +186,7 @@ def test_completeness_up_to_twenty_vars():
             chosen = rng.sample(range(1, f.var_count + 1), width)
             terms = tuple((rng.choice([-2, -1, 1, 2]), v) for v in chosen)
             f.add(terms, GE if rng.random() < 0.8 else EQ, rng.randint(-3, 3))
-        assert solve_formula(f)[0] == brute_status(f)
+        assert RefSolver(f).solve()[0] == brute_status(f)
 
 
 def test_python_and_native_agree_on_encodings():

@@ -30,7 +30,6 @@ from mcmsat.solve import (
     prune_graph,
     solve,
     solve_encoding,
-    solve_portfolio,
 )
 
 ADDITIONS = (EXACTLY2, ADD_SHIFT_POW, ADD_PAIR)
@@ -63,8 +62,8 @@ def test_solve_worked_example_levels():
 # -- external backends ---------------------------------------------------------
 
 
-def fake_solver_script(tmp_path, body):
-    path = tmp_path / "fakesolver.py"
+def fake_solver_script(tmp_path, body, name="fakesolver"):
+    path = tmp_path / f"{name}.py"
     path.write_text(f"#!{sys.executable}\n" + textwrap.dedent(body))
     path.chmod(path.stat().st_mode | stat.S_IEXEC)
     return f"{sys.executable} {path}"
@@ -78,9 +77,9 @@ def test_external_backend_round_trip(tmp_path):
         """
         import sys
         from mcmsat.pb import parse_opb
-        from mcmsat.refsolver import solve_formula
+        from mcmsat.refsolver import RefSolver
         f = parse_opb(open(sys.argv[1]).read())
-        status, model = solve_formula(f)
+        status, model = RefSolver(f).solve()
         if status == "SAT":
             print("s SATISFIABLE")
             lits = " ".join(
@@ -116,6 +115,15 @@ def test_external_backend_missing_executable():
         solve(toy_unsat_formula(), backend="/nonexistent/solver-binary")
 
 
+def test_unrunnable_backend_is_broken(tmp_path):
+    script = tmp_path / "not_executable.sh"
+    script.write_text("echo 's UNSATISFIABLE'\n")
+    with pytest.raises(SolverError, match="Permission denied"):
+        solve(toy_unsat_formula(), backend=str(script))
+    outcome = solve(toy_unsat_formula(), [str(script), "internal"])
+    assert outcome.status == "UNSAT" and outcome.backend == "internal"
+
+
 def test_external_backend_garbage_output(tmp_path):
     script = fake_solver_script(tmp_path, "print('segfault near line 7')\n")
     from mcmsat.pb import PbError
@@ -132,14 +140,79 @@ def test_external_backend_timeout(tmp_path):
     assert outcome.status == "UNKNOWN"
 
 
-def test_portfolio_takes_first_decisive(tmp_path):
+def test_portfolio_takes_first_decisive(tmp_path, monkeypatch):
+    # The internal solver answers at once; the sleeper must not hold up
+    # the race and must be dead and reaped when solve returns.
+    pid_file = tmp_path / "sleeper.pid"
     slow = fake_solver_script(
-        tmp_path, "import time\ntime.sleep(30)\nprint('s UNSATISFIABLE')\n"
+        tmp_path,
+        f"""
+        import os, time
+        open({str(pid_file)!r}, "w").write(str(os.getpid()))
+        time.sleep(30)
+        print("s UNSATISFIABLE")
+        """,
     )
-    outcome = solve_portfolio(toy_unsat_formula(), ["internal", slow], timeout=60)
-    assert outcome.status == "UNSAT"
-    assert outcome.backend == "internal"
-    assert outcome.elapsed < 10
+    solve_mod = importlib.import_module("mcmsat.solve")
+
+    class AfterSleeperStarts(solve_mod.RefSolver):
+        def solve(self, *args, **kwargs):
+            limit = time.monotonic() + 10
+            while not pid_file.exists() and time.monotonic() < limit:
+                time.sleep(0.01)
+            return super().solve(*args, **kwargs)
+
+    monkeypatch.setattr(solve_mod, "RefSolver", AfterSleeperStarts)
+    start = time.monotonic()
+    outcome = solve(toy_unsat_formula(), ["internal", slow], timeout=60)
+    assert time.monotonic() - start < 3
+    assert outcome.status == "UNSAT" and outcome.backend == "internal"
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_race_goes_on_without_a_broken_backend(tmp_path):
+    junk = fake_solver_script(tmp_path, "print('segfault near line 7')\n", "junk")
+    late = fake_solver_script(
+        tmp_path, "import time\ntime.sleep(0.5)\nprint('s UNSATISFIABLE')\n", "late"
+    )
+    outcome = solve(toy_unsat_formula(), [junk, late], timeout=60)
+    assert outcome.status == "UNSAT" and outcome.backend == late
+
+
+WRONG_SAT = "print('s SATISFIABLE')\nprint('v x1')\n"
+
+
+def test_wrong_sat_model_is_refused(tmp_path):
+    # x1 = 1 violates row 1, -x1 >= 0.
+    script = fake_solver_script(tmp_path, WRONG_SAT)
+    with pytest.raises(SolverError, match="violates row 1"):
+        solve(toy_unsat_formula(), backend=script)
+
+
+def test_wrong_sat_model_loses_the_race(tmp_path, monkeypatch):
+    # The internal search starts only after the liar has exited, and
+    # refuting 683 at 2 ops takes more than one slice of search, so the
+    # race reads the wrong model while the search runs: it must drop it
+    # and return the internal verdict.
+    marker = tmp_path / "answered"
+    liar = fake_solver_script(
+        tmp_path, WRONG_SAT + f"open({str(marker)!r}, 'w').close()\n"
+    )
+    solve_mod = importlib.import_module("mcmsat.solve")
+
+    class AfterLiarAnswers(solve_mod.RefSolver):
+        def solve(self, *args, **kwargs):
+            limit = time.monotonic() + 10
+            while not marker.exists() and time.monotonic() < limit:
+                time.sleep(0.01)
+            time.sleep(0.2)  # let the liar exit
+            return super().solve(*args, **kwargs)
+
+    monkeypatch.setattr(solve_mod, "RefSolver", AfterLiarAnswers)
+    enc = encode_mcm(normalize_targets([683]), EncodingConfig(ops=2))
+    outcome = solve(enc.formula, [liar, "internal"], timeout=60, phases=enc.phase_hints)
+    assert outcome.status == "UNSAT" and outcome.backend == "internal"
 
 
 # -- decoding ------------------------------------------------------------------
