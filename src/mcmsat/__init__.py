@@ -12,6 +12,7 @@ from .model import (
     check_solution,
     csd_digits,
     csd_upper_bound,
+    heuristic_graph,
     normalize_targets,
     recoding_upper_bounds,
     recoding_witness,

@@ -17,6 +17,7 @@ from .model import (
     McmError,
     check_solution,
     csd_upper_bound,
+    heuristic_graph,
     normalize_targets,
     recoding_upper_bounds,
     verify_solution,
@@ -212,6 +213,7 @@ def stats(instance, ops, encoding, right_shifts, no_improvements, improvement, a
     """Measured and predicted formula sizes for every variant."""
     inst, _ = _load_instance(instance)
     bounds = recoding_upper_bounds(inst)
+    heuristic = heuristic_graph(inst).cost
     rows = []
     for variant in (1, 2, 3):
         cfg = _config(ops, variant, right_shifts, no_improvements, improvement)
@@ -233,13 +235,15 @@ def stats(instance, ops, encoding, right_shifts, no_improvements, improvement, a
         "ops": ops,
         "upper_bound_csd": bounds.csd,
         "upper_bound_binary": bounds.binary,
+        "upper_bound_heuristic": heuristic,
         "encodings": rows,
     }
     if as_json:
         click.echo(json.dumps(info))
         return
     click.echo(f"targets {list(inst.targets)}  bit width {inst.bit_width}  ops {ops}")
-    click.echo(f"upper bounds: signed-digit {bounds.csd}, binary {bounds.binary}")
+    click.echo(f"upper bounds: signed-digit {bounds.csd}, binary {bounds.binary}, "
+               f"heuristic {heuristic}")
     for row in rows:
         click.echo(
             f"  variant {row['variant']}: {row['constraints']} constraints, "

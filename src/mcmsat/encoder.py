@@ -27,8 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from . import gadgets
 from .gadgets import CarryChain, emit_false, exactly
-from .model import AOperationParams, McmError, McmInstance
-from .oracle import one_operation_values
+from .model import AOperationParams, McmError, McmInstance, one_operation_values
 from .pb import EQ, GE, BitVec, PbFormula
 
 EXACTLY2 = "exactly2"

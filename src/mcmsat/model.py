@@ -8,6 +8,7 @@ of such operations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -113,6 +114,50 @@ def apply_a_operation(u: int, v: int, p: AOperationParams) -> int:
     if pre % (1 << p.right_shift) != 0:
         raise McmError("invalid r: right shift drops set bits")
     return pre >> p.right_shift
+
+
+def one_operation_values(base, bit_width: int, right_shifts: bool = False) -> dict:
+    """All values reachable from `base` by a single operation.
+
+    Returns {value: (u, v, params)} with a deterministic first witness
+    per value.  Shift amounts range over [0, bit_width - 1]; results are
+    restricted to (0, 2^bit_width).
+    """
+    limit = 1 << bit_width
+    max_shift = bit_width - 1
+    found: dict[int, tuple[int, int, AOperationParams]] = {}
+    values = sorted(base)
+    shifts = range(max_shift + 1)
+    # Shifted operands stay below 2^bit_width, mirroring the N-bit shift
+    # stages of the encoder.
+    for u in values:
+        for v in values:
+            for l1 in shifts:
+                su = u << l1
+                if su >= limit:
+                    break
+                for l2 in shifts:
+                    sv = v << l2
+                    if sv >= limit:
+                        break
+                    for sign in (0, 1):
+                        pre = abs(su - sv) if sign else su + sv
+                        if pre == 0:
+                            continue
+                        if not right_shifts:
+                            if pre < limit and pre not in found:
+                                found[pre] = (u, v, AOperationParams(l1, l2, 0, sign))
+                            continue
+                        w = pre
+                        r = 0
+                        while True:
+                            if w < limit and w not in found:
+                                found[w] = (u, v, AOperationParams(l1, l2, r, sign))
+                            if w % 2 or r >= max_shift:
+                                break
+                            w //= 2
+                            r += 1
+    return found
 
 
 def find_params(
@@ -273,3 +318,84 @@ def recoding_witness(inst: McmInstance) -> AdderGraph:
         if acc_value != t:  # single-digit target: power of two, already node 0
             raise McmError(f"recoding witness failed for {t}")
     return AdderGraph(tuple(nodes))
+
+
+def _csd_runs(value: int) -> dict[int, int]:
+    """Odd values of each run of consecutive nonzero CSD digits of value.
+
+    Maps each to its digit count: a value of R that is such a run of a
+    target has built that many of the target's digits.
+    """
+    digits = [(p, d) for p, d in enumerate(reversed(csd_digits(value))) if d]
+    runs: dict[int, int] = {}
+    for i, (low, _) in enumerate(digits):
+        acc = 0
+        for j in range(i, len(digits)):
+            power, d = digits[j]
+            acc += d << (power - low)
+            runs[abs(acc)] = j - i + 1
+    return runs
+
+
+def _partners(t: int, ready, bit_width: int) -> set[int]:
+    """Values s that put t one operation from ready | {s}, as in Hcub's A*.
+
+    t = |(s << a) +/- (r << b)| gives s << a in {t - r<<b, r<<b - t,
+    t + r<<b}, and t = |(s << a) +/- s| gives s = t / (2^a +/- 1);
+    shifted operands stay below 2^bit_width as in one_operation_values.
+    """
+    limit = 1 << bit_width
+    out: set[int] = set()
+    for r in ready:
+        w = r
+        while w < limit:
+            for x in (t - w, w - t, t + w):
+                while 0 < x < limit:
+                    out.add(x)
+                    x = 0 if x & 1 else x >> 1
+            w <<= 1
+    for a in range(1, bit_width):  # t is odd, so b = 0
+        for m in ((1 << a) + 1, (1 << a) - 1):
+            if t % m == 0 and (t // m) << a < limit:
+                out.add(t // m)
+    return out
+
+
+def heuristic_graph(inst: McmInstance) -> AdderGraph:
+    """Greedy adder graph after Hcub and RAG-n; never costlier than CSD.
+
+    From the ready set {1}, each step adds the smallest target one
+    operation away, or else the successor that puts the most remaining
+    targets one operation away; ties go to the one that leaves the
+    remaining targets the fewest CSD digits to build (a successor that is
+    a run of a target's digits builds that many), then to the smaller
+    value.  Every node comes from one_operation_values, so the graph
+    stays inside the encoder's space.  Returns recoding_witness(inst)
+    when the greedy graph would cost more.
+    """
+    witness = recoding_witness(inst)
+    remaining = set(inst.targets)
+    runs = {t: _csd_runs(t) for t in remaining}
+    ready = {1}
+    nodes: list[GraphNode] = []
+    index_of = {1: 0}
+    options = one_operation_values(ready, inst.bit_width)
+    while remaining and len(nodes) < witness.cost:
+        value = min((t for t in remaining if t in options), default=None)
+        if value is None:
+            score, gain = Counter(), Counter()
+            for t in remaining:
+                score.update(_partners(t, ready, inst.bit_width))
+                built = max(runs[t].get(x, 0) for x in ready)
+                for x, digits in runs[t].items():  # digits of t that x adds
+                    gain[x] += max(0, digits - built)
+            value = min(options.keys() - ready, key=lambda s: (-score[s], -gain[s], s))
+        u, v, params = options[value]
+        nodes.append(GraphNode(value, index_of[u], index_of[v], params))
+        index_of[value] = len(nodes)
+        ready.add(value)
+        remaining.discard(value)
+        for x in ready:  # only pairs with the new value reach new values
+            for w, how in one_operation_values({x, value}, inst.bit_width).items():
+                options.setdefault(w, how)
+    return witness if remaining else AdderGraph(tuple(nodes))

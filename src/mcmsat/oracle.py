@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from .model import (
     AdderGraph,
-    AOperationParams,
     GraphNode,
     McmError,
     McmInstance,
+    one_operation_values,
     verify_solution,
 )
 
@@ -22,50 +22,6 @@ ORACLE_MAX_OPS = 4
 
 class SearchBudgetExceeded(McmError):
     """Raised when no solution exists within max_ops ("exceeds max_ops")."""
-
-
-def one_operation_values(base, bit_width: int, right_shifts: bool = False) -> dict:
-    """All values reachable from `base` by a single operation.
-
-    Returns {value: (u, v, params)} with a deterministic first witness
-    per value.  Shift amounts range over [0, bit_width - 1]; results are
-    restricted to (0, 2^bit_width).
-    """
-    limit = 1 << bit_width
-    max_shift = bit_width - 1
-    found: dict[int, tuple[int, int, AOperationParams]] = {}
-    values = sorted(base)
-    shifts = range(max_shift + 1)
-    # Shifted operands stay below 2^bit_width, mirroring the N-bit shift
-    # stages of the encoder.
-    for u in values:
-        for v in values:
-            for l1 in shifts:
-                su = u << l1
-                if su >= limit:
-                    break
-                for l2 in shifts:
-                    sv = v << l2
-                    if sv >= limit:
-                        break
-                    for sign in (0, 1):
-                        pre = abs(su - sv) if sign else su + sv
-                        if pre == 0:
-                            continue
-                        if not right_shifts:
-                            if pre < limit and pre not in found:
-                                found[pre] = (u, v, AOperationParams(l1, l2, 0, sign))
-                            continue
-                        w = pre
-                        r = 0
-                        while True:
-                            if w < limit and w not in found:
-                                found[w] = (u, v, AOperationParams(l1, l2, r, sign))
-                            if w % 2 or r >= max_shift:
-                                break
-                            w //= 2
-                            r += 1
-    return found
 
 
 def brute_force_optimal(

@@ -3,9 +3,9 @@
 A backend is either the bundled reference solver ("internal") or an
 external command template run on an OPB file.  `solve` is the one place
 that runs them: it races a list of them, and the bundled solver asks a
-stop predicate between time slices.  The optimizer descends from one
-below the upper bound until the first UNSAT proves optimality, encoding
-fresh at each level its best graph does not already fit; a timeout
+stop predicate between time slices.  The optimizer starts from a
+verified heuristic graph and descends until the first UNSAT proves
+optimality, solving only levels its best graph does not fit; a timeout
 stops early with the best verified solution so far.
 """
 
@@ -40,7 +40,8 @@ from .model import (
     McmInstance,
     csd_upper_bound,
     find_params,
-    recoding_witness,
+    heuristic_graph,
+    recoding_witness,  # unused here; benchmark/ calls it through this module
     verify_solution,
 )
 from .pb import EQ, SAT, UNKNOWN, UNSAT, Model, PbFormula, parse_solver_output
@@ -468,11 +469,12 @@ def optimal_mcm(
 ) -> OptimizationReport:
     """Descend one level at a time until the first UNSAT proves optimality.
 
-    A level the last decoded graph fits is recorded SAT with backend
-    "witness" and is not solved.  The upper bound must be realizable; by
-    default it comes from the signed-digit recoding which always is.  On
-    a timeout the report is unproven and carries the best verified graph
-    found so far.
+    Levels the verified heuristic_graph, or a graph decoded lower down,
+    fits are recorded SAT with backend "witness" and are not solved.  The
+    upper bound defaults to the CSD bound; when no known graph fits a
+    caller's bound, the descent starts at the bound, and McmError is
+    raised if no graph within it is found.  On a timeout the report is
+    unproven and carries the best verified graph found so far.
     """
     start = time.monotonic()
     if cfg is None:
@@ -487,11 +489,14 @@ def optimal_mcm(
     if ub <= 0:
         raise McmError("upper bound must be positive for a non-empty instance")
 
+    seed = heuristic_graph(inst)
+    if not verify_solution(inst, seed):
+        raise McmError("heuristic produced an invalid graph")
+    best_graph = seed if seed.cost <= ub else None
     best_ops = ub
-    best_graph: AdderGraph | None = None
     proven = False
     levels: list[tuple[int, SolveOutcome]] = []
-    for level in range(ub - 1, -1, -1):
+    for level in range(ub if best_graph is None else ub - 1, -1, -1):
         if level == 0:
             # No operations cannot cover a non-empty target set.
             levels.append((0, SolveOutcome(UNSAT, None, 0.0, "preprocess")))
@@ -507,19 +512,15 @@ def optimal_mcm(
         levels.append((level, outcome))
         if outcome.status == SAT:
             best_graph = decode_solution(enc, outcome.model)
+            if not verify_solution(inst, best_graph):
+                raise DecodeError("decode failure: optimizer produced an invalid graph")
             best_ops = level
             continue
         if outcome.status == UNSAT:
             proven = True
         break
     if best_graph is None:
-        best_graph = recoding_witness(inst)
-        if best_graph.cost > ub:
-            raise McmError(
-                "cannot synthesize a witness at the claimed upper bound"
-            )
-    if not verify_solution(inst, best_graph):
-        raise DecodeError("decode failure: optimizer produced an invalid graph")
+        raise McmError(f"no graph within the upper bound {ub} was found")
     return OptimizationReport(
         best_ops,
         proven,

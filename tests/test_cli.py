@@ -116,8 +116,10 @@ def test_optimize_unproven_exit_code(runner, instance_file, monkeypatch):
         ("29\nabc\n", [], "Error: bad instance line 2: 'abc'"),
         ("29\n43\n", ["--backend", "/nonexistent/solver"],
          "Error: backend executable missing: /nonexistent/solver"),
+        ("29\n43\n", ["--upper-bound", "2"],
+         "Error: no graph within the upper bound 2 was found"),
     ],
-    ids=["bad-line", "missing-backend"],
+    ids=["bad-line", "missing-backend", "bound-below-optimum"],
 )
 def test_errors_print_one_line(runner, tmp_path, text, extra, message):
     path = tmp_path / "inst.txt"
@@ -159,6 +161,7 @@ def test_stats_reports_all_variants(runner, instance_file):
     assert result.exit_code == 0, result.output
     info = json.loads(result.output)
     assert info["upper_bound_binary"] == 6
+    assert info["upper_bound_heuristic"] == 4
     assert len(info["encodings"]) == 3
     for row in info["encodings"]:
         assert row["variables"] == row["predicted_variables"]

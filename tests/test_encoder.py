@@ -119,7 +119,7 @@ def test_preprocess_chain_through_removed_targets():
 def test_preprocess_inconclusive_on_worked_example():
     # 29 and 43 are not single-operation reachable (checked directly),
     # and two operations cannot be ruled out by counting alone.
-    from mcmsat.oracle import one_operation_values
+    from mcmsat.model import one_operation_values
 
     inst = normalize_targets([29, 43])
     assert 29 not in one_operation_values({1}, inst.bit_width)

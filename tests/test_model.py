@@ -12,11 +12,14 @@ from mcmsat.model import (
     csd_digits,
     csd_upper_bound,
     csd_value,
+    heuristic_graph,
     normalize_targets,
     recoding_upper_bounds,
     recoding_witness,
     verify_solution,
 )
+from mcmsat.oracle import brute_force_optimal
+from test_acceptance import two_target_instances
 
 FIG_GRAPH = AdderGraph(
     (
@@ -226,3 +229,27 @@ def test_recoding_witness_verifies():
         graph = recoding_witness(inst)
         assert verify_solution(inst, graph)
         assert graph.cost <= csd_upper_bound(inst)
+
+
+def test_heuristic_graph_within_bounds_and_encoder_space():
+    singles = [normalize_targets([c]) for c in range(3, 256, 2)]
+    cases = [(inst, brute_force_optimal(inst)[0]) for inst in singles]
+    for inst, optimum in cases + two_target_instances(50):
+        graph = heuristic_graph(inst)
+        ok, problems = check_solution(inst, graph)
+        assert ok, (inst.targets, problems)
+        limit = 1 << inst.bit_width
+        for node in graph.nodes:
+            p = node.params
+            assert p.right_shift == 0
+            assert max(p.left_shift_1, p.left_shift_2) <= inst.bit_width - 1
+            assert graph.node_value(node.left) << p.left_shift_1 < limit
+            assert graph.node_value(node.right) << p.left_shift_2 < limit
+            assert node.value < limit
+        assert optimum <= graph.cost <= recoding_witness(inst).cost
+
+
+def test_heuristic_graph_shares_across_targets():
+    inst = normalize_targets([45, 75, 105])
+    assert csd_upper_bound(inst) == 9
+    assert heuristic_graph(inst).cost == 4

@@ -7,13 +7,10 @@ from mcmsat.model import (
     McmError,
     csd_upper_bound,
     normalize_targets,
+    one_operation_values,
     verify_solution,
 )
-from mcmsat.oracle import (
-    SearchBudgetExceeded,
-    brute_force_optimal,
-    one_operation_values,
-)
+from mcmsat.oracle import SearchBudgetExceeded, brute_force_optimal
 
 
 def reachable_in_one_step(base, bit_width):

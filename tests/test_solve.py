@@ -18,6 +18,7 @@ from mcmsat.encoder import (
 from mcmsat.model import (
     McmError,
     csd_upper_bound,
+    heuristic_graph,
     normalize_targets,
     verify_solution,
 )
@@ -361,7 +362,7 @@ def test_optimal_timeout_keeps_best_verified(monkeypatch):
     inst = normalize_targets([29, 43])
     report = optimal_mcm(inst, upper_bound=6, per_level_timeout=5e-3)
     assert verify_solution(inst, report.graph)
-    assert report.graph.cost <= report.optimal_ops <= 6
+    assert report.graph.cost <= report.optimal_ops <= heuristic_graph(inst).cost
     if not report.proven:
         assert report.per_level[-1][1].status == "UNKNOWN"
 
@@ -378,11 +379,11 @@ def test_optimal_skips_levels_the_graph_fits(monkeypatch):
     monkeypatch.setattr(solve_mod, "solve_encoding", spy)
     inst = normalize_targets([45, 75, 105])
     report = optimal_mcm(inst)
-    assert solved == [8, 4, 3]
+    assert solved == [3]
     assert [(ops, oc.status) for ops, oc in report.per_level] == [
         (8, "SAT"), (7, "SAT"), (6, "SAT"), (5, "SAT"), (4, "SAT"), (3, "UNSAT"),
     ]
-    witness = [(ops, oc) for ops, oc in report.per_level if ops in (7, 6, 5)]
+    witness = [(ops, oc) for ops, oc in report.per_level if ops >= 4]
     assert all(
         oc.backend == "witness" and oc.model is None and oc.elapsed == 0.0
         for _, oc in witness
@@ -425,7 +426,40 @@ def test_optimal_trivial_sat_level_witness():
     report = optimal_mcm(inst)
     assert report.optimal_ops == 2 and report.proven
     assert verify_solution(inst, report.graph)
-    assert report.per_level[0][1].backend == "preprocess"
+    level, outcome = report.per_level[0]
+    assert outcome.backend == "witness"
+    trivial = solve_encoding(encode_mcm(inst, EncodingConfig(ops=level)))
+    assert trivial.status == "SAT" and trivial.backend == "preprocess"
+
+
+@pytest.mark.parametrize(
+    "targets, bound", [([187, 245], 4), ([29, 43], 3)], ids=["seed-fits", "no-graph-fits"]
+)
+def test_optimal_tight_upper_bound(targets, bound):
+    from mcmsat.oracle import brute_force_optimal
+
+    inst = normalize_targets(targets)
+    report = optimal_mcm(inst, upper_bound=bound)
+    assert report.proven and report.upper_bound == bound
+    assert report.optimal_ops == brute_force_optimal(inst)[0] == bound
+    assert verify_solution(inst, report.graph)
+
+
+def test_optimal_bound_below_optimum_raises():
+    with pytest.raises(McmError, match="no graph within the upper bound 2"):
+        optimal_mcm(normalize_targets([29, 43]), upper_bound=2)
+
+
+def test_optimal_held_out_pair_is_fast():
+    # [137, 205] spent about 20 s at level 5 when the descent started from
+    # the CSD bound 6; the heuristic graph fits levels 5 and 4.
+    from mcmsat.oracle import brute_force_optimal
+
+    inst = normalize_targets([137, 205])
+    report = optimal_mcm(inst)
+    assert report.proven
+    assert report.optimal_ops == brute_force_optimal(inst)[0] == 3
+    assert verify_solution(inst, report.graph)
 
 
 def test_witness_phase_hints_first_leaf():
