@@ -1,12 +1,13 @@
 """Optional compiled core for the reference solver.
 
 The C source below is a line-for-line port of RefSolver._solve_python
-and its helpers: same decision order, same island reductions, so
-verdicts and models are identical to the Python path (cross-checked in
-the test suite).  It reads RefSolver's int32 row store in place, through
-the addresses of its arrays, and searches in time slices of about
-SLICE seconds, asking the caller's stop predicate in between.  It is compiled
-on first use with whatever C compiler is around and cached under
+and its helpers: the same conflict-driven search, decision order,
+restarts and clause deletion, so verdicts, models and counters are
+identical to the Python path (cross-checked in the test suite).  It
+reads RefSolver's int32 row store in place, through the addresses of
+its arrays, and searches in time slices of about SLICE seconds, asking
+the caller's stop predicate in between.  It is compiled on first use
+with whatever C compiler is around and cached under
 `$XDG_CACHE_HOME/mcmsat` (by default `~/.cache/mcmsat`); when that
 fails the Python implementation simply runs instead.
 """
@@ -28,7 +29,7 @@ from .refsolver import UNASSIGNED
 
 log = logging.getLogger(__name__)
 
-RUNNING, C_SAT, C_UNSAT = 0, 1, 2
+RUNNING, C_SAT, C_UNSAT, C_NOMEM = 0, 1, 2, 3
 SLICE = 0.05  # seconds per mcm_run call: the stop predicate is asked in between
 
 C_SOURCE = r"""
@@ -36,206 +37,269 @@ C_SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-#define FORCED 0
-#define OPEN 1
 #define UNASSIGNED (-1)
-#define ISLAND_LIMIT 96
-#define ISLAND_ROW_GATE 64
+#define DECAY 0.95
+#define RESCALE 1e100
+#define RESTART_UNIT 100
+#define REDUCE_FIRST 2000
+#define REDUCE_STEP 300
+#define VAR(l) ((l) > 0 ? (l) : -(l))
+#define WIDX(l) (2 * VAR(l) + ((l) < 0))
+#define IS_TRUE(s, l) ((s)->assigned[VAR(l)] == ((l) > 0))
+#define IS_FALSE(s, l) ((s)->assigned[VAR(l)] == ((l) < 0))
+
+typedef struct { const int32_t *ptr, *row, *coef; } Occ;
 
 typedef struct {
     int32_t nvars, nrows;
     const int32_t *row_ptr, *row_coef, *row_lit, *bounds;
-    const int32_t *pos_ptr, *pos_row, *pos_coef;
-    const int32_t *neg_ptr, *neg_row, *neg_coef;
-    const uint8_t *phases;
+    Occ occ[2];  /* occ[1]: rows holding +v, occ[0]: rows holding -v */
     int32_t *maxposs, *satsum;
-    uint8_t *queued;
     int8_t *assigned;
-    int32_t *trail; uint8_t *kinds; int32_t trail_len;
-    int32_t *queue; int32_t queue_len;
-    int32_t head;
-    uint8_t island_active; int32_t island_height;
-    int32_t *island_vars; int32_t island_size;
-    uint8_t *in_island;
-    int32_t *stack;
-    int64_t decisions, propagations, conflicts, islands;
+    uint8_t *queued, *phase, *seen, *mark;
+    int32_t *queue, queue_len, confl;
+    int32_t *trail, trail_len, qhead, *trail_lim, nlevels;
+    int32_t *level, *tpos, *reason, *learnt, nlearnt, *expl;
+    double *act, inc;
+    /* learned clause c is clits[cstart[c]:cstart[c + 1]]; watch slot
+       2c + j watches its literal j, linked from whead[WIDX] via wnext */
+    int32_t *clits, *cstart, *clbd, *wnext, *whead, nclauses;
+    int64_t nlits, lcap, ccap, since_restart, restarts, reductions, next_reduce;
+    int64_t decisions, propagations, conflicts;
 } Ctx;
 
-static int32_t assign(Ctx *s, int32_t var, int32_t value, uint8_t kind) {
+static int grow(int32_t **a, int64_t n) {
+    int32_t *p = (int32_t *)realloc(*a, sizeof(int32_t) * n);
+    if (p) *a = p;
+    return p != 0;
+}
+
+static void assign(Ctx *s, int32_t var, int32_t value, int32_t reason) {
     s->assigned[var] = (int8_t)value;
-    s->trail[s->trail_len] = var;
-    s->kinds[s->trail_len] = kind;
-    s->trail_len++;
-    const int32_t *gr, *gc, *lr, *lc;
-    int32_t gn, ln;
-    if (value == 1) {
-        gr = s->pos_row + s->pos_ptr[var]; gc = s->pos_coef + s->pos_ptr[var];
-        gn = s->pos_ptr[var + 1] - s->pos_ptr[var];
-        lr = s->neg_row + s->neg_ptr[var]; lc = s->neg_coef + s->neg_ptr[var];
-        ln = s->neg_ptr[var + 1] - s->neg_ptr[var];
-    } else {
-        gr = s->neg_row + s->neg_ptr[var]; gc = s->neg_coef + s->neg_ptr[var];
-        gn = s->neg_ptr[var + 1] - s->neg_ptr[var];
-        lr = s->pos_row + s->pos_ptr[var]; lc = s->pos_coef + s->pos_ptr[var];
-        ln = s->pos_ptr[var + 1] - s->pos_ptr[var];
-    }
-    for (int32_t i = 0; i < gn; i++) s->satsum[gr[i]] += gc[i];
-    int32_t conflict = -1;
-    for (int32_t i = 0; i < ln; i++) {
-        int32_t r = lr[i];
-        int32_t mp = (s->maxposs[r] -= lc[i]);
-        if (mp < s->bounds[r]) conflict = r;
+    s->level[var] = s->nlevels;
+    s->tpos[var] = s->trail_len;
+    s->reason[var] = reason;
+    s->trail[s->trail_len++] = var;
+    const Occ *g = &s->occ[value], *l = &s->occ[1 - value];
+    for (int32_t i = g->ptr[var]; i < g->ptr[var + 1]; i++) s->satsum[g->row[i]] += g->coef[i];
+    for (int32_t i = l->ptr[var]; i < l->ptr[var + 1]; i++) {
+        int32_t r = l->row[i];
+        if ((s->maxposs[r] -= l->coef[i]) < s->bounds[r]) s->confl = r;
         else if (s->satsum[r] < s->bounds[r] && !s->queued[r]) {
             s->queued[r] = 1;
             s->queue[s->queue_len++] = r;
         }
     }
-    return conflict;
 }
 
-static int32_t unassign_to(Ctx *s, int32_t height) {
-    int32_t lowest = s->nvars + 1;
-    while (s->trail_len > height) {
-        s->trail_len--;
-        int32_t var = s->trail[s->trail_len];
-        int32_t value = s->assigned[var];
-        s->assigned[var] = UNASSIGNED;
-        if (var < lowest) lowest = var;
-        const int32_t *gr, *gc, *lr, *lc;
-        int32_t gn, ln;
-        if (value == 1) {
-            gr = s->pos_row + s->pos_ptr[var]; gc = s->pos_coef + s->pos_ptr[var];
-            gn = s->pos_ptr[var + 1] - s->pos_ptr[var];
-            lr = s->neg_row + s->neg_ptr[var]; lc = s->neg_coef + s->neg_ptr[var];
-            ln = s->neg_ptr[var + 1] - s->neg_ptr[var];
-        } else {
-            gr = s->neg_row + s->neg_ptr[var]; gc = s->neg_coef + s->neg_ptr[var];
-            gn = s->neg_ptr[var + 1] - s->neg_ptr[var];
-            lr = s->pos_row + s->pos_ptr[var]; lc = s->pos_coef + s->pos_ptr[var];
-            ln = s->pos_ptr[var + 1] - s->pos_ptr[var];
+static void backjump(Ctx *s, int32_t lvl) {
+    if (s->nlevels > lvl) {
+        int32_t height = s->trail_lim[lvl];
+        s->nlevels = lvl;
+        while (s->trail_len > height) {
+            int32_t var = s->trail[--s->trail_len], value = s->assigned[var];
+            const Occ *g = &s->occ[value], *l = &s->occ[1 - value];
+            for (int32_t i = g->ptr[var]; i < g->ptr[var + 1]; i++) s->satsum[g->row[i]] -= g->coef[i];
+            for (int32_t i = l->ptr[var]; i < l->ptr[var + 1]; i++) s->maxposs[l->row[i]] += l->coef[i];
+            s->assigned[var] = UNASSIGNED;
+            s->phase[var] = (uint8_t)value;
         }
-        for (int32_t i = 0; i < gn; i++) s->satsum[gr[i]] -= gc[i];
-        for (int32_t i = 0; i < ln; i++) s->maxposs[lr[i]] += lc[i];
     }
-    return lowest;
+    s->qhead = s->trail_len;
+    s->confl = -1;
 }
 
-static int32_t flush_queue(Ctx *s, int32_t ridx) {
-    while (s->queue_len > 0) s->queued[s->queue[--s->queue_len]] = 0;
-    return ridx;
+static void add_watch(Ctx *s, int32_t slot) {
+    int32_t w = WIDX(s->clits[s->cstart[slot >> 1] + (slot & 1)]);
+    s->wnext[slot] = s->whead[w];
+    s->whead[w] = slot;
+}
+
+/* Visit the learned clauses watching lit, which has just become false. */
+static void watch(Ctx *s, int32_t lit) {
+    int32_t *link = &s->whead[WIDX(lit)];
+    while (*link >= 0) {
+        int32_t slot = *link, c = slot >> 1, j = slot & 1, k = 2;
+        int32_t *cl = s->clits + s->cstart[c], n = s->cstart[c + 1] - s->cstart[c];
+        int32_t other = cl[1 - j];
+        if (IS_TRUE(s, other)) { link = &s->wnext[slot]; continue; }
+        while (k < n && IS_FALSE(s, cl[k])) k++;
+        if (k < n) {  /* watch this non-false literal instead */
+            cl[j] = cl[k];
+            cl[k] = lit;
+            *link = s->wnext[slot];
+            add_watch(s, slot);
+            continue;
+        }
+        if (IS_FALSE(s, other)) { s->confl = s->nrows + c; return; }
+        s->propagations++;
+        assign(s, VAR(other), other > 0, s->nrows + c);
+        if (s->confl >= 0) return;
+        link = &s->wnext[slot];
+    }
 }
 
 static int32_t propagate(Ctx *s) {
-    while (s->queue_len > 0) {
-        int32_t ridx = s->queue[--s->queue_len];
-        s->queued[ridx] = 0;
-        int32_t bound = s->bounds[ridx];
-        if (s->satsum[ridx] >= bound) continue;
-        int32_t slack = s->maxposs[ridx] - bound;
-        if (slack < 0) return flush_queue(s, ridx);
-        int32_t lo = s->row_ptr[ridx], hi = s->row_ptr[ridx + 1];
-        for (int32_t i = lo; i < hi; i++) {
-            int32_t a = s->row_coef[i];
-            if (a <= slack) break;
-            int32_t lit = s->row_lit[i];
-            int32_t var = lit > 0 ? lit : -lit;
-            if (s->assigned[var] == UNASSIGNED) {
+    while (s->confl < 0) {
+        if (s->queue_len > 0) {
+            int32_t r = s->queue[--s->queue_len], bound = s->bounds[r];
+            s->queued[r] = 0;
+            if (s->satsum[r] >= bound) continue;
+            int32_t slack = s->maxposs[r] - bound;
+            for (int32_t i = s->row_ptr[r]; i < s->row_ptr[r + 1] && s->row_coef[i] > slack; i++) {
+                int32_t lit = s->row_lit[i];
+                if (s->assigned[VAR(lit)] != UNASSIGNED) continue;
                 s->propagations++;
-                int32_t conflict = assign(s, var, lit > 0 ? 1 : 0, FORCED);
-                if (conflict >= 0) return flush_queue(s, conflict);
-                if (s->satsum[ridx] >= bound) break;
-                slack = s->maxposs[ridx] - bound;
-                if (slack < 0) return flush_queue(s, ridx);
+                assign(s, VAR(lit), lit > 0, r);
+                if (s->confl >= 0 || s->satsum[r] >= bound) break;
             }
-        }
+        } else if (s->qhead < s->trail_len) {
+            int32_t var = s->trail[s->qhead++];
+            watch(s, s->assigned[var] ? -var : var);
+        } else return -1;
     }
-    return -1;
+    while (s->queue_len > 0) s->queued[s->queue[--s->queue_len]] = 0;
+    return s->confl;
 }
 
-static int backtrack(Ctx *s) {
-    for (;;) {
-        s->conflicts++;
-        int32_t idx = s->trail_len - 1;
-        while (idx >= 0 && s->kinds[idx] != OPEN) idx--;
-        if (idx < 0) return 0;
-        if (s->island_active && idx < s->island_height) {
-            for (int32_t i = 0; i < s->island_size; i++)
-                s->in_island[s->island_vars[i]] = 0;
-            s->island_active = 0;
+/* False literals by which row or clause r implied p (0: the conflict). */
+static int32_t explain(Ctx *s, int32_t r, int32_t p) {
+    int32_t n = 0;
+    if (r < s->nrows) {
+        int32_t limit = p ? s->tpos[VAR(p)] : s->trail_len;
+        for (int32_t i = s->row_ptr[r]; i < s->row_ptr[r + 1]; i++) {
+            int32_t lit = s->row_lit[i];
+            if (IS_FALSE(s, lit) && s->tpos[VAR(lit)] < limit) s->expl[n++] = lit;
         }
-        int32_t var = s->trail[idx];
-        int32_t value = s->assigned[var];
-        int32_t lowest = unassign_to(s, idx);
-        if (lowest < s->head) s->head = lowest;
-        int32_t conflict = assign(s, var, 1 - value, FORCED);
-        if (conflict < 0 && propagate(s) < 0) return 1;
+    } else {
+        for (int32_t i = s->cstart[r - s->nrows]; i < s->cstart[r - s->nrows + 1]; i++)
+            if (s->clits[i] != p) s->expl[n++] = s->clits[i];
     }
+    return n;
 }
 
-static int decide(Ctx *s, int32_t var) {
-    s->decisions++;
-    int32_t conflict = assign(s, var, s->phases[var], OPEN);
-    if (conflict >= 0 || propagate(s) >= 0) return backtrack(s);
+/* First-UIP clause of the conflict into learnt, minimized, the UIP
+   first and a literal of the highest level below second; returns that
+   level, the one to backjump to. */
+static int32_t analyze(Ctx *s, int32_t confl) {
+    int32_t pathc = 0, p = 0, idx = s->trail_len - 1, j = 1, back = 0, best = 1;
+    s->nlearnt = 1;
+    do {
+        for (int32_t i = 0, n = explain(s, confl, p); i < n; i++) {
+            int32_t v = VAR(s->expl[i]);
+            if (s->seen[v] || s->level[v] == 0) continue;
+            s->seen[v] = 1;
+            if ((s->act[v] += s->inc) > RESCALE) {
+                for (int32_t u = 1; u <= s->nvars; u++) s->act[u] *= 1e-100;
+                s->inc *= 1e-100;
+            }
+            if (s->level[v] >= s->nlevels) pathc++;
+            else s->learnt[s->nlearnt++] = s->expl[i];
+        }
+        while (!s->seen[s->trail[idx]]) idx--;
+        int32_t v = s->trail[idx--];
+        s->seen[v] = 0;
+        p = s->assigned[v] ? v : -v;
+        confl = s->reason[v];
+    } while (--pathc > 0);
+    s->learnt[0] = -p;
+    /* Drop a literal whose reason's antecedents are all in the clause or
+       at level 0; dropped ones move behind the kept. */
+    for (int32_t i = 1; i < s->nlearnt; i++) {
+        int32_t lit = s->learnt[i], r = s->reason[VAR(lit)], keep = r < 0;
+        for (int32_t k = 0, n = keep ? 0 : explain(s, r, -lit); k < n && !keep; k++)
+            keep = !s->seen[VAR(s->expl[k])] && s->level[VAR(s->expl[k])] > 0;
+        if (keep) { s->learnt[i] = s->learnt[j]; s->learnt[j++] = lit; }
+    }
+    for (int32_t i = 1; i < s->nlearnt; i++) s->seen[VAR(s->learnt[i])] = 0;
+    s->nlearnt = j;
+    for (int32_t i = 1; i < j; i++)
+        if (s->level[VAR(s->learnt[i])] > back) { back = s->level[VAR(s->learnt[i])]; best = i; }
+    if (j > 1) { p = s->learnt[best]; s->learnt[best] = s->learnt[1]; s->learnt[1] = p; }
+    return back;
+}
+
+static int learn(Ctx *s) {
+    int32_t c = s->nclauses, lbd = 0;
+    if (s->nlits + s->nlearnt > s->lcap) {
+        s->lcap = 2 * (s->nlits + s->nlearnt);
+        if (!grow(&s->clits, s->lcap)) return 0;
+    }
+    if (c + 1 >= s->ccap) {
+        s->ccap = 2 * s->ccap + 64;
+        if (!grow(&s->cstart, s->ccap + 1) || !grow(&s->clbd, s->ccap) || !grow(&s->wnext, 2 * s->ccap))
+            return 0;
+    }
+    for (int32_t i = 0; i < s->nlearnt; i++) {
+        int32_t l = s->level[VAR(s->learnt[i])];
+        lbd += !s->mark[l];
+        s->mark[l] = 1;
+        s->clits[s->nlits++] = s->learnt[i];
+    }
+    for (int32_t i = 0; i < s->nlearnt; i++) s->mark[s->level[VAR(s->learnt[i])]] = 0;
+    s->clbd[c] = lbd;
+    s->cstart[++s->nclauses] = (int32_t)s->nlits;
+    add_watch(s, 2 * c);
+    add_watch(s, 2 * c + 1);
     return 1;
 }
 
-static int32_t pending_rows(Ctx *s, int32_t var) {
-    int32_t count = 0;
-    for (int32_t i = s->pos_ptr[var]; i < s->pos_ptr[var + 1]; i++) {
-        int32_t r = s->pos_row[i];
-        if (s->satsum[r] < s->bounds[r] && ++count > ISLAND_ROW_GATE) return -1;
-    }
-    for (int32_t i = s->neg_ptr[var]; i < s->neg_ptr[var + 1]; i++) {
-        int32_t r = s->neg_row[i];
-        if (s->satsum[r] < s->bounds[r] && ++count > ISLAND_ROW_GATE) return -1;
-    }
-    return count;
+static int by_key(const void *a, const void *b) {
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
 }
 
-/* Connected component of unsatisfied rows around start.  Rows are
- * stamped via queued values 2 (visited) during the flood and reset
- * afterwards; returns 1 and fills island_vars on success. */
-static int flood_island(Ctx *s, int32_t start) {
-    int32_t nseen = 0, sp = 0, nrows_seen = 0;
-    static const int MAXR = 1 << 14;
-    int32_t rows_seen[1 << 14];
-    s->stack[sp++] = start;
-    s->island_vars[nseen++] = start;
-    s->in_island[start] = 1;
-    int ok = 1;
-    while (sp > 0 && ok) {
-        int32_t var = s->stack[--sp];
-        for (int pass = 0; pass < 2 && ok; pass++) {
-            const int32_t *occ_row = pass ? s->neg_row : s->pos_row;
-            const int32_t *ptr = pass ? s->neg_ptr : s->pos_ptr;
-            for (int32_t i = ptr[var]; i < ptr[var + 1]; i++) {
-                int32_t ridx = occ_row[i];
-                if (s->queued[ridx] & 2) continue;
-                if (s->satsum[ridx] >= s->bounds[ridx]) continue;
-                if (nrows_seen >= MAXR) { ok = 0; break; }
-                s->queued[ridx] |= 2;
-                rows_seen[nrows_seen++] = ridx;
-                for (int32_t j = s->row_ptr[ridx]; j < s->row_ptr[ridx + 1]; j++) {
-                    int32_t lit = s->row_lit[j];
-                    int32_t v = lit > 0 ? lit : -lit;
-                    if (s->assigned[v] == UNASSIGNED && !s->in_island[v]) {
-                        if (nseen >= ISLAND_LIMIT) { ok = 0; break; }
-                        s->in_island[v] = 1;
-                        s->island_vars[nseen++] = v;
-                        s->stack[sp++] = v;
-                    }
-                }
-                if (!ok) break;
-            }
-        }
+/* Delete the higher-LBD half of the clauses of LBD > 2 that are no
+   reason, oldest first among equals; compact and rebuild the watches. */
+static int reduce(Ctx *s) {
+    int32_t n = s->nclauses, m = 0, kept = 0, at = 0;
+    int64_t *key = (int64_t *)malloc(sizeof(int64_t) * (n + 1));
+    int32_t *map = (int32_t *)calloc(n + 1, sizeof(int32_t));
+    if (!key || !map) { free(key); free(map); return 0; }
+    for (int32_t i = 0; i < s->trail_len; i++)
+        if (s->reason[s->trail[i]] >= s->nrows) map[s->reason[s->trail[i]] - s->nrows] = 1;
+    for (int32_t c = 0; c < n; c++)
+        if (s->clbd[c] > 2 && !map[c]) key[m++] = ((int64_t)(INT32_MAX - s->clbd[c]) << 32) | c;
+    qsort(key, m, sizeof *key, by_key);
+    memset(map, 0, sizeof(int32_t) * (n + 1));
+    for (int32_t i = 0; i < m / 2; i++) map[key[i] & 0xffffffff] = -1;
+    for (int32_t c = 0; c < n; c++) {
+        if (map[c] < 0) continue;
+        int32_t lo = s->cstart[c], hi = s->cstart[c + 1];
+        s->cstart[kept] = at;
+        memmove(s->clits + at, s->clits + lo, sizeof(int32_t) * (hi - lo));
+        at += hi - lo;
+        s->clbd[kept] = s->clbd[c];
+        map[c] = kept++;
     }
-    for (int32_t i = 0; i < nrows_seen; i++) s->queued[rows_seen[i]] &= 1;
-    if (!ok) {
-        for (int32_t i = 0; i < nseen; i++) s->in_island[s->island_vars[i]] = 0;
-        return 0;
+    s->cstart[kept] = at;
+    s->nclauses = kept;
+    s->nlits = at;
+    for (int32_t i = 0; i < s->trail_len; i++) {
+        int32_t v = s->trail[i];
+        if (s->reason[v] >= s->nrows) s->reason[v] = s->nrows + map[s->reason[v] - s->nrows];
     }
-    s->island_size = nseen;
+    for (int32_t w = 0; w < 2 * s->nvars + 2; w++) s->whead[w] = -1;
+    for (int32_t slot = 0; slot < 2 * kept; slot++) add_watch(s, slot);
+    free(key);
+    free(map);
     return 1;
+}
+
+static int64_t luby(int64_t i) {
+    int64_t size = 1, seq = 0;
+    while (size < i + 1) { seq++; size = 2 * size + 1; }
+    while (size - 1 != i) { size = (size - 1) >> 1; seq--; i %= size; }
+    return (int64_t)1 << seq;
+}
+
+void mcm_free(Ctx *s) {
+    if (!s) return;
+    free(s->queued); free(s->phase); free(s->seen); free(s->mark); free(s->queue);
+    free(s->trail); free(s->trail_lim); free(s->level); free(s->tpos); free(s->reason);
+    free(s->learnt); free(s->expl); free(s->act);
+    free(s->clits); free(s->cstart); free(s->clbd); free(s->wnext); free(s->whead);
+    free(s);
 }
 
 Ctx *mcm_new(int32_t nvars, int32_t nrows,
@@ -247,21 +311,30 @@ Ctx *mcm_new(int32_t nvars, int32_t nrows,
              int32_t *maxposs, int32_t *satsum, int8_t *assigned) {
     Ctx *s = (Ctx *)calloc(1, sizeof(Ctx));
     if (!s) return 0;
+    int64_t nv = nvars + 2;
     s->nvars = nvars; s->nrows = nrows;
     s->row_ptr = row_ptr; s->row_coef = row_coef; s->row_lit = row_lit;
     s->bounds = bounds;
-    s->pos_ptr = pos_ptr; s->pos_row = pos_row; s->pos_coef = pos_coef;
-    s->neg_ptr = neg_ptr; s->neg_row = neg_row; s->neg_coef = neg_coef;
-    s->phases = phases;
+    s->occ[1] = (Occ){pos_ptr, pos_row, pos_coef};
+    s->occ[0] = (Occ){neg_ptr, neg_row, neg_coef};
     s->maxposs = maxposs; s->satsum = satsum; s->assigned = assigned;
-    s->queued = (uint8_t *)calloc(nrows + 1, 1);
-    s->trail = (int32_t *)malloc(sizeof(int32_t) * (nvars + 2));
-    s->kinds = (uint8_t *)malloc(nvars + 2);
-    s->queue = (int32_t *)malloc(sizeof(int32_t) * (nrows + 2));
-    s->island_vars = (int32_t *)malloc(sizeof(int32_t) * (ISLAND_LIMIT + 2));
-    s->in_island = (uint8_t *)calloc(nvars + 2, 1);
-    s->stack = (int32_t *)malloc(sizeof(int32_t) * (ISLAND_LIMIT + 2));
-    s->head = 1;
+    s->queued = (uint8_t *)malloc(nrows + 1);
+    s->phase = (uint8_t *)malloc(nv);
+    s->seen = (uint8_t *)calloc(nv, 1);
+    s->mark = (uint8_t *)calloc(nv, 1);
+    s->act = (double *)calloc(nv, sizeof(double));
+    int32_t **ints[] = {&s->trail, &s->trail_lim, &s->level, &s->tpos, &s->reason,
+                        &s->learnt, &s->expl};
+    int ok = s->queued && s->phase && s->seen && s->mark && s->act;
+    for (int i = 0; i < 7; i++) ok = grow(ints[i], nv) && ok;
+    ok = grow(&s->queue, nrows + 1) && grow(&s->whead, 2 * nv) && grow(&s->cstart, 1) && ok;
+    if (!ok) { mcm_free(s); return 0; }
+    memcpy(s->phase, phases, nvars + 1);
+    for (int32_t w = 0; w < 2 * nv; w++) s->whead[w] = -1;
+    s->cstart[0] = 0;
+    s->inc = 1.0;
+    s->next_reduce = REDUCE_FIRST;
+    s->confl = -1;
     /* root propagation seeds, popped highest row first like the Python path */
     for (int32_t r = 0; r < nrows; r++) {
         s->queued[r] = 1;
@@ -270,63 +343,46 @@ Ctx *mcm_new(int32_t nvars, int32_t nrows,
     return s;
 }
 
-void mcm_free(Ctx *s) {
-    if (!s) return;
-    free(s->queued); free(s->trail); free(s->kinds); free(s->queue);
-    free(s->island_vars); free(s->in_island); free(s->stack);
-    free(s);
-}
-
 void mcm_stats(Ctx *s, int64_t *out) {
     out[0] = s->decisions; out[1] = s->propagations;
-    out[2] = s->conflicts; out[3] = s->islands;
+    out[2] = s->conflicts; out[3] = 0;
 }
 
-/* Returns 0 budget-exhausted, 1 SAT, 2 UNSAT.  First call performs root
- * propagation (the queue is pre-seeded by mcm_new). */
+/* Returns 0 budget spent, 1 SAT, 2 UNSAT, 3 out of memory.  Each step
+   handles one conflict or makes one decision. */
 int mcm_run(Ctx *s, int64_t budget) {
-    if (s->queue_len > 0 && propagate(s) >= 0) return 2;
     while (budget-- > 0) {
-        if (s->island_active) {
-            if (s->trail_len < s->island_height) {
-                for (int32_t i = 0; i < s->island_size; i++)
-                    s->in_island[s->island_vars[i]] = 0;
-                s->island_active = 0;
-            } else {
-                int32_t var = 0;
-                for (int32_t i = 0; i < s->island_size; i++) {
-                    int32_t v = s->island_vars[i];
-                    if (s->assigned[v] == UNASSIGNED && (var == 0 || v < var))
-                        var = v;
-                }
-                if (var == 0) {
-                    for (int32_t i = s->island_height; i < s->trail_len; i++)
-                        if (s->in_island[s->trail[i]]) s->kinds[i] = FORCED;
-                    for (int32_t i = 0; i < s->island_size; i++)
-                        s->in_island[s->island_vars[i]] = 0;
-                    s->island_active = 0;
-                    s->islands++;
-                } else {
-                    if (!decide(s, var)) return 2;
-                    continue;
-                }
+        if (propagate(s) >= 0) {
+            int32_t reason = -1;
+            s->conflicts++;
+            if (s->nlevels == 0) return 2;
+            backjump(s, analyze(s, s->confl));
+            if (s->nlearnt > 1) {
+                if (!learn(s)) return 3;
+                reason = s->nrows + s->nclauses - 1;
             }
-        }
-        int32_t head = s->head;
-        while (head <= s->nvars && s->assigned[head] != UNASSIGNED) head++;
-        s->head = head;
-        if (head > s->nvars) return 1;
-        int32_t pending = pending_rows(s, head);
-        if (pending == 0) {
-            assign(s, head, 0, FORCED);
+            assign(s, VAR(s->learnt[0]), s->learnt[0] > 0, reason);
+            s->inc /= DECAY;
+            s->since_restart++;
             continue;
         }
-        if (pending > 0 && flood_island(s, head)) {
-            s->island_active = 1;
-            s->island_height = s->trail_len;
-            continue;
+        if (s->since_restart >= RESTART_UNIT * luby(s->restarts)) {
+            s->restarts++;
+            s->since_restart = 0;
+            backjump(s, 0);
         }
-        if (!decide(s, head)) return 2;
+        if (s->conflicts >= s->next_reduce) {
+            if (!reduce(s)) return 3;
+            s->next_reduce = s->conflicts + REDUCE_FIRST + REDUCE_STEP * ++s->reductions;
+        }
+        /* VSIDS: the highest activity, ties to the lowest index */
+        int32_t var = 0;
+        for (int32_t v = 1; v <= s->nvars; v++)
+            if (s->assigned[v] == UNASSIGNED && (!var || s->act[v] > s->act[var])) var = v;
+        if (!var) return 1;
+        s->decisions++;
+        s->trail_lim[s->nlevels++] = s->trail_len;
+        assign(s, var, s->phase[var], -1);
     }
     return 0;
 }
@@ -358,7 +414,9 @@ def _compile() -> Path | None:
             out = Path(tmp) / "mcmcore.so"
             try:
                 proc = subprocess.run(
-                    [compiler, "-O2", "-shared", "-fPIC", str(src), "-o", str(out)],
+                    # -O1: -O2 compiles this core about 1.5x slower for a
+                    # search only 5-10% faster, and a first use pays both.
+                    [compiler, "-O1", "-shared", "-fPIC", str(src), "-o", str(out)],
                     capture_output=True,
                     timeout=120,
                 )
@@ -433,6 +491,8 @@ def run(lib, solver, stop):
                 return SAT, Model((0,) + tuple(assigned[1:]))
             if rc == C_UNSAT:
                 return UNSAT, None
+            if rc == C_NOMEM:
+                raise MemoryError("the compiled solver core ran out of memory")
             if stop is not None and stop():
                 return UNKNOWN, None
             # Aim the next call at SLICE seconds from this call's step rate,

@@ -1,44 +1,45 @@
 """Self-contained complete solver for pseudo-Boolean decision instances.
 
-Counter-based propagation over normalized >=-constraints, chronological
-backtracking, and a deterministic lowest-index decision order.  Two
-sound reductions keep the search from thrashing on don't-care blocks
-(disabled candidate selectors, unused shift stages):
+Conflict-driven clause learning over normalized >=-constraints, after
+MiniSat+ (Een & Sorensson 2006):
 
-* a variable appearing in no unsatisfied constraint is fixed outright
-  (single-variable autarky);
-* when the lowest eligible variable sits in a small connected component
-  of unsatisfied constraints whose unassigned variables are confined to
-  that component, the component is completed in place and its decisions
-  are frozen: by independence, no alternative completion of it can ever
-  help (autarky reasoning), so backtracking treats them as forced.
+* counter propagation: each row tracks the coefficients of its true
+  literals (satsum) and of its literals not false (maxposs), and forces
+  every unassigned literal whose coefficient exceeds its slack;
+* a row explains a literal it forced by its literals that were false
+  earlier on the trail, and a conflict by all its false literals, so
+  first-UIP analysis learns clauses, which are minimized locally, stored
+  in flat int32 arrays and watched by two literals;
+* backjumping, VSIDS decisions (ties to the lowest index, so the first
+  descent runs in index order) with phases saved from `phases` on,
+  Luby restarts, and periodic deletion of the learned clauses of high
+  LBD (literal block distance: the decision levels a clause spans).
 
-Both reductions preserve completeness and determinism; neither stores
-learned constraints.  A compiled core with the identical algorithm is
-used when a C compiler is available (see native.py); the Python paths
-below are the reference and the fallback; both read one row store of
-flat int32 arrays.  A row whose positive coefficients sum beyond
-2^31 - 1 does not fit that store and is refused with PbError.  Intended
-for desk-scale instances; use an external solver beyond ~10-bit
-constants.
+A compiled core with the identical algorithm is used when a C compiler
+is available (see native.py); the Python paths below are the reference
+and the fallback.  Both read one row store of flat int32 arrays and
+agree on verdict, model and counters.  A row whose positive
+coefficients sum beyond 2^31 - 1 does not fit that store and is refused
+with PbError.  Intended for desk-scale instances; use an external
+solver beyond ~10-bit constants.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
-from .pb import EQ, SAT, UNKNOWN, UNSAT, Model, PbError, PbFormula
-
-FORCED = 0  # propagated, frozen autarky, or exhausted decision
-OPEN = 1  # decision whose second phase is still untried
-
-ISLAND_LIMIT = 96  # component size above which normal branching takes over
-ISLAND_ROW_GATE = 64  # skip the component flood for busier variables
+from .pb import EQ, GE, SAT, UNKNOWN, UNSAT, Model, PbError, PbFormula
 
 UNASSIGNED = -1
 INT32_MAX = 2**31 - 1
+
+DECAY = 0.95  # the activity increment grows by 1/DECAY per conflict
+RESCALE = 1e100  # activities are scaled by 1e-100 once one exceeds this
+RESTART_UNIT = 100  # conflicts per unit of the Luby restart sequence
+REDUCE_FIRST, REDUCE_STEP = 2000, 300  # conflicts before reduction k: first + step * k
 
 
 class RefSolver:
@@ -121,279 +122,356 @@ class RefSolver:
 
         self.maxposs = maxposs
         self.satsum = [0] * self.nrows
-        self.queued = bytearray(self.nrows)
         self.assigned = [UNASSIGNED] * (nv + 1)
-        self.trail = []  # vars in assignment order
-        self.kinds = []
-        self._head = 1
-        self._island = None
-        self._island_height = 0
-        self.decisions = 0
-        self.propagations = 0
-        self.conflicts = 0
-        self.islands = 0
+        self.decisions = self.propagations = self.conflicts = 0
+        self.islands = 0  # kept for callers that report it; always 0
 
     # -- assignment machinery ------------------------------------------
 
-    def _assign(self, var: int, value: int, kind: int, queue: list) -> int:
-        """Set var; returns a conflicting row index or -1."""
+    def _assign(self, var: int, value: int, reason: int) -> None:
+        """Set var; a row driven below its bound becomes self.confl."""
         self.assigned[var] = value
+        self.level[var] = len(self.trail_lim)
+        self.tpos[var] = len(self.trail)
+        self.reason[var] = reason
         self.trail.append(var)
-        self.kinds.append(kind)
         gp, gr, gc, lp, lr, lc = self._sides[value]
-        satsum = self.satsum
+        satsum, maxposs, bounds, queued = self.satsum, self.maxposs, self.bounds, self.queued
         lo, hi = gp[var], gp[var + 1]
         for r, a in zip(gr[lo:hi], gc[lo:hi]):
             satsum[r] += a
-        conflict = -1
-        maxposs = self.maxposs
-        bounds = self.bounds
-        queued = self.queued
         lo, hi = lp[var], lp[var + 1]
         for r, a in zip(lr[lo:hi], lc[lo:hi]):
             mp = maxposs[r] = maxposs[r] - a
             if mp < bounds[r]:
-                conflict = r
+                self.confl = r
             elif satsum[r] < bounds[r] and not queued[r]:
                 queued[r] = 1
-                queue.append(r)
-        return conflict
+                self.queue.append(r)
 
-    def _unassign_to(self, height: int) -> int:
-        """Pop the trail down to `height`; returns the lowest popped variable."""
-        lowest = self.nvars + 1
-        maxposs = self.maxposs
-        satsum = self.satsum
-        assigned = self.assigned
-        trail = self.trail
-        kinds = self.kinds
-        while len(trail) > height:
-            var = trail.pop()
-            kinds.pop()
-            value = assigned[var]
-            assigned[var] = UNASSIGNED
-            if var < lowest:
-                lowest = var
-            gp, gr, gc, lp, lr, lc = self._sides[value]
-            lo, hi = gp[var], gp[var + 1]
-            for r, a in zip(gr[lo:hi], gc[lo:hi]):
-                satsum[r] -= a
-            lo, hi = lp[var], lp[var + 1]
-            for r, a in zip(lr[lo:hi], lc[lo:hi]):
-                maxposs[r] += a
-        return lowest
+    def _backjump(self, level: int) -> None:
+        """Pop the trail down to `level`, saving phases."""
+        trail, assigned, satsum, maxposs = self.trail, self.assigned, self.satsum, self.maxposs
+        if len(self.trail_lim) > level:
+            height = self.trail_lim[level]
+            del self.trail_lim[level:]
+            while len(trail) > height:
+                var = trail.pop()
+                value = self.phase[var] = assigned[var]
+                assigned[var] = UNASSIGNED
+                heappush(self.heap, (-self.act[var], var))
+                gp, gr, gc, lp, lr, lc = self._sides[value]
+                lo, hi = gp[var], gp[var + 1]
+                for r, a in zip(gr[lo:hi], gc[lo:hi]):
+                    satsum[r] -= a
+                lo, hi = lp[var], lp[var + 1]
+                for r, a in zip(lr[lo:hi], lc[lo:hi]):
+                    maxposs[r] += a
+        self.qhead = len(trail)
+        self.confl = -1
 
-    def _propagate(self, queue: list) -> int:
-        """Exhaust forced assignments; returns a conflicting row or -1."""
-        assigned = self.assigned
-        bounds = self.bounds
-        maxposs = self.maxposs
-        satsum = self.satsum
-        row_ptr = self.row_ptr
-        row_coef = self.row_coef
-        row_lit = self.row_lit
-        queued = self.queued
+    def _propagate(self) -> int:
+        """Exhaust forced assignments; returns the conflict or -1.
 
-        def flush(ridx):
-            for r in queue:
-                queued[r] = 0
-            queue.clear()
-            return ridx
-
-        while queue:
-            ridx = queue.pop()
-            queued[ridx] = 0
-            bound = bounds[ridx]
-            if satsum[ridx] >= bound:
-                continue
-            slack = maxposs[ridx] - bound
-            if slack < 0:
-                return flush(ridx)
-            for i in range(row_ptr[ridx], row_ptr[ridx + 1]):
-                a = row_coef[i]
-                if a <= slack:
-                    break
-                lit = row_lit[i]
-                var = lit if lit > 0 else -lit
-                if assigned[var] == UNASSIGNED:
-                    self.propagations += 1
-                    conflict = self._assign(var, 1 if lit > 0 else 0, FORCED, queue)
-                    if conflict >= 0:
-                        return flush(conflict)
-                    if satsum[ridx] >= bound:
-                        break
-                    slack = maxposs[ridx] - bound
-                    if slack < 0:
-                        return flush(ridx)
-        return -1
-
-    def _backtrack(self) -> bool:
-        """Flip the deepest open decision; False when the tree is exhausted."""
-        kinds = self.kinds
-        trail = self.trail
-        while True:
-            self.conflicts += 1
-            idx = len(trail) - 1
-            while idx >= 0 and kinds[idx] != OPEN:
-                idx -= 1
-            if idx < 0:
-                return False
-            if self._island is not None and idx < self._island_height:
-                self._island = None  # prefix under the island changed
-            var = trail[idx]
-            value = self.assigned[var]
-            lowest = self._unassign_to(idx)
-            if lowest < self._head:
-                self._head = lowest
-            queue = []
-            conflict = self._assign(var, 1 - value, FORCED, queue)
-            if conflict < 0 and self._propagate(queue) < 0:
-                return True
-
-    # -- decision helpers ----------------------------------------------
-
-    def _pending_rows(self, var: int, cap: int) -> int:
-        """Number of unsatisfied rows containing var; -1 once above cap."""
-        satsum = self.satsum
-        bounds = self.bounds
-        count = 0
-        for ptr, rows in ((self.pos_ptr, self.pos_row), (self.neg_ptr, self.neg_row)):
-            for r in rows[ptr[var]:ptr[var + 1]]:
-                if satsum[r] < bounds[r]:
-                    count += 1
-                    if count > cap:
-                        return -1
-        return count
-
-    def _flood_island(self, start: int):
-        """Connected component of unsatisfied rows around `start`.
-
-        Returns the set of unassigned variables in the component, or
-        None once it exceeds ISLAND_LIMIT.
+        A conflict is a row index, or nrows + c for learned clause c.
         """
-        assigned = self.assigned
-        satsum = self.satsum
-        bounds = self.bounds
-        row_ptr = self.row_ptr
-        row_lit = self.row_lit
-        occurrences = ((self.pos_ptr, self.pos_row), (self.neg_ptr, self.neg_row))
-        seen_rows = set()
-        vars_seen = {start}
-        stack = [start]
-        while stack:
-            var = stack.pop()
-            for ptr, rows in occurrences:
-                for ridx in rows[ptr[var]:ptr[var + 1]]:
-                    if ridx in seen_rows or satsum[ridx] >= bounds[ridx]:
-                        continue
-                    seen_rows.add(ridx)
-                    for lit in row_lit[row_ptr[ridx]:row_ptr[ridx + 1]]:
-                        v = lit if lit > 0 else -lit
-                        if assigned[v] == UNASSIGNED and v not in vars_seen:
-                            vars_seen.add(v)
-                            if len(vars_seen) > ISLAND_LIMIT:
-                                return None
-                            stack.append(v)
-        return vars_seen
+        assigned, bounds, maxposs, satsum = self.assigned, self.bounds, self.maxposs, self.satsum
+        row_ptr, row_coef, row_lit = self.row_ptr, self.row_coef, self.row_lit
+        queue, queued, trail = self.queue, self.queued, self.trail
+        while self.confl < 0:
+            if queue:
+                ridx = queue.pop()
+                queued[ridx] = 0
+                bound = bounds[ridx]
+                if satsum[ridx] >= bound:
+                    continue
+                slack = maxposs[ridx] - bound
+                for i in range(row_ptr[ridx], row_ptr[ridx + 1]):
+                    if row_coef[i] <= slack:
+                        break
+                    lit = row_lit[i]
+                    var = lit if lit > 0 else -lit
+                    if assigned[var] == UNASSIGNED:
+                        self.propagations += 1
+                        self._assign(var, 1 if lit > 0 else 0, ridx)
+                        if self.confl >= 0 or satsum[ridx] >= bound:
+                            break
+            elif self.qhead < len(trail):
+                var = trail[self.qhead]
+                self.qhead += 1
+                self._watch(-var if assigned[var] else var)
+            else:
+                return -1
+        for r in queue:
+            queued[r] = 0
+        queue.clear()
+        return self.confl
 
-    def _decide(self, var: int) -> bool:
-        self.decisions += 1
-        queue = []
-        conflict = self._assign(var, self.phases[var], OPEN, queue)
-        if conflict >= 0 or self._propagate(queue) >= 0:
-            return self._backtrack()
-        return True
+    def _watch(self, false_lit: int) -> None:
+        """Visit the learned clauses watching `false_lit`, just made false."""
+        assigned, clits, cstart = self.assigned, self.clits, self.cstart
+        whead, wnext = self.whead, self.wnext
+        w = _widx(false_lit)
+        prev, slot = -1, whead[w]
+        while slot >= 0:
+            following = wnext[slot]
+            c, j = slot >> 1, slot & 1
+            start = cstart[c]
+            other = clits[start + 1 - j]
+            ov = abs(other)
+            if assigned[ov] == (other > 0):  # satisfied
+                prev, slot = slot, following
+                continue
+            for k in range(start + 2, cstart[c + 1]):
+                lit = clits[k]
+                if assigned[abs(lit)] != (lit < 0):  # watch this non-false one instead
+                    clits[start + j], clits[k] = lit, false_lit
+                    if prev < 0:
+                        whead[w] = following
+                    else:
+                        wnext[prev] = following
+                    self._add_watch(slot)
+                    break
+            else:
+                if assigned[ov] != UNASSIGNED:
+                    self.confl = self.nrows + c
+                    return
+                self.propagations += 1
+                self._assign(ov, 1 if other > 0 else 0, self.nrows + c)
+                if self.confl >= 0:
+                    return
+                prev = slot
+            slot = following
+
+    # -- conflict analysis ---------------------------------------------
+
+    def _explain(self, r: int, p: int) -> list:
+        """False literals by which row or clause `r` implied p (0: conflicts).
+
+        A row explains p by its literals that were false before p on the
+        trail, a conflict by all its false literals; a clause by the rest.
+        """
+        if r < self.nrows:
+            assigned, tpos = self.assigned, self.tpos
+            limit = tpos[abs(p)] if p else len(self.trail)
+            return [lit for lit in self.row_lit[self.row_ptr[r]:self.row_ptr[r + 1]]
+                    if assigned[abs(lit)] == (lit < 0) and tpos[abs(lit)] < limit]
+        c = r - self.nrows
+        return [lit for lit in self.clits[self.cstart[c]:self.cstart[c + 1]] if lit != p]
+
+    def _analyze(self, confl: int):
+        """First-UIP clause of the conflict and the level to backjump to.
+
+        The clause is minimized; the UIP comes first and a literal of the
+        highest level below it second.
+        """
+        assigned, level, reason, trail = self.assigned, self.level, self.reason, self.trail
+        seen, act = self.seen, self.act
+        learnt, pathc, p, idx = [0], 0, 0, len(trail) - 1
+        while True:
+            for lit in self._explain(confl, p):
+                v = abs(lit)
+                if not seen[v] and level[v] > 0:
+                    seen[v] = 1
+                    act[v] += self.inc
+                    if act[v] > RESCALE:
+                        self.act = act = [a * 1e-100 for a in act]
+                        self.inc *= 1e-100
+                        self.heap = [(-act[u], u) for u in range(1, self.nvars + 1)
+                                     if assigned[u] == UNASSIGNED]
+                        heapify(self.heap)
+                    if level[v] >= len(self.trail_lim):
+                        pathc += 1
+                    else:
+                        learnt.append(lit)
+            while not seen[trail[idx]]:
+                idx -= 1
+            v = trail[idx]
+            idx -= 1
+            seen[v] = 0
+            p = v if assigned[v] else -v
+            pathc -= 1
+            if pathc == 0:
+                break
+            confl = reason[v]
+        learnt[0] = -p
+        # Drop a literal whose reason's antecedents are all in the clause
+        # or at level 0: the rest imply it.
+        kept = learnt[:1] + [
+            lit for lit in learnt[1:] if reason[abs(lit)] < 0 or any(
+                not seen[abs(q)] and level[abs(q)] > 0 for q in self._explain(reason[abs(lit)], -lit))
+        ]
+        for lit in learnt[1:]:
+            seen[abs(lit)] = 0
+        if len(kept) == 1:
+            return kept, 0
+        levels = [level[abs(lit)] for lit in kept[1:]]
+        i = 1 + levels.index(max(levels))
+        kept[1], kept[i] = kept[i], kept[1]
+        return kept, levels[i - 1]
+
+    # -- learned clauses -----------------------------------------------
+
+    def _add_watch(self, slot: int) -> None:
+        w = _widx(self.clits[self.cstart[slot >> 1] + (slot & 1)])
+        self.wnext[slot] = self.whead[w]
+        self.whead[w] = slot
+
+    def _learn(self, learnt: list) -> int:
+        """Store a clause of two or more literals; its reason index."""
+        c = len(self.clbd)
+        self.clits.extend(learnt)
+        self.cstart.append(len(self.clits))
+        self.clbd.append(len({self.level[abs(lit)] for lit in learnt}))
+        self.wnext.extend((-1, -1))
+        self._add_watch(2 * c)
+        self._add_watch(2 * c + 1)
+        return self.nrows + c
+
+    def _reduce(self) -> None:
+        """Delete the higher-LBD half of the clauses of LBD > 2 that are no
+        reason, oldest first among equals; compact and rebuild the watches."""
+        nrows, reason, trail = self.nrows, self.reason, self.trail
+        clits, cstart, clbd = self.clits, self.cstart, self.clbd
+        locked = {reason[v] - nrows for v in trail if reason[v] >= nrows}
+        candidates = sorted((c for c in range(len(clbd)) if clbd[c] > 2 and c not in locked),
+                            key=lambda c: (-clbd[c], c))
+        dead = set(candidates[:len(candidates) // 2])
+        new_index = {}
+        at = 0
+        for c in range(len(clbd)):
+            if c not in dead:
+                lo, hi = cstart[c], cstart[c + 1]
+                cstart[len(new_index)] = at
+                clits[at:at + hi - lo] = clits[lo:hi]
+                at += hi - lo
+                clbd[len(new_index)] = clbd[c]
+                new_index[c] = len(new_index)
+        kept = len(new_index)
+        cstart[kept] = at
+        del clits[at:], cstart[kept + 1:], clbd[kept:], self.wnext[2 * kept:]
+        for v in trail:
+            if reason[v] >= nrows:
+                reason[v] = nrows + new_index[reason[v] - nrows]
+        self.whead = array("i", [-1]) * len(self.whead)
+        for slot in range(2 * kept):
+            self._add_watch(slot)
 
     # -- main loop -------------------------------------------------------
 
-    def solve(self, stop=None, collect=None):
+    def solve(self, stop=None):
         """Run the search to completion, or until `stop()` returns True.
 
         `stop` takes no arguments and is asked every 1024 steps here and
         between the compiled core's time slices; its True ends the
-        search as UNKNOWN.  With `collect`, every model is passed to the
-        callback and the search keeps going (exhaustively, autarky
-        reductions disabled) until the callback returns False or the
-        tree is spent.
+        search as UNKNOWN.
         """
         if self.root_conflict:
             return UNSAT, None
-        if collect is None and self.use_native:
+        if self.use_native:
             from . import native
 
             core = native.load()
             if core is not None:
                 return native.run(core, self, stop)
-        return self._solve_python(stop, collect)
+        return self._solve_python(stop)
 
-    def _solve_python(self, stop=None, collect=None):
-        enumerating = collect is not None
-        queue = list(range(self.nrows))
-        for r in queue:
-            self.queued[r] = 1
-        if self._propagate(queue) >= 0:
-            return UNSAT, None
+    def _solve_python(self, stop=None):
+        nv = self.nvars
+        self.level, self.tpos, self.reason = [0] * (nv + 1), [0] * (nv + 1), [-1] * (nv + 1)
+        self.seen = bytearray(nv + 1)
+        self.phase = list(self.phases)
+        self.trail, self.trail_lim, self.qhead, self.confl = [], [], 0, -1
+        self.queue = list(range(self.nrows))  # root propagation, last row first
+        self.queued = bytearray(b"\x01") * self.nrows
+        # Learned clause c is clits[cstart[c]:cstart[c + 1]] of LBD clbd[c];
+        # watch slot 2c + j watches its literal j, linked from whead[_widx]
+        # through wnext.
+        self.clits, self.cstart, self.clbd = array("i"), array("i", [0]), array("i")
+        self.whead, self.wnext = array("i", [-1]) * (2 * nv + 2), array("i")
+        # VSIDS: the unassigned variable of highest activity, ties to the
+        # lowest index.  Entries go stale as activities grow; a valid one
+        # carries the variable's current activity.
+        self.act, self.inc = [0.0] * (nv + 1), 1.0
+        self.heap = [(-0.0, v) for v in range(1, nv + 1)]
         assigned = self.assigned
-        steps = 0
+        since_restart = restarts = reductions = steps = 0
+        next_reduce = REDUCE_FIRST
         while True:
             steps += 1
             if steps & 1023 == 0 and stop is not None and stop():
                 return UNKNOWN, None
-            if self._island is not None:
-                if len(self.trail) < self._island_height:
-                    self._island = None  # backtracked out, resume normally
-                else:
-                    var = 0
-                    for v in self._island:
-                        if assigned[v] == UNASSIGNED and (var == 0 or v < var):
-                            var = v
-                    if var == 0:
-                        # Complete and consistent: freeze its decisions.
-                        for i in range(self._island_height, len(self.trail)):
-                            if self.trail[i] in self._island:
-                                self.kinds[i] = FORCED
-                        self._island = None
-                        self.islands += 1
-                    else:
-                        if not self._decide(var):
-                            return UNSAT, None
-                        continue
-            head = self._head
-            while head <= self.nvars and assigned[head] != UNASSIGNED:
-                head += 1
-            self._head = head
-            if head > self.nvars:
-                model = Model(tuple([0] + assigned[1:]))
-                if not enumerating:
-                    return SAT, model
-                if not collect(model):
-                    return SAT, model
-                if not self._backtrack():
+            if self._propagate() >= 0:
+                self.conflicts += 1
+                if not self.trail_lim:
                     return UNSAT, None
+                learnt, back = self._analyze(self.confl)
+                self._backjump(back)
+                reason = self._learn(learnt) if len(learnt) > 1 else -1
+                self._assign(abs(learnt[0]), 1 if learnt[0] > 0 else 0, reason)
+                self.inc /= DECAY
+                since_restart += 1
                 continue
-            if not enumerating:
-                pending = self._pending_rows(head, ISLAND_ROW_GATE)
-                if pending == 0:
-                    # Occurs only in satisfied rows: fix it, never revisit.
-                    self._assign(head, 0, FORCED, [])
-                    continue
-                if pending > 0:
-                    component = self._flood_island(head)
-                    if component is not None:
-                        self._island = component
-                        self._island_height = len(self.trail)
-                        continue
-            if not self._decide(head):
-                return UNSAT, None
+            if since_restart >= RESTART_UNIT * _luby(restarts):
+                restarts += 1
+                since_restart = 0
+                self._backjump(0)
+            if self.conflicts >= next_reduce:
+                self._reduce()
+                reductions += 1
+                next_reduce = self.conflicts + REDUCE_FIRST + REDUCE_STEP * reductions
+            heap = self.heap
+            if len(heap) > 2 * nv + 64:  # drop stale entries
+                self.heap = heap = [(-self.act[v], v) for v in range(1, nv + 1)
+                                    if assigned[v] == UNASSIGNED]
+                heapify(heap)
+            var = 0
+            while heap and not var:
+                key, v = heappop(heap)
+                if assigned[v] == UNASSIGNED and key == -self.act[v]:
+                    var = v
+            if var == 0:
+                return SAT, Model(tuple([0] + assigned[1:]))
+            self.decisions += 1
+            self.trail_lim.append(len(self.trail))
+            self._assign(var, self.phase[var], -1)
+
+
+def _widx(lit: int) -> int:
+    """Watch-list index of a literal."""
+    return 2 * lit if lit > 0 else 1 - 2 * lit
+
+
+def _luby(i: int) -> int:
+    """Term i (from 0) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, ..."""
+    size, seq = 1, 0
+    while size < i + 1:
+        seq += 1
+        size = 2 * size + 1
+    while size - 1 != i:
+        size = (size - 1) >> 1
+        seq -= 1
+        i %= size
+    return 1 << seq
 
 
 def enumerate_models(formula: PbFormula, limit=None):
-    """Every satisfying assignment, in deterministic search order."""
+    """Every satisfying assignment, in deterministic order.
+
+    Each model found is excluded from the next search by one blocking
+    row on a copy of the formula.
+    """
+    work = PbFormula()
+    work.var_count = nv = formula.var_count
+    work.constraints = list(formula.constraints)
     out = []
-
-    def keep(model):
+    while limit is None or len(out) < limit:
+        status, model = RefSolver(work).solve()
+        if status != SAT:
+            break
         out.append(model)
-        return limit is None or len(out) < limit
-
-    RefSolver(formula).solve(collect=keep)
+        if nv == 0:
+            break
+        ones = sum(model.values)
+        work.add(tuple((-1 if model[v] else 1, v) for v in range(1, nv + 1)), GE, 1 - ones)
     return out

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  Criteria 2 and 5 are
-the long ones (solver sweeps); they are marked `slow` but still run by
-default.  Criterion 2 uses an external solver from $MCMSAT_SOLVER when
-configured, otherwise the bundled solver with a one-hour budget.
+Run with `pytest tests/test_acceptance.py -v -s`.  Criterion 5, the
+oracle sweep, is the longest.  Criterion 2 uses an external solver from
+$MCMSAT_SOLVER when configured, otherwise the bundled solver with a
+one-hour budget.
 """
 
 import json
@@ -57,11 +57,10 @@ def test_criterion_1_worked_example():
     report(1, f"binary bound 6, optimum 3 proven in {elapsed:.1f}s, graph verified")
 
 
-@pytest.mark.slow
 def test_criterion_2_single_constant_ground_truths():
     # SAT sides are warm-started from the recoding witness (the bundled
     # solver stays complete and checks the model through propagation);
-    # the UNSAT side is a full exhaustion, the expensive half.
+    # the UNSAT side is a full refutation, the expensive half.
     inst = normalize_targets([33951])
     enc3 = encode_mcm(inst, EncodingConfig(ops=3, variant=3))
     out_unsat = _solve_enc(enc3, HOUR)
@@ -180,7 +179,6 @@ def two_target_instances(count: int, limit: int = 128, seed: int = 2024):
     return out
 
 
-@pytest.mark.slow
 def test_criterion_5_oracle_equivalence():
     start = time.monotonic()
     singles = 0
@@ -225,7 +223,6 @@ def seeded_instances(count: int, seed: int = 77):
     return out
 
 
-@pytest.mark.slow
 def test_criterion_6_variant_agreement_and_size_order():
     agreements = 0
     for inst, ops in seeded_instances(30):

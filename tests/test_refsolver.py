@@ -1,10 +1,14 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
+from mcmsat import native
+from mcmsat.encoder import EncodingConfig, encode_mcm
+from mcmsat.model import normalize_targets
 from mcmsat.pb import EQ, GE, PbError, PbFormula
-from mcmsat.refsolver import RefSolver, enumerate_models
+from mcmsat.refsolver import REDUCE_FIRST, RefSolver, enumerate_models
 
 
 def brute_status(f: PbFormula) -> str:
@@ -82,16 +86,27 @@ def test_completeness_against_enumeration(use_native):
                 assert s >= c.bound if c.relation == GE else s == c.bound
 
 
+def counters(solver):
+    return solver.decisions, solver.propagations, solver.conflicts
+
+
+def solve_both(f, phases=None):
+    """Verdict, model and counters of the Python and the native path."""
+    out = []
+    for use_native in (False, True):
+        solver = RefSolver(f, phases=phases, use_native=use_native)
+        status, model = solver.solve()
+        out.append((status, model and model.values, counters(solver)))
+    return out
+
+
 def test_python_and_native_agree_exactly():
     rng = random.Random(99)
     for _ in range(150):
         f = random_formula(rng)
         phases = {v: rng.randint(0, 1) for v in range(1, f.var_count + 1)}
-        py = RefSolver(f, phases=phases, use_native=False).solve()
-        nat = RefSolver(f, phases=phases, use_native=True).solve()
-        assert py[0] == nat[0]
-        if py[1] is not None and nat[1] is not None:
-            assert py[1].values == nat[1].values
+        py, nat = solve_both(f, phases)
+        assert py == nat
 
 
 @pytest.mark.parametrize("use_native", [False, True])
@@ -190,9 +205,6 @@ def test_completeness_up_to_twenty_vars():
 
 
 def test_python_and_native_agree_on_encodings():
-    from mcmsat.encoder import EncodingConfig, encode_mcm
-    from mcmsat.model import normalize_targets
-
     for targets, ops, variant in (
         ([29, 43], 2, 3),
         ([29, 43], 3, 1),
@@ -200,8 +212,26 @@ def test_python_and_native_agree_on_encodings():
         ([21], 2, 3),
     ):
         enc = encode_mcm(normalize_targets(targets), EncodingConfig(ops=ops, variant=variant))
-        py = RefSolver(enc.formula, phases=enc.phase_hints, use_native=False).solve()
-        nat = RefSolver(enc.formula, phases=enc.phase_hints, use_native=True).solve()
-        assert py[0] == nat[0], (targets, ops, variant)
-        if py[1] is not None:
-            assert py[1].values == nat[1].values, (targets, ops, variant)
+        py, nat = solve_both(enc.formula, enc.phase_hints)
+        assert py == nat, (targets, ops, variant)
+
+
+def test_python_and_native_agree_past_restarts_and_reduction():
+    # Optimum 5: refuting 4 ops takes over 3,000 conflicts, so the search
+    # restarts more than ten times and deletes learned clauses once.
+    enc = encode_mcm(normalize_targets([137, 171, 227]), EncodingConfig(ops=4))
+    py, nat = solve_both(enc.formula, enc.phase_hints)
+    assert py == nat
+    assert py[0] == "UNSAT" and REDUCE_FIRST < py[2][2] < 5000
+
+
+def test_ten_bit_constants_refuted_at_three_ops():
+    # Each has optimum 4; chronological backtracking took 4.65M decisions
+    # to refute any of them at 3 ops.
+    if native.load() is None:
+        pytest.skip("no compiled core (no C compiler)")
+    for constant in (683, 691, 731, 811, 821, 843, 851, 853):
+        enc = encode_mcm(normalize_targets([constant]), EncodingConfig(ops=3))
+        start = time.monotonic()
+        assert RefSolver(enc.formula, phases=enc.phase_hints).solve()[0] == "UNSAT"
+        assert time.monotonic() - start < 5, constant

@@ -103,8 +103,8 @@ def test_external_backend_round_trip(tmp_path):
 
 
 def test_internal_timeout_returns_within_slack():
-    # 683 has optimum 4: refuting it at 3 ops takes far longer than 0.5 s.
-    enc = encode_mcm(normalize_targets([683]), EncodingConfig(ops=3))
+    # 731951 has optimum 5: refuting it at 4 ops takes far longer than 0.5 s.
+    enc = encode_mcm(normalize_targets([731951]), EncodingConfig(ops=4))
     start = time.monotonic()
     outcome = solve_encoding(enc, timeout=0.5)
     assert outcome.status == "UNKNOWN"
@@ -293,6 +293,8 @@ def test_decode_ignores_unused_zero_slot(variant):
     )
     cand = next(c for c in enc.candidates[2] if (c.kind, c.op1, c.op2) == (SUB_PAIR, 1, 1))
     enc.formula.add(((1, cand.cond),), GE, 1)
+    for bit in enc.op_values[2].bits:  # slot 3 holds 0, whatever the search order
+        enc.formula.add(((-1, bit),), GE, 0)
     outcome = solve(enc.formula, phases=enc.phase_hints)
     assert outcome.status == "SAT"
     assert outcome.model.value_of(enc.op_values[2]) == 0
@@ -460,6 +462,23 @@ def test_optimal_held_out_pair_is_fast():
     assert report.proven
     assert report.optimal_ops == brute_force_optimal(inst)[0] == 3
     assert verify_solution(inst, report.graph)
+
+
+def test_optimal_refutes_the_level_below_quickly():
+    # Chronological backtracking took about 6 s and 23 s on these
+    # descents, nearly all of it refuting the level below the optimum.
+    from mcmsat.oracle import SearchBudgetExceeded, brute_force_optimal
+
+    easy, hard = normalize_targets([149, 201]), normalize_targets([179, 233])
+    start = time.monotonic()
+    reports = [optimal_mcm(easy), optimal_mcm(hard)]
+    assert time.monotonic() - start < 5
+    assert [(r.optimal_ops, r.proven) for r in reports] == [(4, True), (5, True)]
+    assert verify_solution(easy, reports[0].graph)
+    assert verify_solution(hard, reports[1].graph)
+    assert brute_force_optimal(easy)[0] == 4
+    with pytest.raises(SearchBudgetExceeded):
+        brute_force_optimal(hard)  # no graph within its 4-operation budget
 
 
 def test_witness_phase_hints_first_leaf():
