@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -258,6 +259,39 @@ def test_emitted_opb_round_trips():
         res = encode_mcm(inst, EncodingConfig(ops=2, variant=variant))
         text = res.formula.emit_opb()
         assert parse_opb(text).emit_opb() == text
+
+
+# sha256 of the OPB text of the encodings at 3 ops, per instance and
+# variant: right shifts off and on, each at the defaults and with every
+# reduction off, plus (for the worked example) the annotated text.  Any
+# change to a gadget row, a term order or the variable allocation order
+# changes these; a refactor must leave them alone.
+GOLDEN_OPB = {
+    ((29, 43), 1): "77d5643457c789de39cb2c79127d391dbfe3b9f7790d81bb2d6865eea36b79cf",
+    ((29, 43), 2): "1363eb20f792ec2cbf7f95265a2acfcff074f2da5080dfd0056c9a08c23cf6e7",
+    ((29, 43), 3): "ca5f1a28ea55460b24d7f768cb7a9ac8d0e4cca8f2fa7341d4b55f1ecc74b4d2",
+    ((45, 75, 105), 1): "89bd172c6be4848a087a5dd790b2f52224d2138457ab6b22ab9918aa6806f768",
+    ((45, 75, 105), 2): "6b65508a20838bc1f12a2b62e424d69ab9a5af9d9db0be6c5c27c4325bffd68e",
+    ((45, 75, 105), 3): "3de6463a2306ac3897c08a6e6f3c5f39206170b250909132e4ae59f489c057f6",
+    ((33951,), 1): "4076a2680d7a508191ffd7a9e025aa208fd306669206b21b8a775878ea5afb66",
+    ((33951,), 2): "c19e124e98efe29d3ce7585587cb596d77eccbbe63b775ef1893c7098f8a4a4e",
+    ((33951,), 3): "a9c03555a5001f2d86dd91b64ecda4ba9269e29bea02c3cc50df2d41c7fab76f",
+}
+
+
+@pytest.mark.parametrize("targets,variant", GOLDEN_OPB)
+def test_emitted_opb_bytes_are_pinned(targets, variant):
+    inst = normalize_targets(list(targets))
+    digest = hashlib.sha256()
+    for right_shifts in (False, True):
+        cfg = EncodingConfig(ops=3, variant=variant, right_shifts=right_shifts)
+        for c in (cfg, cfg.improvements_off()):
+            digest.update(encode_mcm(inst, c).formula.emit_opb().encode())
+    if targets == (29, 43):
+        cfg = EncodingConfig(ops=3, variant=variant, annotate=True)
+        text = encode_mcm(inst, cfg).formula.emit_opb(include_annotations=True)
+        digest.update(text.encode())
+    assert digest.hexdigest() == GOLDEN_OPB[(targets, variant)]
 
 
 def test_encoding_is_deterministic():

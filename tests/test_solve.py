@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import stat
@@ -568,3 +569,64 @@ def test_witness_phase_hints_pair_subtraction(text, kind):
     assert status == "SAT"
     assert solver.conflicts < 10
     assert verify_solution(inst, decode_solution(enc, model))
+
+
+# sha256 of repr([None or sorted(hints.items()) per case]) per graph
+# source, over variants 1-3 at the graph's cost - 1, cost and cost + 1,
+# at the defaults and (variants 2 and 3) with every reduction off.
+GOLDEN_HINTS = {
+    "recoding": "1b62207e5700e38e714f085160d3e3cd45b6703c8131c47a5c96b3c9d7ff0740",
+    "heuristic": "c762c47cb7756cf32dcbf06253f640c51a47c3b0d8fb32b9f279d4fd0eb18221",
+    "oracle": "e4e48a33b09990e829804d7871008dd7ecb1e363f3f4e98cbfc14a2acce72673",
+    "hand": "fef0dc9c46760abf6a762fa069fd0d5b4e0a3bde2388ebe6c6305f317da08190",
+}
+HINT_INSTANCES = ((29, 43), (45,), (21,), (11,), (105,), (3, 5), (7, 9, 23), (25,), (59,))
+HAND_GRAPHS = (
+    ((25,), "3 = 1<<1 + 1\n7 = 1<<3 - 1\n25 = 7<<2 - 3\n"),  # sub_pair_rev
+    ((25,), "7 = 1<<3 - 1\n3 = 1<<1 + 1\n25 = 7<<2 - 3\n"),  # sub_pair
+    ((21,), "7 = 1<<3 - 1\n21 = 7<<1 + 7\n"),  # slot 1 used twice
+)
+
+
+def test_witness_phase_hints_are_pinned():
+    from mcmsat.graphio import parse_graph
+    from mcmsat.model import recoding_witness
+    from mcmsat.oracle import brute_force_optimal
+    from mcmsat.solve import witness_phase_hints
+
+    encodings = {}
+
+    def cases(targets, graph):
+        out = []
+        for variant in (1, 2, 3):
+            for ops in range(max(1, graph.cost - 1), graph.cost + 2):
+                for off in (False, True)[: 1 if variant == 1 else 2]:
+                    key = (targets, ops, variant, off)
+                    if key not in encodings:
+                        cfg = EncodingConfig(ops=ops, variant=variant)
+                        inst = normalize_targets(list(targets))
+                        encodings[key] = encode_mcm(
+                            inst, cfg.improvements_off() if off else cfg
+                        )
+                    hints = witness_phase_hints(encodings[key], graph)
+                    out.append(None if hints is None else sorted(hints.items()))
+        return out
+
+    sources = {
+        "recoding": recoding_witness,
+        "heuristic": heuristic_graph,
+        "oracle": lambda inst: brute_force_optimal(inst)[1],
+    }
+    digests = {}
+    for name, make in sources.items():
+        found = []
+        for targets in HINT_INSTANCES:
+            inst = normalize_targets(list(targets))
+            assert inst.bit_width <= 9
+            found += cases(targets, make(inst))
+        digests[name] = hashlib.sha256(repr(found).encode()).hexdigest()
+    hand = []
+    for targets, text in HAND_GRAPHS:
+        hand += cases(targets, parse_graph(text))
+    digests["hand"] = hashlib.sha256(repr(hand).encode()).hexdigest()
+    assert digests == GOLDEN_HINTS
