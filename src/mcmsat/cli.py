@@ -32,6 +32,7 @@ IMPROVEMENT_FLAGS = (
     "limit_exactly_rows",
     "start_i_at_2",
 )
+IMPROVEMENT_STATES = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
 
 
 def _load_instance(path: str):
@@ -53,7 +54,12 @@ def _config(ops, encoding, right_shifts, no_improvements, improvement, annotate=
             raise click.BadParameter(
                 f"unknown improvement {name!r}; choose from {', '.join(IMPROVEMENT_FLAGS)}"
             )
-        cfg = replace(cfg, **{name: state.lower() not in ("off", "0", "false")})
+        if state.lower() not in IMPROVEMENT_STATES:
+            raise click.BadParameter(
+                f"bad state {state!r} for {name}; choose from "
+                f"{', '.join(IMPROVEMENT_STATES)}"
+            )
+        cfg = replace(cfg, **{name: IMPROVEMENT_STATES[state.lower()]})
     return cfg
 
 
@@ -67,7 +73,7 @@ def _common_encoding_options(fn):
         "--no-improvements", is_flag=True, help="Disable all encoding reductions."
     )(fn)
     fn = click.option(
-        "--improvement", multiple=True, metavar="NAME=off",
+        "--improvement", multiple=True, metavar="NAME=on|off",
         help="Toggle one reduction, e.g. --improvement nonzero_sub=off.",
     )(fn)
     return fn
@@ -253,8 +259,10 @@ def stats(instance, ops, encoding, right_shifts, no_improvements, improvement, a
 
 
 @main.command("gen-fir")
-@click.option("--bits", type=int, required=True, help="Coefficient width in bits.")
-@click.option("--taps", type=int, required=True, help="Number of coefficients.")
+@click.option("--bits", type=click.IntRange(min=1), required=True,
+              help="Coefficient width in bits.")
+@click.option("--taps", type=click.IntRange(min=1), required=True,
+              help="Number of coefficients.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--pair", is_flag=True,
@@ -262,8 +270,6 @@ def stats(instance, ops, encoding, right_shifts, no_improvements, improvement, a
                    "bound and one below it.")
 def gen_fir(bits, taps, seed, out, pair):
     """Draw random filter coefficients and write them as an instance."""
-    if taps <= 0:
-        raise click.BadParameter("taps must be positive")
     rng = random.Random(seed)
     coeffs = [rng.randint(1, (1 << bits) - 1) for _ in range(taps)]
     inst = normalize_targets(coeffs)

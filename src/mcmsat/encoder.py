@@ -14,6 +14,13 @@ slot.  Variant 3 additionally reuses a single carry/borrow chain for all
 of a slot's conditional adders and subtractors, which is sound because
 exactly one of them is enabled.
 
+All three variants build the same adder and subtractor gadgets; a
+conditional one is the plain one with each row guarded by its
+candidate's condition (see `gadgets`).  `KINDS` states once, for every
+add/subtract candidate, whether it subtracts and which operands it
+combines; both slot encoders, decoding and the witness phase hints read
+it.
+
 Variable allocation order is fixed: binding selectors first (so a
 depth-first solver branches on which slot covers each target), then per
 slot its candidate conditions, shift stages, power vectors, chain, and
@@ -38,6 +45,20 @@ SUB_POW_SHIFT = "sub_pow_shift"
 ADD_PAIR = "add_pair"
 SUB_PAIR = "sub_pair"
 SUB_PAIR_REV = "sub_pair_rev"
+
+# The add/subtract candidates: whether each subtracts, and its two
+# operands in gadget order (minuend first) by role.  The roles are e1 and
+# e1b, the slot's power vectors; s, op1 shifted; and t, op2's pair shift.
+# EXACTLY2 is the one candidate without a gadget: a popcount-2 vector.
+KINDS = {
+    POWER_DIFF: (True, "e1", "e1b"),
+    ADD_SHIFT_POW: (False, "s", "e1"),
+    SUB_SHIFT_POW: (True, "s", "e1"),
+    SUB_POW_SHIFT: (True, "e1", "s"),
+    ADD_PAIR: (False, "s", "t"),
+    SUB_PAIR: (True, "s", "t"),
+    SUB_PAIR_REV: (True, "t", "s"),
+}
 
 
 @dataclass(frozen=True)
@@ -258,6 +279,35 @@ class _Session:
         tail = f"({op1},{op2})" if op2 else (f"(op{op1})" if op1 else "")
         return f"slot {slot} candidate {kind}{tail}"
 
+    def _shifted(self, slot: int) -> tuple[BitVec, BitVec]:
+        """A fresh vector equal to `slot`'s value shifted left by a
+        solver-chosen amount, and that amount's one-hot selectors."""
+        out = self.f.new_bitvec(self.width)
+        sels = gadgets.encode_shift(self.f, out, self.result.op_values[slot - 1])
+        self._mark_selectors(sels)
+        return out, sels
+
+    def _nonzero_difference(self, e1: BitVec, e1b: BitVec) -> None:
+        """The two powers of the power-difference candidate differ."""
+        for i in range(self.width):
+            self.f.add(((-1, e1[i]), (-1, e1b[i])), GE, -1)
+
+    def _output_vectors(self) -> tuple[BitVec, BitVec]:
+        """The vector the candidates write, and the slot's value: the same
+        vector, or with right shifts a second one it is shifted into."""
+        pre = self.f.new_bitvec(self.width)
+        return pre, (self.f.new_bitvec(self.width) if self.cfg.right_shifts else pre)
+
+    def _finish_slot(self, pre, out, candidates, shifts, powers) -> None:
+        if self.cfg.right_shifts:
+            self._mark_selectors(gadgets.encode_shift(self.f, out, pre, direction="right"))
+        res = self.result
+        res.op_values.append(out)
+        res.pre_shift_values.append(pre if self.cfg.right_shifts else None)
+        res.candidates.append(candidates)
+        res.slot_shifts.append(shifts)
+        res.slot_powers.append(powers)
+
     def _encode_slot_shared(self, slot: int) -> None:
         """Variants 2 and 3: conditional writers into one output vector."""
         f, n, cfg = self.f, self.width, self.cfg
@@ -272,47 +322,25 @@ class _Session:
         # Shift stages before the power vectors: once a shift amount is
         # chosen, ripple propagation pins the matching power, so the
         # search branches on amounts rather than on power positions.
+        # Keyed by op1 for role s and by (op1, op2) for role t.
+        stages = [(op1, op1) for op1 in range(1, slot)]
+        stages += [((op1, op2), op2) for op1 in range(1, slot) for op2 in range(op1, slot)]
+        shifted: dict = {}
         shift_sels: dict = {}
-        shift_of: dict[int, BitVec] = {}
-        for op1 in range(1, slot):
-            out = f.new_bitvec(n)
-            sels = gadgets.encode_shift(f, out, self.result.op_values[op1 - 1])
-            self._mark_selectors(sels)
-            shift_of[op1] = out
-            shift_sels[op1] = sels
-        pair_shift: dict[tuple[int, int], BitVec] = {}
-        for op1 in range(1, slot):
-            for op2 in range(op1, slot):
-                out = f.new_bitvec(n)
-                sels = gadgets.encode_shift(f, out, self.result.op_values[op2 - 1])
-                self._mark_selectors(sels)
-                pair_shift[(op1, op2)] = out
-                shift_sels[(op1, op2)] = sels
+        for key, src in stages:
+            shifted[key], shift_sels[key] = self._shifted(src)
 
         e1 = exactly(f, 1, n) if (scratch or slot > 1) else None
         e1b = exactly(f, 1, n) if scratch else None
         e2 = exactly(f, 2, n) if scratch else None
         if scratch and cfg.nonzero_sub:
-            # Result of the power-difference candidate must be non-zero.
-            for i in range(n):
-                f.add(((-1, e1[i]), (-1, e1b[i])), GE, -1)
+            self._nonzero_difference(e1, e1b)
 
         shared_chain = None
         if cfg.variant == 3 and has_addsub and n >= 2:
             shared_chain = CarryChain(tuple(f.new_var() for _ in range(n - 1)))
 
-        target_vec = f.new_bitvec(n)
-        if cfg.right_shifts:
-            pre = target_vec  # candidates write here, then one shared >> stage
-            out_vec = f.new_bitvec(n)
-        else:
-            pre = target_vec
-            out_vec = target_vec
-
-        def chain_arg():
-            return shared_chain if cfg.variant == 3 else None
-
-        cand_meta = []
+        pre, out = self._output_vectors()
         for (kind, op1, op2), cond in zip(kinds, conds):
             note = self._note(slot, kind, op1, op2)
             if note:
@@ -320,27 +348,11 @@ class _Session:
             if kind == EXACTLY2:
                 for i in range(n):
                     gadgets.encode_cond_copy(f, cond, e2[i], pre[i])
-            elif kind == POWER_DIFF:
-                gadgets.encode_subtractor(f, pre, e1, e1b, cond, chain_arg())
-            elif kind == ADD_SHIFT_POW:
-                gadgets.encode_adder(f, pre, shift_of[op1], e1, cond, chain_arg())
-            elif kind == SUB_SHIFT_POW:
-                gadgets.encode_subtractor(f, pre, shift_of[op1], e1, cond, chain_arg())
-            elif kind == SUB_POW_SHIFT:
-                gadgets.encode_subtractor(f, pre, e1, shift_of[op1], cond, chain_arg())
-            elif kind == ADD_PAIR:
-                gadgets.encode_adder(
-                    f, pre, shift_of[op1], pair_shift[(op1, op2)], cond, chain_arg()
-                )
-            elif kind == SUB_PAIR:
-                gadgets.encode_subtractor(
-                    f, pre, shift_of[op1], pair_shift[(op1, op2)], cond, chain_arg()
-                )
-            else:  # SUB_PAIR_REV
-                gadgets.encode_subtractor(
-                    f, pre, pair_shift[(op1, op2)], shift_of[op1], cond, chain_arg()
-                )
-            cand_meta.append(Candidate(kind, cond, op1, op2))
+                continue
+            subtract, x, y = KINDS[kind]
+            vec = {"e1": e1, "e1b": e1b, "s": shifted.get(op1), "t": shifted.get((op1, op2))}
+            gadget = gadgets.encode_subtractor if subtract else gadgets.encode_adder
+            gadget(f, pre, vec[x], vec[y], cond, shared_chain)
         if conds:
             f.add(
                 tuple((1, c) for c in conds),
@@ -350,19 +362,13 @@ class _Session:
             )
         else:
             emit_false(f)
-        if cfg.right_shifts:
-            self._mark_selectors(gadgets.encode_shift(f, out_vec, pre, direction="right"))
-        self.result.op_values.append(out_vec)
-        self.result.pre_shift_values.append(pre if cfg.right_shifts else None)
-        self.result.candidates.append(cand_meta)
-        self.result.slot_shifts.append(shift_sels)
-        self.result.slot_powers.append({"e1": e1, "e1b": e1b, "e2": e2})
+        candidates = [Candidate(k, c, o1, o2) for (k, o1, o2), c in zip(kinds, conds)]
+        self._finish_slot(pre, out, candidates, shift_sels, {"e1": e1, "e1b": e1b, "e2": e2})
 
     def _encode_slot_v1(self, slot: int) -> None:
         """Variant 1: every candidate in its own vector, then one is chosen."""
         f, n, cfg = self.f, self.width, self.cfg
         kinds = self._candidate_list(slot)
-        scratch = slot <= self.scratch_limit
         # The chosen-one constraint is >= 1, so selectors keep phase 0
         # (a true-first selector would drag every other candidate vector
         # along); reversed allocation still explores candidates in line
@@ -371,79 +377,37 @@ class _Session:
         selectors = list(reversed(rev))
 
         vectors: list[BitVec] = []
-        e1 = e1b = e2 = None
         for kind, op1, op2 in kinds:
             if kind == EXACTLY2:
-                e2 = exactly(f, 2, n)
-                vectors.append(e2)
-            elif kind == POWER_DIFF:
-                e1 = exactly(f, 1, n)
-                e1b = exactly(f, 1, n)
-                if cfg.nonzero_sub:
-                    for i in range(n):
-                        f.add(((-1, e1[i]), (-1, e1b[i])), GE, -1)
-                out = f.new_bitvec(n)
-                gadgets.encode_subtractor(f, out, e1, e1b)
-                vectors.append(out)
-            elif kind in (ADD_SHIFT_POW, SUB_SHIFT_POW, SUB_POW_SHIFT):
-                shifted = f.new_bitvec(n)
-                self._mark_selectors(
-                    gadgets.encode_shift(f, shifted, self.result.op_values[op1 - 1])
-                )
-                pow_vec = exactly(f, 1, n)
-                out = f.new_bitvec(n)
-                if kind == ADD_SHIFT_POW:
-                    gadgets.encode_adder(f, out, shifted, pow_vec)
-                elif kind == SUB_SHIFT_POW:
-                    gadgets.encode_subtractor(f, out, shifted, pow_vec)
-                else:
-                    gadgets.encode_subtractor(f, out, pow_vec, shifted)
-                vectors.append(out)
-            else:
-                s1 = f.new_bitvec(n)
-                self._mark_selectors(
-                    gadgets.encode_shift(f, s1, self.result.op_values[op1 - 1])
-                )
-                s2 = f.new_bitvec(n)
-                self._mark_selectors(
-                    gadgets.encode_shift(f, s2, self.result.op_values[op2 - 1])
-                )
-                out = f.new_bitvec(n)
-                if kind == ADD_PAIR:
-                    gadgets.encode_adder(f, out, s1, s2)
-                elif kind == SUB_PAIR:
-                    gadgets.encode_subtractor(f, out, s1, s2)
-                else:
-                    gadgets.encode_subtractor(f, out, s2, s1)
-                vectors.append(out)
+                vectors.append(exactly(f, 2, n))
+                continue
+            subtract, x, y = KINDS[kind]
+            # Each candidate owns one vector per role, allocated s, t, e1, e1b.
+            vec = {}
+            if "s" in (x, y):
+                vec["s"], _ = self._shifted(op1)
+            if "t" in (x, y):
+                vec["t"], _ = self._shifted(op2)
+            for role in ("e1", "e1b"):
+                if role in (x, y):
+                    vec[role] = exactly(f, 1, n)
+            if kind == POWER_DIFF and cfg.nonzero_sub:
+                self._nonzero_difference(vec["e1"], vec["e1b"])
+            out = f.new_bitvec(n)
+            gadget = gadgets.encode_subtractor if subtract else gadgets.encode_adder
+            gadget(f, out, vec[x], vec[y])
+            vectors.append(out)
 
-        if cfg.right_shifts:
-            chosen = f.new_bitvec(n)
-            out_vec = f.new_bitvec(n)
-        else:
-            chosen = out_vec = f.new_bitvec(n)
+        chosen, out = self._output_vectors()
         if vectors:
-            sel_terms = tuple((1, s) for s in selectors)
-            f.add(sel_terms, GE, 1)
+            f.add(tuple((1, s) for s in selectors), GE, 1)
             for sel, member in zip(selectors, vectors):
                 for i in range(n):
                     gadgets.encode_cond_copy(f, sel, member[i], chosen[i])
         else:
             emit_false(f)
-        if cfg.right_shifts:
-            self._mark_selectors(
-                gadgets.encode_shift(f, out_vec, chosen, direction="right")
-            )
-        self.result.op_values.append(out_vec)
-        self.result.pre_shift_values.append(chosen if cfg.right_shifts else None)
-        self.result.candidates.append(
-            [
-                Candidate(kind, sel, op1, op2)
-                for (kind, op1, op2), sel in zip(kinds, selectors)
-            ]
-        )
-        self.result.slot_shifts.append({})
-        self.result.slot_powers.append({})
+        candidates = [Candidate(k, s, o1, o2) for (k, o1, o2), s in zip(kinds, selectors)]
+        self._finish_slot(chosen, out, candidates, {}, {})
 
     # -- target binding ----------------------------------------------------
 
@@ -460,13 +424,7 @@ class _Session:
         if cfg.skip_odd_target_shift:
             vecs = [self.result.op_values[i - 1] for i in members]
         else:
-            vecs = []
-            for i in members:
-                shifted = f.new_bitvec(n)
-                self._mark_selectors(
-                    gadgets.encode_shift(f, shifted, self.result.op_values[i - 1])
-                )
-                vecs.append(shifted)
+            vecs = [self._shifted(i)[0] for i in members]
         f.add(tuple((1, s) for s in selectors), GE, 1,
               note=f"target {target}" if cfg.annotate else None)
         for sel, vec in zip(selectors, vecs):

@@ -6,6 +6,13 @@ All vectors are big-endian (index 0 is the MSB).  Carry/borrow chains
 have length N-1; chain[i] feeds result bit i and is defined from the
 operands at position i+1.  Emission order within each gadget is fixed so
 formulas are reproducible.
+
+A conditional gadget writes the same rows as the plain one, each behind
+a guard: "this row holds only while cond is true" is the prefix term
+(-w, cond) with the row's bound lowered by w, where w is how far the row
+can fall short (1 for a clause, 2 for most carry and borrow rows).  A
+fresh chain is a function of the operands, so its rows stay unguarded;
+only a shared chain is guarded.
 """
 
 from __future__ import annotations
@@ -26,44 +33,35 @@ class CarryChain:
         return self.bits[i]
 
 
-def encode_xor2(f: PbFormula, a: int, b: int, c: int) -> None:
-    """a <-> (b xor c)."""
-    f.add(((-1, a), (1, b), (1, c)), GE, 0)
-    f.add(((-1, a), (-1, b), (-1, c)), GE, -2)
-    f.add(((1, a), (1, b), (-1, c)), GE, 0)
-    f.add(((1, a), (-1, b), (1, c)), GE, 0)
+def _guard(cond: int | None, w: int) -> tuple:
+    """Prefix of a row that may fall short by w while cond is false."""
+    return () if cond is None else ((-w, cond),)
 
 
-def encode_cond_xor2(f: PbFormula, a: int, b: int, c: int, cond: int) -> None:
-    """cond -> (a <-> (b xor c))."""
-    f.add(((-1, cond), (-1, a), (1, b), (1, c)), GE, -1)
-    f.add(((-1, cond), (-1, a), (-1, b), (-1, c)), GE, -3)
-    f.add(((-1, cond), (1, a), (1, b), (-1, c)), GE, -1)
-    f.add(((-1, cond), (1, a), (-1, b), (1, c)), GE, -1)
+def encode_xor2(f: PbFormula, a: int, b: int, c: int, cond: int | None = None) -> None:
+    """a <-> (b xor c), only while cond is true when cond is given."""
+    g = _guard(cond, 1)
+    k = len(g)
+    f.add(g + ((-1, a), (1, b), (1, c)), GE, -k)
+    f.add(g + ((-1, a), (-1, b), (-1, c)), GE, -2 - k)
+    f.add(g + ((1, a), (1, b), (-1, c)), GE, -k)
+    f.add(g + ((1, a), (-1, b), (1, c)), GE, -k)
 
 
-def encode_xor3(f: PbFormula, a: int, b: int, c: int, d: int) -> None:
-    """a <-> (b xor c xor d)."""
-    f.add(((-1, a), (1, b), (1, c), (1, d)), GE, 0)
-    f.add(((-1, a), (1, b), (-1, c), (-1, d)), GE, -2)
-    f.add(((-1, a), (-1, b), (1, c), (-1, d)), GE, -2)
-    f.add(((-1, a), (-1, b), (-1, c), (1, d)), GE, -2)
-    f.add(((1, a), (-1, b), (-1, c), (-1, d)), GE, -2)
-    f.add(((1, a), (-1, b), (1, c), (1, d)), GE, 0)
-    f.add(((1, a), (1, b), (-1, c), (1, d)), GE, 0)
-    f.add(((1, a), (1, b), (1, c), (-1, d)), GE, 0)
-
-
-def encode_cond_xor3(f: PbFormula, a: int, b: int, c: int, d: int, cond: int) -> None:
-    """cond -> (a <-> (b xor c xor d))."""
-    f.add(((-1, cond), (-1, a), (1, b), (1, c), (1, d)), GE, -1)
-    f.add(((-1, cond), (-1, a), (1, b), (-1, c), (-1, d)), GE, -3)
-    f.add(((-1, cond), (-1, a), (-1, b), (1, c), (-1, d)), GE, -3)
-    f.add(((-1, cond), (-1, a), (-1, b), (-1, c), (1, d)), GE, -3)
-    f.add(((-1, cond), (1, a), (-1, b), (-1, c), (-1, d)), GE, -3)
-    f.add(((-1, cond), (1, a), (-1, b), (1, c), (1, d)), GE, -1)
-    f.add(((-1, cond), (1, a), (1, b), (-1, c), (1, d)), GE, -1)
-    f.add(((-1, cond), (1, a), (1, b), (1, c), (-1, d)), GE, -1)
+def encode_xor3(
+    f: PbFormula, a: int, b: int, c: int, d: int, cond: int | None = None
+) -> None:
+    """a <-> (b xor c xor d), only while cond is true when cond is given."""
+    g = _guard(cond, 1)
+    k = len(g)
+    f.add(g + ((-1, a), (1, b), (1, c), (1, d)), GE, -k)
+    f.add(g + ((-1, a), (1, b), (-1, c), (-1, d)), GE, -2 - k)
+    f.add(g + ((-1, a), (-1, b), (1, c), (-1, d)), GE, -2 - k)
+    f.add(g + ((-1, a), (-1, b), (-1, c), (1, d)), GE, -2 - k)
+    f.add(g + ((1, a), (-1, b), (-1, c), (-1, d)), GE, -2 - k)
+    f.add(g + ((1, a), (-1, b), (1, c), (1, d)), GE, -k)
+    f.add(g + ((1, a), (1, b), (-1, c), (1, d)), GE, -k)
+    f.add(g + ((1, a), (1, b), (1, c), (-1, d)), GE, -k)
 
 
 def encode_cond_copy(f: PbFormula, cond: int, b: int, c: int) -> None:
@@ -80,12 +78,24 @@ def _check_widths(*vecs: BitVec) -> int:
     return width
 
 
-def _chain_for(f: PbFormula, width: int, shared: CarryChain | None) -> CarryChain:
+def _chain_for(
+    f: PbFormula, width: int, cond: int | None, shared: CarryChain | None
+) -> CarryChain:
     if shared is not None:
+        if cond is None:
+            raise PbError("a shared chain requires a condition")
         if len(shared) != width - 1:
             raise PbError("shared chain length mismatch")
         return shared
     return CarryChain(tuple(f.new_var() for _ in range(width - 1)))
+
+
+def _sum_bits(f, out: BitVec, b: BitVec, c: BitVec, d: CarryChain, cond) -> None:
+    """out[i] = b[i] xor c[i] xor d[i]; the LSB has no incoming chain bit."""
+    n = len(out)
+    for i in range(n - 1):
+        encode_xor3(f, out[i], b[i], c[i], d[i], cond)
+    encode_xor2(f, out[n - 1], b[n - 1], c[n - 1], cond)
 
 
 def encode_adder(
@@ -103,47 +113,26 @@ def encode_adder(
     reuses an external carry chain (sound only while at most one of the
     gadgets sharing it is enabled).
     """
-    if shared_carries is not None and cond is None:
-        raise PbError("shared carries require a condition")
     n = _check_widths(out, b, c)
-    d = _chain_for(f, n, shared_carries)
-    shared = shared_carries is not None
+    d = _chain_for(f, n, cond, shared_carries)
+    chain_cond = cond if shared_carries is not None else None
+    cg1, cg2 = _guard(chain_cond, 1), _guard(chain_cond, 2)
+    ck = len(cg1)
     # Carry definitions: d[i-1] is the carry out of position i+1 (1-based).
     if n >= 2:
-        if not shared:
-            for i in range(n - 2):
-                f.add(((-2, d[i]), (1, b[i + 1]), (1, c[i + 1]), (1, d[i + 1])), GE, 0)
-            for i in range(n - 2):
-                f.add(((2, d[i]), (-1, b[i + 1]), (-1, c[i + 1]), (-1, d[i + 1])), GE, -1)
-            f.add(((-2, d[n - 2]), (1, b[n - 1]), (1, c[n - 1])), GE, 0)
-            f.add(((1, d[n - 2]), (-1, b[n - 1]), (-1, c[n - 1])), GE, -1)
-        else:
-            for i in range(n - 2):
-                f.add(((-2, cond), (-2, d[i]), (1, b[i + 1]), (1, c[i + 1]), (1, d[i + 1])), GE, -2)
-            for i in range(n - 2):
-                f.add(((-2, cond), (2, d[i]), (-1, b[i + 1]), (-1, c[i + 1]), (-1, d[i + 1])), GE, -3)
-            f.add(((-2, cond), (-2, d[n - 2]), (1, b[n - 1]), (1, c[n - 1])), GE, -2)
-            f.add(((-1, cond), (1, d[n - 2]), (-1, b[n - 1]), (-1, c[n - 1])), GE, -2)
-    # Disallow overflow out of the MSB.
-    if cond is None:
-        terms = ((-1, b[0]), (-1, c[0]))
-        if n >= 2:
-            terms += ((-1, d[0]),)
-        f.add(terms, GE, -1)
-    else:
-        terms = ((-1, cond), (-1, b[0]), (-1, c[0]))
-        if n >= 2:
-            terms += ((-1, d[0]),)
-        f.add(terms, GE, -2)
-    # Sum bits.
-    if cond is None:
-        for i in range(n - 1):
-            encode_xor3(f, out[i], b[i], c[i], d[i])
-        encode_xor2(f, out[n - 1], b[n - 1], c[n - 1])
-    else:
-        for i in range(n - 1):
-            encode_cond_xor3(f, out[i], b[i], c[i], d[i], cond)
-        encode_cond_xor2(f, out[n - 1], b[n - 1], c[n - 1], cond)
+        for i in range(n - 2):
+            f.add(cg2 + ((-2, d[i]), (1, b[i + 1]), (1, c[i + 1]), (1, d[i + 1])), GE, -2 * ck)
+        for i in range(n - 2):
+            f.add(cg2 + ((2, d[i]), (-1, b[i + 1]), (-1, c[i + 1]), (-1, d[i + 1])), GE, -1 - 2 * ck)
+        f.add(cg2 + ((-2, d[n - 2]), (1, b[n - 1]), (1, c[n - 1])), GE, -2 * ck)
+        f.add(cg1 + ((1, d[n - 2]), (-1, b[n - 1]), (-1, c[n - 1])), GE, -1 - ck)
+    # Disallow overflow out of the MSB.  Guarded with weight 1 although
+    # the row can fall short by 2, so b0 = c0 = d0 = 1 stays forbidden
+    # while the adder is disabled.
+    g = _guard(cond, 1)
+    msb = ((-1, b[0]), (-1, c[0])) + (((-1, d[0]),) if n >= 2 else ())
+    f.add(g + msb, GE, -1 - len(g))
+    _sum_bits(f, out, b, c, d, cond)
     return d
 
 
@@ -156,47 +145,27 @@ def encode_subtractor(
     shared_borrows: CarryChain | None = None,
 ) -> CarryChain:
     """out = b - c over N bits; underflow (b < c) forbidden."""
-    if shared_borrows is not None and cond is None:
-        raise PbError("shared borrows require a condition")
     n = _check_widths(out, b, c)
-    d = _chain_for(f, n, shared_borrows)
-    shared = shared_borrows is not None
+    d = _chain_for(f, n, cond, shared_borrows)
+    chain_cond = cond if shared_borrows is not None else None
+    cg1, cg2 = _guard(chain_cond, 1), _guard(chain_cond, 2)
+    ck = len(cg1)
     # Borrow definitions: d[i-1] is the borrow out of position i+1.
     if n >= 2:
-        if not shared:
-            for i in range(n - 2):
-                f.add(((2, d[i]), (1, b[i + 1]), (-1, c[i + 1]), (-1, d[i + 1])), GE, 0)
-            for i in range(n - 2):
-                f.add(((-2, d[i]), (-1, b[i + 1]), (1, c[i + 1]), (1, d[i + 1])), GE, -1)
-            f.add(((-2, d[n - 2]), (-1, b[n - 1]), (1, c[n - 1])), GE, -1)
-            f.add(((1, d[n - 2]), (1, b[n - 1]), (-1, c[n - 1])), GE, 0)
-        else:
-            for i in range(n - 2):
-                f.add(((-2, cond), (2, d[i]), (1, b[i + 1]), (-1, c[i + 1]), (-1, d[i + 1])), GE, -2)
-            for i in range(n - 2):
-                f.add(((-2, cond), (-2, d[i]), (-1, b[i + 1]), (1, c[i + 1]), (1, d[i + 1])), GE, -3)
-            f.add(((-2, cond), (-2, d[n - 2]), (-1, b[n - 1]), (1, c[n - 1])), GE, -3)
-            f.add(((-1, cond), (1, d[n - 2]), (1, b[n - 1]), (-1, c[n - 1])), GE, -1)
+        for i in range(n - 2):
+            f.add(cg2 + ((2, d[i]), (1, b[i + 1]), (-1, c[i + 1]), (-1, d[i + 1])), GE, -2 * ck)
+        for i in range(n - 2):
+            f.add(cg2 + ((-2, d[i]), (-1, b[i + 1]), (1, c[i + 1]), (1, d[i + 1])), GE, -1 - 2 * ck)
+        f.add(cg2 + ((-2, d[n - 2]), (-1, b[n - 1]), (1, c[n - 1])), GE, -1 - 2 * ck)
+        f.add(cg1 + ((1, d[n - 2]), (1, b[n - 1]), (-1, c[n - 1])), GE, -ck)
     # Disallow underflow at the MSB.
-    if cond is None:
-        f.add(((1, b[0]), (-1, c[0])), GE, 0)
-        if n >= 2:
-            f.add(((1, b[0]), (-1, d[0])), GE, 0)
-            f.add(((-1, c[0]), (-1, d[0])), GE, -1)
-    else:
-        f.add(((-1, cond), (1, b[0]), (-1, c[0])), GE, -1)
-        if n >= 2:
-            f.add(((-1, cond), (1, b[0]), (-1, d[0])), GE, -1)
-            f.add(((-1, cond), (-1, c[0]), (-1, d[0])), GE, -2)
-    # Difference bits.
-    if cond is None:
-        for i in range(n - 1):
-            encode_xor3(f, out[i], b[i], c[i], d[i])
-        encode_xor2(f, out[n - 1], b[n - 1], c[n - 1])
-    else:
-        for i in range(n - 1):
-            encode_cond_xor3(f, out[i], b[i], c[i], d[i], cond)
-        encode_cond_xor2(f, out[n - 1], b[n - 1], c[n - 1], cond)
+    g = _guard(cond, 1)
+    k = len(g)
+    f.add(g + ((1, b[0]), (-1, c[0])), GE, -k)
+    if n >= 2:
+        f.add(g + ((1, b[0]), (-1, d[0])), GE, -k)
+        f.add(g + ((-1, c[0]), (-1, d[0])), GE, -1 - k)
+    _sum_bits(f, out, b, c, d, cond)
     return d
 
 

@@ -20,19 +20,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .encoder import (
-    ADD_PAIR,
-    ADD_SHIFT_POW,
-    EXACTLY2,
-    POWER_DIFF,
-    SUB_PAIR,
-    SUB_PAIR_REV,
-    SUB_POW_SHIFT,
-    SUB_SHIFT_POW,
-    EncodeResult,
-    EncodingConfig,
-    encode_mcm,
-)
+from .encoder import EXACTLY2, KINDS, EncodeResult, EncodingConfig, encode_mcm
 from .model import (
     AdderGraph,
     GraphNode,
@@ -238,10 +226,10 @@ def decode_solution(res: EncodeResult, model: Model) -> AdderGraph:
             right_shift = (pre_value // value).bit_length() - 1
             if value << right_shift != pre_value:
                 raise DecodeError("decode failure: inconsistent right shift")
-            sign = 0 if cand.kind in (EXACTLY2, ADD_SHIFT_POW, ADD_PAIR) else 1
+            subtract = cand.kind != EXACTLY2 and KINDS[cand.kind][0]
             found = find_params(
                 value_of[cand.op1], value_of[cand.op2], pre_value, max_shift,
-                right_shifts=False, signs=(sign,),
+                right_shifts=False, signs=(int(subtract),),
             )
             if found is None:
                 raise DecodeError(f"decode failure: slot {slot} value {pre_value}")
@@ -305,23 +293,19 @@ def witness_phase_hints(enc: EncodeResult, graph: AdderGraph) -> dict | None:
     The solver then reaches that solution as its first search leaf and
     remains complete either way; this is a warm start, not a shortcut
     past verification.  Returns None when the graph does not fit the
-    encoding (too many operations, right shifts, variant 1, or a value
-    outside a slot's candidate set).
+    encoding (too many operations, right shifts, variant 1, pinned
+    slots, or a value outside a slot's candidate set).
     """
     cfg = enc.cfg
     if cfg.variant == 1 or cfg.right_shifts or enc.trivial_verdict is not None:
         return None
+    if enc.pinned:
+        return None  # pinned prefixes change operand indexing; skip
     if any(n.params is None or n.params.right_shift for n in graph.nodes):
         return None
     graph = _reorder_roots_first(graph)
-    if graph is None:
+    if graph is None or len(graph.nodes) > len(enc.op_values):
         return None
-    pinned_slots = {p.slot for p in enc.pinned}
-    free_slots = [i for i in range(1, len(enc.op_values) + 1) if i not in pinned_slots]
-    if len(graph.nodes) > len(free_slots):
-        return None
-    if pinned_slots:
-        return None  # pinned prefixes change operand indexing; skip
     hints = dict(enc.phase_hints)
     n = enc.inst.bit_width
 
@@ -329,94 +313,50 @@ def witness_phase_hints(enc: EncodeResult, graph: AdderGraph) -> dict | None:
         for i, var in enumerate(vec.bits):
             hints[var] = (value >> (n - 1 - i)) & 1
 
-    def hint_onehot(sel_vec, amount):
-        for i, var in enumerate(sel_vec.bits):
-            hints[var] = 1 if i == amount else 0
-
-    placed = {}  # graph node index -> slot
-    for node_idx, node in enumerate(graph.nodes, 1):
-        slot = free_slots[node_idx - 1]
-        placed[node_idx] = slot
+    # Node i goes to slot i, so an operand's node index is its slot.
+    for slot, node in enumerate(graph.nodes, 1):
         p = node.params
-        powers = enc.slot_powers[slot - 1]
-        shifts = enc.slot_shifts[slot - 1]
-        if node.left == 0 and node.right == 0:
-            a, b = p.left_shift_1, p.left_shift_2
-            if p.sign == 0:
-                if a == b:
-                    return None  # doubled power needs an adder, not a popcount pin
-                kind, op1, op2 = EXACTLY2, 0, 0
-                if powers.get("e2") is None:
-                    return None
-                vec = powers["e2"]
-                for i, var in enumerate(vec.bits):
-                    pos = n - 1 - i
-                    hints[var] = 1 if pos in (a, b) else 0
-            else:
-                kind, op1, op2 = POWER_DIFF, 0, 0
-                if powers.get("e1") is None or powers.get("e1b") is None:
-                    return None
-                hi, lo = max(a, b), min(a, b)
-                hint_vec(powers["e1"], 1 << hi)
-                hint_vec(powers["e1b"], 1 << lo)
-        elif node.left == 0 or node.right == 0:
-            if node.left == 0:
-                other, pow_amt, shift_amt = node.right, p.left_shift_1, p.left_shift_2
-            else:
-                other, pow_amt, shift_amt = node.left, p.left_shift_2, p.left_shift_1
-            op1 = placed[other]
-            shifted = graph.node_value(other) << shift_amt
-            power = 1 << pow_amt
-            if p.sign == 0:
-                kind = ADD_SHIFT_POW
-            elif shifted >= power:
-                kind = SUB_SHIFT_POW
-            else:
-                kind = SUB_POW_SHIFT
-            op2 = 0
-            if powers.get("e1") is None or op1 not in shifts:
-                return None
-            hint_vec(powers["e1"], power)
-            hint_onehot(shifts[op1], shift_amt)
-        else:
-            lslot, rslot = placed[node.left], placed[node.right]
-            lval = graph.node_value(node.left) << p.left_shift_1
-            rval = graph.node_value(node.right) << p.left_shift_2
-            op1, op2 = min(lslot, rslot), max(lslot, rslot)
-            if lslot == op1:
-                first_val, first_amt = lval, p.left_shift_1
-                second_amt = p.left_shift_2
-            else:
-                first_val, first_amt = rval, p.left_shift_2
-                second_amt = p.left_shift_1
-            second_val = (lval + rval) - first_val
-            if p.sign == 0:
-                kind = ADD_PAIR
-            elif first_val >= second_val:
-                kind = SUB_PAIR
-            else:
-                kind = SUB_PAIR_REV
-            if op1 not in shifts or (op1, op2) not in shifts:
-                return None
-            hint_onehot(shifts[op1], first_amt)
-            hint_onehot(shifts[(op1, op2)], second_amt)
-        chosen = next(
-            (
-                c
-                for c in enc.candidates[slot - 1]
-                if c.kind == kind and c.op1 == op1 and c.op2 == op2
-            ),
-            None,
+        operands = sorted(
+            ((node.left, p.left_shift_1), (node.right, p.left_shift_2)),
+            key=lambda o: o[0],
         )
+        # Role values as KINDS names them: the powers of two, larger first,
+        # and the shifted earlier results in slot order.
+        powers = sorted((1 << amt for src, amt in operands if src == 0), reverse=True)
+        shifted = [(src, amt) for src, amt in operands if src]
+        op1, op2 = ([src for src, _ in shifted] + [0, 0])[:2]
+        value = dict(zip(("e1", "e1b"), powers))
+        value.update(zip("st", (graph.node_value(src) << amt for src, amt in shifted)))
+        amount = dict(zip("st", (amt for _, amt in shifted)))
+
+        def realizes(cand):
+            if (cand.op1, cand.op2) != (op1, op2):
+                return False
+            if cand.kind == EXACTLY2:  # two distinct powers in one vector
+                return (value["e1"] | value["e1b"]) == node.value
+            subtract, x, y = KINDS[cand.kind]
+            return (value[x] - value[y] if subtract else value[x] + value[y]) == node.value
+
+        chosen = next((c for c in enc.candidates[slot - 1] if realizes(c)), None)
         if chosen is None:
             return None
+        if chosen.kind == EXACTLY2:
+            hint_vec(enc.slot_powers[slot - 1]["e2"], node.value)
+        else:
+            for role in KINDS[chosen.kind][1:]:
+                if role in amount:
+                    sels = enc.slot_shifts[slot - 1][op1 if role == "s" else (op1, op2)]
+                    for i, var in enumerate(sels.bits):
+                        hints[var] = 1 if i == amount[role] else 0
+                else:
+                    hint_vec(enc.slot_powers[slot - 1][role], value[role])
         for cand in enc.candidates[slot - 1]:
             hints[cand.cond] = 1 if cand is chosen else 0
         hint_vec(enc.op_values[slot - 1], node.value)
 
     slot_of_value = {}
-    for node_idx, slot in placed.items():
-        slot_of_value.setdefault(graph.nodes[node_idx - 1].value, slot)
+    for slot, node in enumerate(graph.nodes, 1):
+        slot_of_value.setdefault(node.value, slot)
     for target, members, sels in enc.binding:
         slot = slot_of_value.get(target)
         if slot is None or slot not in members:

@@ -70,6 +70,16 @@ def test_encode_unknown_improvement_rejected(runner, instance_file):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("state", ["of", "", "no"])
+def test_encode_unknown_improvement_state_rejected(runner, instance_file, state):
+    result = runner.invoke(
+        main, ["encode", instance_file, "--ops", "3", "--improvement", f"nonzero_sub={state}"]
+    )
+    assert result.exit_code == 2
+    assert "bad state" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_optimize_worked_example_json(runner, instance_file, tmp_path):
     graph_path = str(tmp_path / "solution.graph")
     result = runner.invoke(
@@ -189,6 +199,20 @@ def test_gen_fir_range_and_normalization(runner, tmp_path):
         assert v % 2 == 1 and 3 <= v < 16
     raw = [int(x) for x in directives["raw"].split()]
     assert len(raw) == 3 and all(1 <= r < 16 for r in raw)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--bits", "0", "--taps", "3"], ["--bits", "-4", "--taps", "3"],
+     ["--bits", "6", "--taps", "0"]],
+    ids=["zero-bits", "negative-bits", "zero-taps"],
+)
+def test_gen_fir_rejects_nonpositive_sizes(runner, tmp_path, args):
+    result = runner.invoke(main, ["gen-fir", *args, "--out", str(tmp_path / "x.txt")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # a usage error, not a crash
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_gen_fir_pair_mode(runner, tmp_path):

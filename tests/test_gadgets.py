@@ -92,7 +92,7 @@ def test_xor3_truth_table():
 def test_cond_xor2_truth_table():
     f = PbFormula()
     a, b, c, d = (f.new_var() for _ in range(4))
-    gadgets.encode_cond_xor2(f, a, b, c, cond=d)
+    gadgets.encode_xor2(f, a, b, c, cond=d)
     expected = {m for m in universe(f) if m[3] == 0 or m[0] == m[1] ^ m[2]}
     assert all_models(f) == expected
 
@@ -100,7 +100,7 @@ def test_cond_xor2_truth_table():
 def test_cond_xor3_truth_table():
     f = PbFormula()
     a, b, c, d, e = (f.new_var() for _ in range(5))
-    gadgets.encode_cond_xor3(f, a, b, c, d, cond=e)
+    gadgets.encode_xor3(f, a, b, c, d, cond=e)
     expected = {m for m in universe(f) if m[4] == 0 or m[0] == m[1] ^ m[2] ^ m[3]}
     assert all_models(f) == expected
 

@@ -1,9 +1,12 @@
-"""Every name a module loads must be bound somewhere in that module.
+"""Every name a module loads must be bound somewhere in that module,
+and every name it imports with `from ... import` must be loaded.
 
-The check is scope-insensitive: a name counts as bound if the module
+The checks are scope-insensitive: a name counts as bound if the module
 imports, assigns, defines or takes it as an argument anywhere, or if it
-is a builtin.  That is coarse, but it catches a missing import, which
-otherwise only surfaces as a NameError on the code path that uses it.
+is a builtin, and as used if it is loaded anywhere.  That is coarse, but
+it catches a missing import, which otherwise only surfaces as a
+NameError on the code path that uses it, and an import left behind when
+its last use goes.  The package's __init__ imports only to re-export.
 """
 
 import ast
@@ -16,6 +19,8 @@ import mcmsat
 
 PACKAGE_DIR = Path(mcmsat.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+# Imported for callers that reach it through this module, not used here.
+REEXPORTED = {("solve.py", "recoding_witness")}
 
 
 def bound_names(tree: ast.AST) -> set[str]:
@@ -49,6 +54,22 @@ def undefined_names(source: str) -> list[tuple[int, str]]:
     )
 
 
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    tree = ast.parse(source)
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (node.lineno, alias.asname or alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name) not in loaded
+    )
+
+
 def test_checker_flags_a_missing_import():
     source = "from os import path\n\ndef f():\n    return path, sep\n"
     assert undefined_names(source) == [(4, "sep")]
@@ -57,3 +78,20 @@ def test_checker_flags_a_missing_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_undefined_names(path):
     assert undefined_names(path.read_text()) == []
+
+
+def test_checker_flags_an_unused_import():
+    source = "from __future__ import annotations\nfrom os import path, sep\n\ndef f():\n    return path\n"
+    assert unused_imports(source) == [(2, "sep")]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_module_uses_every_import(path):
+    unused = [
+        (line, name)
+        for line, name in unused_imports(path.read_text())
+        if (path.name, name) not in REEXPORTED
+    ]
+    assert unused == []
