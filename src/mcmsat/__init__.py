@@ -19,7 +19,7 @@ from .model import (
     verify_solution,
 )
 from .oracle import SearchBudgetExceeded, brute_force_optimal
-from .pb import Model, PbConstraint, PbFormula, parse_opb, parse_solver_output
+from .pb import Model, PbFormula, parse_opb, parse_solver_output
 from .solve import (
     DecodeError,
     OptimizationReport,

@@ -344,7 +344,7 @@ class _Session:
         for (kind, op1, op2), cond in zip(kinds, conds):
             note = self._note(slot, kind, op1, op2)
             if note:
-                f.annotations[len(f.constraints)] = note
+                f.annotations[len(f.bounds)] = note
             if kind == EXACTLY2:
                 for i in range(n):
                     gadgets.encode_cond_copy(f, cond, e2[i], pre[i])

@@ -2,15 +2,22 @@
 
 Variables are dense 1-based integers.  A constraint is a list of
 (coefficient, variable) terms, a relation (">=" or "="), and an integer
-bound.  Construction is append-only so that constraint counts and OPB
-output are reproducible byte for byte.
+bound.  A formula keeps all rows in one append-only arena of flat arrays
+(after MiniSat+ and RoundingSat): row i is coefs[j], vars[j] for j in
+row_ptr[i]:row_ptr[i + 1], bound bounds[i], relation RELATIONS[relations[i]].
+A coefficient or bound beyond int64 is refused with PbError, never
+truncated.  Appending keeps counts and OPB output reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from array import array
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .model import McmError
 
@@ -18,6 +25,7 @@ log = logging.getLogger(__name__)
 
 GE = ">="
 EQ = "="
+RELATIONS = (GE, EQ)  # by the relation code kept in the arena
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -26,26 +34,6 @@ UNKNOWN = "UNKNOWN"
 
 class PbError(McmError):
     """Malformed constraint, out-of-range variable, or unparsable text."""
-
-
-@dataclass(frozen=True)
-class PbConstraint:
-    terms: tuple[tuple[int, int], ...]  # (coefficient, variable)
-    relation: str = GE
-    bound: int = 0
-
-    def validate(self) -> None:
-        if self.relation not in (GE, EQ):
-            raise PbError(f"bad relation {self.relation!r}")
-        seen = set()
-        for coef, var in self.terms:
-            if coef == 0:
-                raise PbError(f"zero coefficient on x{var}")
-            if var <= 0:
-                raise PbError(f"bad variable index {var}")
-            if var in seen:
-                raise PbError(f"duplicate variable x{var} in constraint")
-            seen.add(var)
 
 
 @dataclass(frozen=True)
@@ -67,10 +55,6 @@ class Model:
 
     values: tuple[int, ...]
 
-    @property
-    def var_count(self) -> int:
-        return len(self.values) - 1
-
     def __getitem__(self, var: int) -> int:
         return self.values[var]
 
@@ -81,12 +65,16 @@ class Model:
         return out
 
 
+Row = namedtuple("Row", "terms relation bound")  # terms: ((coefficient, variable), ...)
+
+
 class PbFormula:
     """Mutable builder for a pseudo-Boolean decision instance."""
 
     def __init__(self) -> None:
         self.var_count = 0
-        self.constraints: list[PbConstraint] = []
+        self.coefs, self.vars, self.row_ptr = array("q"), array("i"), array("q", [0])
+        self.bounds, self.relations = array("q"), bytearray()
         self.annotations: dict[int, str] = {}
 
     def new_var(self) -> int:
@@ -101,77 +89,115 @@ class PbFormula:
         self.var_count += width
         return BitVec(tuple(base + 1 + i for i in range(width)))
 
-    def add_constraint(self, c: PbConstraint, note: str | None = None) -> int:
-        c.validate()
-        for _, var in c.terms:
-            if var > self.var_count:
-                raise PbError(f"constraint references unallocated x{var}")
-        self.constraints.append(c)
-        idx = len(self.constraints) - 1
+    @property
+    def constraints(self) -> Sequence[Row]:
+        """The rows as (terms, relation, bound) records, built on access."""
+        return _Rows(self)
+
+    def add(self, terms, relation=GE, bound=0, note=None) -> int:
+        """Append one row of (coefficient, variable) terms; its index."""
+        coefs, vs = tuple(zip(*terms)) or ((), ())
+        return self._append(list(coefs), list(vs), relation, bound, note)
+
+    def _append(self, coefs: list, vs: list, relation, bound, note=None) -> int:
+        ordered = sorted(vs)
+        if (relation not in RELATIONS or 0 in coefs or len(set(vs)) < len(vs)
+                or vs and (ordered[0] < 1 or ordered[-1] > self.var_count)):
+            raise PbError(f"bad row {list(zip(coefs, vs))} {relation!r} {bound}: a relation not "
+                          f"'>=' or '=', a zero coefficient, or a repeated or unallocated variable")
+        idx, end = len(self.bounds), len(self.coefs)
+        try:  # fromlist appends all of a list or, failing, none of it
+            self.bounds.append(bound)
+            self.coefs.fromlist(coefs)
+            self.vars.fromlist(vs)
+        except OverflowError:
+            del self.bounds[idx:], self.coefs[end:]
+            raise PbError(f"row {idx} has a coefficient or bound beyond int64") from None
+        self.row_ptr.append(end + len(vs))
+        self.relations.append(relation == EQ)
         if note is not None:
             self.annotations[idx] = note
         return idx
 
-    def add(self, terms, relation=GE, bound=0, note=None) -> int:
-        return self.add_constraint(
-            PbConstraint(tuple(terms), relation, bound), note=note
-        )
-
     def stats(self) -> tuple[int, int]:
-        return self.var_count, len(self.constraints)
+        return self.var_count, len(self.bounds)
 
     def emit_opb(self, include_annotations: bool = False) -> str:
         """Serialize to OPB text, byte-for-byte reproducible."""
-        lines = [f"* #variable= {self.var_count} #constraint= {len(self.constraints)}"]
-        for idx, c in enumerate(self.constraints):
-            if include_annotations and idx in self.annotations:
-                lines.append(f"* {self.annotations[idx]}")
-            parts = [f"{coef:+d} x{var}" for coef, var in c.terms]
-            parts.append(c.relation)
-            parts.append(str(c.bound))
-            lines.append(" ".join(parts) + " ;")
-        return "\n".join(lines) + "\n"
+        notes = self.annotations if include_annotations else {}
+        coefs, vs, ptr, rels = self.coefs, self.vars, self.row_ptr, self.relations
+        lines = [f"* #variable= {self.var_count} #constraint= {len(self.bounds)}"]
+        formats = {}  # by row length: "%+d x%d " per term, then relation and bound
+        for start in range(0, len(self.bounds), 512):  # in blocks, to bound `flat`
+            rows = range(start, min(start + 512, len(self.bounds)))
+            base, top = ptr[start], ptr[rows[-1] + 1]
+            flat = list(chain.from_iterable(zip(coefs[base:top], vs[base:top])))  # coef, var, ...
+            for i in rows:
+                if i in notes:
+                    lines.append(f"* {notes[i]}")
+                lo, k = ptr[i] - base, ptr[i + 1] - ptr[i]
+                fmt = formats.get(k) or formats.setdefault(k, "%+d x%d " * k + "%s %d ;")
+                lines.append(fmt % (*flat[2 * lo:2 * (lo + k)], RELATIONS[rels[i]], self.bounds[i]))
+        lines.append("")  # the text ends in a newline, without a copy of it
+        return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class _Rows(Sequence):
+    """Read-only view of a formula's rows, each record built when read."""
+
+    f: PbFormula
+
+    def __len__(self) -> int:
+        return len(self.f.bounds)
+
+    def __iter__(self):
+        f, terms = self.f, zip(self.f.coefs, self.f.vars)
+        for lo, hi, rel, bound in zip(f.row_ptr, f.row_ptr[1:], f.relations, f.bounds):
+            yield Row(tuple(islice(terms, hi - lo)), RELATIONS[rel], bound)
+
+    def __getitem__(self, i: int) -> Row:
+        f, i = self.f, range(len(self.f.bounds))[i]
+        lo, hi = f.row_ptr[i], f.row_ptr[i + 1]
+        return Row(tuple(zip(f.coefs[lo:hi], f.vars[lo:hi])), RELATIONS[f.relations[i]], f.bounds[i])
 
 
 _HEADER_RE = re.compile(r"\*\s*#variable=\s*(\d+)\s*#constraint=\s*(\d+)")
-_TERM_RE = re.compile(r"([+-]\d+)\s+x(\d+)")
+# One whole row: terms "[+|-]coef xvar", the relation, the bound and ";".
+_ROW_RE = re.compile(r"((?:[+-]?\d+\s*x\d+\s+)*)(>=|=)\s*([+-]?\d+)\s*;", re.ASCII)
 
 
 def parse_opb(text: str) -> PbFormula:
-    """Inverse of emit_opb; emit(parse(emit(f))) is byte-identical."""
+    """Inverse of emit_opb; emit(parse(emit(f))) is byte-identical.
+
+    A line is read whole or refused with PbError naming it: the relation
+    "<=", a non-integer bound or any other text is not a row.
+    """
     lines = text.splitlines()
-    if not lines:
-        raise PbError("empty OPB text")
-    m = _HEADER_RE.match(lines[0])
+    m = _HEADER_RE.match(lines[0]) if lines else None
     if not m:
         raise PbError("missing OPB header line")
     f = PbFormula()
     f.var_count = int(m.group(1))
-    for line in lines[1:]:
+    for n, line in enumerate(lines[1:], 2):
         line = line.strip()
-        if not line or line.startswith("*"):
+        if not line or line[0] == "*":
             continue
-        if not line.endswith(";"):
-            raise PbError(f"constraint line missing terminator: {line!r}")
-        body = line[:-1].strip()
-        if GE in body:
-            lhs, _, bound = body.rpartition(GE)
-            relation = GE
-        elif "=" in body:
-            lhs, _, bound = body.rpartition("=")
-            relation = EQ
-        else:
-            raise PbError(f"no relation in line: {line!r}")
-        terms = tuple(
-            (int(coef), int(var)) for coef, var in _TERM_RE.findall(lhs)
-        )
-        f.add_constraint(PbConstraint(terms, relation, int(bound)))
-    declared = int(m.group(2))
-    if declared != len(f.constraints):
-        raise PbError(
-            f"header declares {declared} constraints, found {len(f.constraints)}"
-        )
+        r = _ROW_RE.fullmatch(line)
+        if r is None:
+            raise PbError(f"line {n} is not a '>=' or '=' row: {line!r}")
+        nums = list(map(int, r[1].replace("x", " ").split()))  # coef, var, coef, ...
+        try:
+            f._append(nums[::2], nums[1::2], r[2], int(r[3]))
+        except PbError as e:
+            raise PbError(f"line {n}: {e}") from None
+    if int(m[2]) != len(f.bounds):
+        raise PbError(f"header declares {m[2]} constraints, found {len(f.bounds)}")
     return f
+
+
+_STATUS = {"SATISFIABLE": SAT, "UNSATISFIABLE": UNSAT, "UNKNOWN": UNKNOWN}
+_LITERAL_RE = re.compile(r"(-?)x([1-9][0-9]*)")
 
 
 def parse_solver_output(text: str, var_count: int):
@@ -182,39 +208,25 @@ def parse_solver_output(text: str, var_count: int):
     default to 0 (with a warning).
     """
     status = None
-    literals: list[int] = []
+    values: dict[int, int] = {}  # by variable, of those within var_count
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("s "):
-            word = line[2:].strip()
-            if word == "SATISFIABLE":
-                status = SAT
-            elif word == "UNSATISFIABLE":
-                status = UNSAT
-            elif word == "UNKNOWN":
-                status = UNKNOWN
-            else:
+            status = _STATUS.get(line[2:].strip())
+            if status is None:
                 raise PbError(f"unparsable solver status: {line!r}")
         elif line.startswith("v ") or line == "v":
             for tok in line[1:].split():
-                neg = tok.startswith("-")
-                name = tok[1:] if neg else tok
-                if not name.startswith("x"):
+                lit = _LITERAL_RE.fullmatch(tok)
+                if lit is None:
                     raise PbError(f"unparsable literal {tok!r}")
-                var = int(name[1:])
-                literals.append(-var if neg else var)
+                if int(lit[2]) <= var_count:
+                    values[int(lit[2])] = int(not lit[1])
     if status is None:
         raise PbError("unparsable solver output: no status line")
     if status != SAT:
         return status, None
-    values = [0] * (var_count + 1)
-    seen = set()
-    for lit in literals:
-        var = abs(lit)
-        if var <= var_count:
-            values[var] = 1 if lit > 0 else 0
-            seen.add(var)
-    missing = var_count - len(seen)
-    if missing:
-        log.warning("solver model left %d variable(s) unassigned; defaulting to 0", missing)
-    return status, Model(tuple(values))
+    if len(values) < var_count:
+        log.warning("solver model left %d variable(s) unassigned; defaulting to 0",
+                    var_count - len(values))
+    return status, Model(tuple([0] + [values.get(v, 0) for v in range(1, var_count + 1)]))

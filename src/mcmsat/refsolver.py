@@ -26,12 +26,14 @@ solver beyond ~10-bit constants.
 
 from __future__ import annotations
 
+import copy
+import operator
 from array import array
 from collections import Counter
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 
-from .pb import EQ, GE, SAT, UNKNOWN, UNSAT, Model, PbError, PbFormula
+from .pb import GE, SAT, UNKNOWN, UNSAT, Model, PbError, PbFormula
 
 UNASSIGNED = -1
 INT32_MAX = 2**31 - 1
@@ -57,63 +59,61 @@ class RefSolver:
         # after this constructor.
         row_ptr, row_coef, row_lit, bounds = (array("i", [0]), array("i"),
                                               array("i"), array("i"))
-        maxposs = []
+        maxposs, out = [], []  # out: the (-coef, literal) terms of a block's rows
+        # Rows in blocks, to bound the per-term lists; prefix sums of |coef|
+        # and of coef give a row's total and the bound shift of its negations.
+        coefs, vs, ptr = formula.coefs, formula.vars, formula.row_ptr
+        for start in range(0, len(formula.bounds), 512):
+            rows = range(start, min(start + 512, len(formula.bounds)))
+            base, top = ptr[start], ptr[rows[-1] + 1]
+            cs = coefs[base:top]
+            pairs = list(zip(map(operator.neg, map(abs, cs)),
+                             [v if c > 0 else -v for c, v in zip(cs, vs[base:top])]))
+            abs_sum = list(accumulate(map(abs, cs), initial=0))
+            net_sum = list(accumulate(cs, initial=0))
+            for i in rows:
+                lo, hi, b = ptr[i] - base, ptr[i + 1] - base, formula.bounds[i]
+                total, net = abs_sum[hi] - abs_sum[lo], net_sum[hi] - net_sum[lo]
+                halves = [(pairs[lo:hi], b + (total - net) // 2)]
+                if formula.relations[i]:  # and the <= half, every literal negated
+                    halves.append(([(k, -lit) for k, lit in pairs[lo:hi]], (total + net) // 2 - b))
+                for terms, bound in halves:
+                    if total < bound:
+                        self.root_conflict = True
+                    elif bound > 0:
+                        if total > INT32_MAX:
+                            # The total bounds every coefficient and the bound too.
+                            raise PbError(f"row coefficients sum to {total}, beyond the "
+                                          "bundled solver's int32 range")
+                        out.extend(sorted(terms))
+                        row_ptr.append(row_ptr[-1] + len(terms))
+                        bounds.append(bound)
+                        maxposs.append(total)
+            row_coef.extend([-k for k, _ in out])
+            row_lit.extend([lit for _, lit in out])
+            out.clear()
 
-        def add_row(terms, bound):
-            row = []
-            for coef, var in terms:
-                if coef > 0:
-                    row.append((-coef, var))
-                else:
-                    row.append((coef, -var))
-                    bound -= coef
-            if bound <= 0:
-                return
-            total = -sum(key for key, _ in row)
-            if total < bound:
-                self.root_conflict = True
-                return
-            if total > INT32_MAX:
-                # The total bounds every coefficient and the bound too.
-                raise PbError(f"row coefficients sum to {total}, beyond the "
-                              "bundled solver's int32 range")
-            row.sort()
-            row_coef.extend([-key for key, _ in row])
-            row_lit.extend([lit for _, lit in row])
-            row_ptr.append(len(row_lit))
-            bounds.append(bound)
-            maxposs.append(total)
-
-        for c in formula.constraints:
-            add_row(c.terms, c.bound)
-            if c.relation == EQ:
-                add_row([(-coef, var) for coef, var in c.terms], -c.bound)
-
-        self.row_ptr, self.row_coef, self.row_lit = row_ptr, row_coef, row_lit
-        self.bounds = bounds
+        self.row_ptr, self.row_coef, self.row_lit, self.bounds = row_ptr, row_coef, row_lit, bounds
         self.nrows = len(bounds)
         # Occurrences split by polarity, rows ascending within a variable:
         # assigning v=1 satisfies its pos rows and shrinks its neg rows;
-        # v=0 the other way around.  A counting sort over the row store.
+        # v=0 the other way around.  A counting sort over the row store into
+        # arrays sized like row_lit: +v into slot v, -v into slot nv + 1 + v.
         count = Counter(row_lit)
-        self.pos_ptr = array("i", accumulate([0] + [count[v] for v in range(nv + 1)]))
-        self.neg_ptr = array("i", accumulate([0] + [count[-v] for v in range(nv + 1)]))
-        pos_next, neg_next = self.pos_ptr.tolist(), self.neg_ptr.tolist()
-        self.pos_row = array("i", [0]) * pos_next[-1]
-        self.pos_coef = array("i", [0]) * pos_next[-1]
-        self.neg_row = array("i", [0]) * neg_next[-1]
-        self.neg_coef = array("i", [0]) * neg_next[-1]
-        for ridx in range(self.nrows):
-            for i in range(row_ptr[ridx], row_ptr[ridx + 1]):
-                lit = row_lit[i]
-                if lit > 0:
-                    j = pos_next[lit]
-                    pos_next[lit] = j + 1
-                    self.pos_row[j], self.pos_coef[j] = ridx, row_coef[i]
-                else:
-                    j = neg_next[-lit]
-                    neg_next[-lit] = j + 1
-                    self.neg_row[j], self.neg_coef[j] = ridx, row_coef[i]
+        slots = list(accumulate([0] + [count[v] for v in range(nv + 1)]
+                                + [count[-v] for v in range(nv + 1)]))
+        nxt, occ_row, occ_coef = slots[:], array("i", row_lit), array("i", row_lit)
+        sizes = map(operator.sub, row_ptr[1:], row_ptr)
+        for r, lit, a in zip(chain.from_iterable(map(repeat, range(self.nrows), sizes)),
+                             row_lit, row_coef):
+            w = lit if lit > 0 else nv + 1 - lit
+            j = nxt[w]
+            nxt[w], occ_row[j], occ_coef[j] = j + 1, r, a
+        npos = slots[nv + 1]
+        self.pos_ptr = array("i", slots[:nv + 2])
+        self.neg_ptr = array("i", [p - npos for p in slots[nv + 1:]])
+        self.pos_row, self.pos_coef = occ_row[:npos], occ_coef[:npos]
+        self.neg_row, self.neg_coef = occ_row[npos:], occ_coef[npos:]
         pos = (self.pos_ptr, self.pos_row, self.pos_coef)
         neg = (self.neg_ptr, self.neg_row, self.neg_coef)
         # By value: (ptr, rows, coefs) of the occurrences an assignment
@@ -461,9 +461,8 @@ def enumerate_models(formula: PbFormula, limit=None):
     Each model found is excluded from the next search by one blocking
     row on a copy of the formula.
     """
-    work = PbFormula()
-    work.var_count = nv = formula.var_count
-    work.constraints = list(formula.constraints)
+    work = copy.deepcopy(formula)
+    nv = formula.var_count
     out = []
     while limit is None or len(out) < limit:
         status, model = RefSolver(work).solve()

@@ -18,6 +18,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 from .encoder import EXACTLY2, KINDS, EncodeResult, EncodingConfig, encode_mcm
@@ -32,7 +33,7 @@ from .model import (
     recoding_witness,  # unused here; benchmark/ calls it through this module
     verify_solution,
 )
-from .pb import EQ, SAT, UNKNOWN, UNSAT, Model, PbFormula, parse_solver_output
+from .pb import RELATIONS, SAT, UNKNOWN, UNSAT, Model, PbFormula, parse_solver_output
 from .refsolver import RefSolver
 
 SOLVER_ENV_VAR = "MCMSAT_SOLVER"
@@ -159,17 +160,15 @@ def solve(
 
 def _check_model(formula: PbFormula, model: Model, backend: str) -> None:
     """Raise SolverError naming the first row `model` violates."""
-    values = model.values
-    for idx, c in enumerate(formula.constraints):
+    values, ptr, terms = model.values, formula.row_ptr, zip(formula.coefs, formula.vars)
+    for idx, (eq, bound) in enumerate(zip(formula.relations, formula.bounds)):
         lhs = 0
-        for coef, var in c.terms:
+        for coef, var in islice(terms, ptr[idx + 1] - ptr[idx]):
             if values[var]:
                 lhs += coef
-        if lhs < c.bound or (c.relation == EQ and lhs != c.bound):
-            raise SolverError(
-                f"backend {backend}: model violates row {idx} "
-                f"({lhs} {c.relation} {c.bound} required)"
-            )
+        if lhs < bound or (eq and lhs != bound):
+            raise SolverError(f"backend {backend}: model violates row {idx} "
+                              f"({lhs} {RELATIONS[eq]} {bound} required)")
 
 
 # -- decoding ----------------------------------------------------------------

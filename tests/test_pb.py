@@ -1,12 +1,16 @@
 import logging
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcmsat.encoder import EncodingConfig, encode_mcm
+from mcmsat.model import normalize_targets
 from mcmsat.pb import (
     EQ,
     GE,
     Model,
-    PbConstraint,
     PbError,
     PbFormula,
     parse_opb,
@@ -130,5 +134,134 @@ def test_parse_solver_output_garbage_raises():
 
 
 def test_constraint_validation():
+    f = PbFormula()
+    f.new_var()
     with pytest.raises(PbError):
-        PbConstraint(((1, 1),), "<=", 0).validate()
+        f.add(((1, 1),), "<=", 0)
+    assert f.stats() == (1, 0)
+
+
+def test_constraints_view_builds_records_on_read():
+    f = PbFormula()
+    a, b = f.new_var(), f.new_var()
+    f.add(((1, a), (-2, b)), GE, -1)
+    f.add(((1, b),), EQ, 1)
+    rows = f.constraints
+    assert len(rows) == 2
+    assert rows[0] == (((1, a), (-2, b)), GE, -1)
+    assert rows[-1].terms == ((1, b),) and rows[-1].relation == EQ and rows[-1].bound == 1
+    with pytest.raises(IndexError):
+        rows[2]
+    assert [c.bound for c in rows] == [-1, 1]
+
+
+HEADER = "* #variable= 2 #constraint= 1\n"
+
+
+def test_parse_opb_reads_unsigned_coefficients():
+    f = parse_opb(HEADER + "3 x1 >= 1 ;\n")
+    assert list(f.constraints) == [(((3, 1),), GE, 1)]
+    assert f.emit_opb() == HEADER + "+3 x1 >= 1 ;\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "+1 x1 +1 y2 >= 1 ;",
+        "+1 x1 +1 x2 <= 1 ;",
+        ">= 1 junk ;",
+        ">= 1.5 ;",
+        "+1 x1 >= 1",
+        "+1 x1 x2 >= 1 ;",
+        "+1 x3 >= 1 ;",
+        "+1 x1 -1 x1 >= 0 ;",
+        "+0 x1 >= 0 ;",
+    ],
+)
+def test_parse_opb_refuses_a_line_it_cannot_read_whole(row):
+    with pytest.raises(PbError, match="line 3"):
+        parse_opb(HEADER + "* a comment\n" + row + "\n")
+
+
+def test_parse_opb_refuses_less_or_equal_rather_than_reading_equal():
+    # Read as "= 1", the first row would make this satisfiable formula UNSAT.
+    text = "* #variable= 2 #constraint= 3\n+1 x1 +1 x2 <= 1 ;\n-1 x1 >= 0 ;\n-1 x2 >= 0 ;\n"
+    with pytest.raises(PbError, match="line 2"):
+        parse_opb(text)
+
+
+INT64_MAX, INT64_MIN = 2**63 - 1, -(2**63)
+
+
+@pytest.mark.parametrize("coef, bound", [(INT64_MAX, 0), (INT64_MIN, 0), (1, INT64_MAX), (1, INT64_MIN)])
+def test_int64_edges_are_kept(coef, bound):
+    f = PbFormula()
+    f.add(((coef, f.new_var()),), GE, bound)
+    text = f.emit_opb()
+    assert text.splitlines()[1] == f"{coef:+d} x1 >= {bound} ;"
+    assert parse_opb(text).emit_opb() == text
+
+
+@pytest.mark.parametrize("coef, bound", [(2**63, 0), (INT64_MIN - 1, 0), (1, 2**63), (1, INT64_MIN - 1)])
+def test_beyond_int64_is_refused_never_truncated(coef, bound):
+    f = PbFormula()
+    a, b = f.new_var(), f.new_var()
+    f.add(((1, a),), GE, 0)
+    before = f.emit_opb()
+    with pytest.raises(PbError, match="int64"):
+        f.add(((1, a), (coef, b)), GE, bound)
+    assert f.emit_opb() == before  # nothing of the refused row stays
+    f.add(((1, b),), GE, 1)
+    assert f.constraints[1] == (((1, b),), GE, 1)
+    with pytest.raises(PbError, match="line 2.*int64"):
+        parse_opb(f"{HEADER}+1 x1 {coef:+d} x2 >= {bound} ;\n")
+
+
+@pytest.mark.parametrize("line", ["v xfoo", "v x", "v x1 xfoo", "v -x", "v x-1", "v x0", "v 1"])
+def test_parse_solver_output_unreadable_literal_raises(line):
+    with pytest.raises(PbError, match="unparsable literal"):
+        parse_solver_output(f"s SATISFIABLE\n{line}\n", 2)
+
+
+def test_parsed_formula_memory_per_term():
+    # 731951 at 5 ops, variant 1: 156,180 rows.  Flat arrays hold a term
+    # in 12 bytes and a row in 17, so the whole formula stays well under
+    # 24 bytes per term; one object per row or term would not.
+    text = encode_mcm(normalize_targets([731951]), EncodingConfig(ops=5, variant=1)).formula.emit_opb()
+    tracemalloc.start()
+    try:
+        f = parse_opb(text)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(f.bounds) == 156180
+    assert retained / len(f.coefs) < 24
+
+
+COEFS = st.one_of(
+    st.integers(-3, 3), st.sampled_from([INT64_MAX, INT64_MIN, INT64_MIN + 1]), st.integers(INT64_MIN, INT64_MAX)
+).filter(bool)
+
+
+@st.composite
+def formulas(draw):
+    f = PbFormula()
+    nv = draw(st.integers(0, 8))
+    for _ in range(nv):
+        f.new_var()
+    for _ in range(draw(st.integers(0, 6))):
+        vs = draw(st.lists(st.integers(1, nv), unique=True, max_size=nv)) if nv else []
+        note = draw(st.sampled_from([None, "a note"]))
+        relation = draw(st.sampled_from([GE, EQ]))
+        f.add([(draw(COEFS), v) for v in vs], relation, draw(st.integers(INT64_MIN, INT64_MAX)), note)
+    return f
+
+
+@given(formulas())
+@settings(max_examples=200, deadline=None)
+def test_opb_round_trip_property(f):
+    text = f.emit_opb()
+    parsed = parse_opb(text)
+    assert parsed.emit_opb() == text
+    assert list(parsed.constraints) == list(f.constraints)
+    assert parse_opb(f.emit_opb(include_annotations=True)).emit_opb() == text

@@ -12,9 +12,10 @@ from mcmsat.refsolver import REDUCE_FIRST, RefSolver, enumerate_models
 
 
 def brute_status(f: PbFormula) -> str:
+    rows = list(f.constraints)  # each read of f.constraints builds the records
     for bits in product((0, 1), repeat=f.var_count):
         ok = True
-        for c in f.constraints:
+        for c in rows:
             s = sum(coef * bits[var - 1] for coef, var in c.terms)
             if (c.relation == GE and s < c.bound) or (c.relation == EQ and s != c.bound):
                 ok = False
@@ -26,9 +27,10 @@ def brute_status(f: PbFormula) -> str:
 
 def brute_models(f: PbFormula) -> set:
     out = set()
+    rows = list(f.constraints)
     for bits in product((0, 1), repeat=f.var_count):
         ok = True
-        for c in f.constraints:
+        for c in rows:
             s = sum(coef * bits[var - 1] for coef, var in c.terms)
             if (c.relation == GE and s < c.bound) or (c.relation == EQ and s != c.bound):
                 ok = False

@@ -182,6 +182,21 @@ def test_race_goes_on_without_a_broken_backend(tmp_path):
     assert outcome.status == "UNSAT" and outcome.backend == late
 
 
+def test_race_goes_on_past_an_unreadable_literal(tmp_path):
+    bad = fake_solver_script(
+        tmp_path, "print('s SATISFIABLE')\nprint('v x1 xfoo')\n", "bad"
+    )
+    late = fake_solver_script(
+        tmp_path, "import time\ntime.sleep(0.5)\nprint('s UNSATISFIABLE')\n", "late"
+    )
+    outcome = solve(toy_unsat_formula(), [bad, late], timeout=60)
+    assert outcome.status == "UNSAT" and outcome.backend == late
+    from mcmsat.pb import PbError
+
+    with pytest.raises(PbError, match="unparsable literal"):
+        solve(toy_unsat_formula(), backend=bad)
+
+
 WRONG_SAT = "print('s SATISFIABLE')\nprint('v x1')\n"
 
 
