@@ -126,20 +126,24 @@ class PbFormula:
         """Serialize to OPB text, byte-for-byte reproducible."""
         notes = self.annotations if include_annotations else {}
         coefs, vs, ptr, rels = self.coefs, self.vars, self.row_ptr, self.relations
-        lines = [f"* #variable= {self.var_count} #constraint= {len(self.bounds)}"]
+        blocks = [f"* #variable= {self.var_count} #constraint= {len(self.bounds)}"]
         formats = {}  # by row length: "%+d x%d " per term, then relation and bound
-        for start in range(0, len(self.bounds), 512):  # in blocks, to bound `flat`
+        # In blocks of 512 rows, each joined into one string, to bound `flat`
+        # and the line strings held at once.
+        for start in range(0, len(self.bounds), 512):
             rows = range(start, min(start + 512, len(self.bounds)))
             base, top = ptr[start], ptr[rows[-1] + 1]
             flat = list(chain.from_iterable(zip(coefs[base:top], vs[base:top])))  # coef, var, ...
+            lines = []
             for i in rows:
                 if i in notes:
                     lines.append(f"* {notes[i]}")
                 lo, k = ptr[i] - base, ptr[i + 1] - ptr[i]
                 fmt = formats.get(k) or formats.setdefault(k, "%+d x%d " * k + "%s %d ;")
                 lines.append(fmt % (*flat[2 * lo:2 * (lo + k)], RELATIONS[rels[i]], self.bounds[i]))
-        lines.append("")  # the text ends in a newline, without a copy of it
-        return "\n".join(lines)
+            blocks.append("\n".join(lines))
+        blocks.append("")  # the text ends in a newline, without a copy of it
+        return "\n".join(blocks)
 
 
 @dataclass(frozen=True)
@@ -167,19 +171,29 @@ _HEADER_RE = re.compile(r"\*\s*#variable=\s*(\d+)\s*#constraint=\s*(\d+)")
 _ROW_RE = re.compile(r"((?:[+-]?\d+\s*x\d+\s+)*)(>=|=)\s*([+-]?\d+)\s*;", re.ASCII)
 
 
+def _lines(text: str, size: int = 1 << 20):
+    """text.splitlines(), split from slices of about `size` characters
+    that end at a newline, so the lines of one slice at a time are held."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + size) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_opb(text: str) -> PbFormula:
     """Inverse of emit_opb; emit(parse(emit(f))) is byte-identical.
 
     A line is read whole or refused with PbError naming it: the relation
     "<=", a non-integer bound or any other text is not a row.
     """
-    lines = text.splitlines()
-    m = _HEADER_RE.match(lines[0]) if lines else None
+    lines = _lines(text)
+    m = _HEADER_RE.match(next(lines, ""))
     if not m:
         raise PbError("missing OPB header line")
     f = PbFormula()
     f.var_count = int(m.group(1))
-    for n, line in enumerate(lines[1:], 2):
+    for n, line in enumerate(lines, 2):
         line = line.strip()
         if not line or line[0] == "*":
             continue

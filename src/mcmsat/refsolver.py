@@ -17,10 +17,12 @@ MiniSat+ (Een & Sorensson 2006):
 
 A compiled core with the identical algorithm is used when a C compiler
 is available (see native.py); the Python paths below are the reference
-and the fallback.  Both read one row store of flat int32 arrays and
-agree on verdict, model and counters.  A row whose positive
-coefficients sum beyond 2^31 - 1 does not fit that store and is refused
-with PbError.  Intended for desk-scale instances; use an external
+and the fallback.  Both read one row store of flat int32 arrays, which
+the core builds from the formula's arena when it loads and
+RefSolver._build builds otherwise, and both agree on verdict, model and
+counters.  A row whose absolute coefficients sum beyond 2^31 - 1 does
+not fit that store; the core declines it and _build refuses it with
+PbError.  Intended for desk-scale instances; use an external
 solver beyond ~10-bit constants.
 """
 
@@ -50,16 +52,35 @@ class RefSolver:
         # Preferred first value per variable; affects search order only.
         phases = phases or {}
         self.phases = array("B", [phases.get(v, 0) for v in range(nv + 1)])
-        self.use_native = use_native
-        self.root_conflict = False
         # The row store: each row normalized once to positive coefficients
         # over literals (+v / -v) and a >= bound, its terms ordered by
-        # coefficient descending, then literal, in flat int32 arrays.  The
-        # compiled core reads them in place, so they are never resized
-        # after this constructor.
-        row_ptr, row_coef, row_lit, bounds = (array("i", [0]), array("i"),
-                                              array("i"), array("i"))
-        maxposs, out = [], []  # out: the (-coef, literal) terms of a block's rows
+        # coefficient descending, then literal, in flat int32 arrays, and
+        # the occurrences of each literal.  The compiled core, when asked
+        # for and it loads, builds it from the formula's arena, else _build
+        # does; the core's search reads it in place, so it is never resized.
+        self.core = None
+        if use_native:
+            from . import native
+
+            self.core = native.load()
+        if self.core is None or not native.build(self.core, self, formula):
+            self._build(formula)
+        self.nrows = len(self.bounds)
+        pos = (self.pos_ptr, self.pos_row, self.pos_coef)
+        neg = (self.neg_ptr, self.neg_row, self.neg_coef)
+        # By value: (ptr, rows, coefs) of the occurrences an assignment
+        # satisfies, then of those it shrinks.
+        self._sides = (neg + pos, pos + neg)
+        self.decisions = self.propagations = self.conflicts = 0
+        self.islands = 0  # kept for callers that report it; always 0
+
+    def _build(self, formula: PbFormula) -> None:
+        """The row store in Python: the reference for native.build."""
+        nv = self.nvars
+        self.root_conflict = False
+        row_ptr, row_coef, row_lit, bounds, maxposs = (array("i", [0]), array("i"), array("i"),
+                                                       array("i"), array("i"))
+        out = []  # the (-coef, literal) terms of a block's rows
         # Rows in blocks, to bound the per-term lists; prefix sums of |coef|
         # and of coef give a row's total and the bound shift of its negations.
         coefs, vs, ptr = formula.coefs, formula.vars, formula.row_ptr
@@ -92,9 +113,8 @@ class RefSolver:
             row_coef.extend([-k for k, _ in out])
             row_lit.extend([lit for _, lit in out])
             out.clear()
-
-        self.row_ptr, self.row_coef, self.row_lit, self.bounds = row_ptr, row_coef, row_lit, bounds
-        self.nrows = len(bounds)
+        self.row_ptr, self.row_coef, self.row_lit = row_ptr, row_coef, row_lit
+        self.bounds, self.maxposs = bounds, maxposs
         # Occurrences split by polarity, rows ascending within a variable:
         # assigning v=1 satisfies its pos rows and shrinks its neg rows;
         # v=0 the other way around.  A counting sort over the row store into
@@ -104,7 +124,7 @@ class RefSolver:
                                 + [count[-v] for v in range(nv + 1)]))
         nxt, occ_row, occ_coef = slots[:], array("i", row_lit), array("i", row_lit)
         sizes = map(operator.sub, row_ptr[1:], row_ptr)
-        for r, lit, a in zip(chain.from_iterable(map(repeat, range(self.nrows), sizes)),
+        for r, lit, a in zip(chain.from_iterable(map(repeat, range(len(bounds)), sizes)),
                              row_lit, row_coef):
             w = lit if lit > 0 else nv + 1 - lit
             j = nxt[w]
@@ -114,17 +134,6 @@ class RefSolver:
         self.neg_ptr = array("i", [p - npos for p in slots[nv + 1:]])
         self.pos_row, self.pos_coef = occ_row[:npos], occ_coef[:npos]
         self.neg_row, self.neg_coef = occ_row[npos:], occ_coef[npos:]
-        pos = (self.pos_ptr, self.pos_row, self.pos_coef)
-        neg = (self.neg_ptr, self.neg_row, self.neg_coef)
-        # By value: (ptr, rows, coefs) of the occurrences an assignment
-        # satisfies, then of those it shrinks.
-        self._sides = (neg + pos, pos + neg)
-
-        self.maxposs = maxposs
-        self.satsum = [0] * self.nrows
-        self.assigned = [UNASSIGNED] * (nv + 1)
-        self.decisions = self.propagations = self.conflicts = 0
-        self.islands = 0  # kept for callers that report it; always 0
 
     # -- assignment machinery ------------------------------------------
 
@@ -368,16 +377,17 @@ class RefSolver:
         """
         if self.root_conflict:
             return UNSAT, None
-        if self.use_native:
+        if self.core is not None:
             from . import native
 
-            core = native.load()
-            if core is not None:
-                return native.run(core, self, stop)
+            return native.run(self.core, self, stop)
         return self._solve_python(stop)
 
     def _solve_python(self, stop=None):
         nv = self.nvars
+        # Search state; maxposs starts from the row store's totals, as in native.run.
+        self.maxposs, self.satsum = list(self.maxposs), [0] * self.nrows
+        self.assigned = [UNASSIGNED] * (nv + 1)
         self.level, self.tpos, self.reason = [0] * (nv + 1), [0] * (nv + 1), [-1] * (nv + 1)
         self.seen = bytearray(nv + 1)
         self.phase = list(self.phases)

@@ -13,6 +13,7 @@ from mcmsat.pb import (
     Model,
     PbError,
     PbFormula,
+    _lines,
     parse_opb,
     parse_solver_output,
 )
@@ -226,16 +227,42 @@ def test_parse_solver_output_unreadable_literal_raises(line):
 def test_parsed_formula_memory_per_term():
     # 731951 at 5 ops, variant 1: 156,180 rows.  Flat arrays hold a term
     # in 12 bytes and a row in 17, so the whole formula stays well under
-    # 24 bytes per term; one object per row or term would not.
+    # 24 bytes per term; one object per row or term would not.  The 4.8 MB
+    # text is split into lines one slice at a time: holding all its lines
+    # at once took the parse's peak 14 MB beyond what it keeps.
     text = encode_mcm(normalize_targets([731951]), EncodingConfig(ops=5, variant=1)).formula.emit_opb()
     tracemalloc.start()
     try:
         f = parse_opb(text)
-        retained, _ = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(f.bounds) == 156180
     assert retained / len(f.coefs) < 24
+    assert peak - retained < 5 * 2**20
+    assert f.emit_opb() == text
+
+
+@pytest.mark.parametrize("size", range(8))
+def test_lines_split_in_slices_as_splitlines_does(size):
+    for text in ("", "\n", "a", "a\r\nb\r\n\r\nc", "ab\rcd\n\n\x0cef\n", "\r\n\r\n"):
+        assert list(_lines(text, size)) == text.splitlines()
+
+
+def test_emit_opb_holds_one_block_of_lines_at_a_time():
+    # The text, its blocks and one block's lines: about twice the text.
+    # Holding every line until the final join took 3.7 times the text.
+    f = PbFormula()
+    xs = f.new_bitvec(40).bits
+    for i in range(20000):
+        f.add(((i + 1, xs[i % 40]), (-3, xs[(i + 7) % 40]), (1, xs[(i + 13) % 40])), GE, i)
+    tracemalloc.start()
+    try:
+        text = f.emit_opb()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
 
 
 COEFS = st.one_of(

@@ -1,4 +1,6 @@
+import os
 import random
+import shutil
 import time
 from itertools import product
 
@@ -120,6 +122,71 @@ def test_rows_beyond_int32_are_refused(use_native):
     f.add(((-1, x1),), GE, 0)
     with pytest.raises(PbError, match="int32"):
         RefSolver(f, use_native=use_native).solve()
+    # |2^62| + |-2^62| is beyond int64: wrapped to -2^63, the row would
+    # read as a root conflict, and this formula is SAT.
+    f = PbFormula()
+    x1, x2 = f.new_var(), f.new_var()
+    f.add(((2**62, x1), (-(2**62), x2)), GE, 0)
+    with pytest.raises(PbError, match="int32"):
+        RefSolver(f, use_native=use_native).solve()
+
+
+@pytest.mark.parametrize("use_native", [False, True])
+def test_int64_edge_rows_that_need_no_int32_store(use_native):
+    # -2^63 x1 >= -2^63 holds for either value: its >= bound is 0, so
+    # the row is dropped before its total (2^63) is checked.
+    f = PbFormula()
+    x1 = f.new_var()
+    f.add(((-(2**63), x1),), GE, -(2**63))
+    solver = RefSolver(f, use_native=use_native)
+    assert (solver.nrows, solver.root_conflict) == (0, False)
+    assert solver.solve()[0] == "SAT"
+    # x1 >= 2^62 cannot hold: its bound exceeds its total, a root conflict.
+    f.add(((1, x1),), GE, 2**62)
+    solver = RefSolver(f, use_native=use_native)
+    assert (solver.nrows, solver.root_conflict) == (0, True)
+    assert solver.solve() == ("UNSAT", None)
+
+
+STORE = ("row_ptr", "row_coef", "row_lit", "bounds", "maxposs", "pos_ptr", "pos_row",
+         "pos_coef", "neg_ptr", "neg_row", "neg_coef", "root_conflict")
+
+
+def assert_same_store(f):
+    py, nat = (RefSolver(f, use_native=n) for n in (False, True))
+    for name in STORE:
+        assert getattr(py, name) == getattr(nat, name), name
+        assert type(getattr(py, name)) is type(getattr(nat, name)), name
+
+
+def test_native_and_python_build_the_same_row_store():
+    if native.load() is None:
+        pytest.skip("no compiled core (no C compiler)")
+    rng = random.Random(7)
+    for _ in range(150):
+        assert_same_store(random_formula(rng))
+    assert_same_store(PbFormula())
+    f = PbFormula()
+    x = [f.new_var() for _ in range(8)]  # x[6] and x[7] are in no row
+    f.add(((2, x[0]), (-3, x[1]), (1, x[2])), EQ, 1)
+    f.add(((-2, x[0]), (-1, x[3])), GE, -2)
+    f.add(((3, x[4]), (-3, x[2]), (3, x[1]), (-3, x[5])), GE, 1)  # ties: by literal
+    f.add(((1, x[0]), (1, x[1])), GE, 0)  # bound <= 0: dropped
+    f.add(((-1, x[2]),), GE, -1)  # dropped too
+    f.add(((1, x[3]), (-1, x[4])), EQ, 0)
+    f.add(((1, x[5]),), EQ, 2)  # a root conflict, kept rows around it
+    assert_same_store(f)
+    for variant in (1, 2, 3):
+        enc = encode_mcm(normalize_targets([29, 43]), EncodingConfig(ops=3, variant=variant))
+        assert_same_store(enc.formula)
+
+
+def test_compiled_core_loads_where_a_compiler_exists():
+    # A failed compile falls back to Python silently, which would send
+    # both sides of every Python/native agreement test through Python.
+    if os.environ.get("MCMSAT_NO_NATIVE") or not any(map(shutil.which, ("cc", "gcc", "clang"))):
+        pytest.skip("no C compiler, or the core is switched off")
+    assert native.load() is not None
 
 
 def test_int32_max_coefficient_solves_on_both_paths():
