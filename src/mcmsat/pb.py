@@ -11,6 +11,7 @@ truncated.  Appending keeps counts and OPB output reproducible byte for byte.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import re
 from array import array
@@ -30,6 +31,27 @@ RELATIONS = (GE, EQ)  # by the relation code kept in the arena
 SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
+
+
+def _keep_mmap_threshold() -> None:
+    """Hold glibc's mmap threshold at its default of 128 KiB.
+
+    By default glibc raises the threshold to the size of each mapped block
+    that is freed, up to 32 MiB.  Once a formula's arrays and OPB text have
+    been freed, the next formula's buffers then grow the heap, which keeps
+    their pages after they are freed: building a second wide formula
+    peaked 20-30 MB above building one.  Setting the threshold turns that
+    adjustment off, so a buffer of 128 KiB or more that the heap's free
+    space cannot hold is mapped on its own, and its pages go back to the
+    system when it is freed.
+    """
+    try:
+        ctypes.CDLL(None).mallopt(-3, 128 * 1024)  # -3: M_MMAP_THRESHOLD
+    except (AttributeError, OSError, TypeError):
+        pass  # not glibc: no such setting
+
+
+_keep_mmap_threshold()
 
 
 class PbError(McmError):

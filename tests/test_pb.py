@@ -1,10 +1,16 @@
+import ctypes
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcmsat.pb
 from mcmsat.encoder import EncodingConfig, encode_mcm
 from mcmsat.model import normalize_targets
 from mcmsat.pb import (
@@ -263,6 +269,37 @@ def test_emit_opb_holds_one_block_of_lines_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * len(text)
+
+
+_MAPPED_AFTER_FREE = """
+import ctypes
+import mcmsat.pb
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = MallInfo2
+big = bytearray(8 << 20)
+del big
+before = libc.mallinfo2().hblkhd
+buf = bytearray(1 << 20)
+print(libc.mallinfo2().hblkhd - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallinfo2"), reason="glibc 2.33 or later only")
+def test_large_buffers_stay_mapped_after_a_larger_one_is_freed():
+    # glibc would raise its mmap threshold to 8 MiB when the first buffer
+    # is freed and serve the second from the heap, which keeps its pages;
+    # importing mcmsat.pb holds the threshold, so the second is mapped too.
+    # In a fresh process: free heap space left by other tests would hold it.
+    src = Path(mcmsat.pb.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _MAPPED_AFTER_FREE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) >= 1 << 20
 
 
 COEFS = st.one_of(
