@@ -1,15 +1,17 @@
 """Optional compiled core for the reference solver.
 
 The C source below is a line-for-line port of RefSolver._solve_python
-and its helpers: the same conflict-driven search, decision order,
-restarts and clause deletion, so verdicts, models and counters are
-identical to the Python path (cross-checked in the test suite).  It
+and its helpers: the same conflict-driven search, with clauses watched
+by two literals and counters kept for the other rows, the same decision
+order, restarts and clause deletion, so verdicts, models and counters
+are identical to the Python path (cross-checked in the test suite).  It
 also builds RefSolver's int32 row store (mcm_build, the port of
 RefSolver._build), reading the PbFormula arena in place and filling
 arrays that Python allocates at the sizes of a counting pass.  Its
-search reads that store in place, through the addresses of its
-arrays, in time slices of about SLICE seconds, asking the caller's stop
-predicate in between.  It is compiled on first use with whatever C
+search reads the counter rows in place, through the addresses of their
+arrays, and copies the clauses into its own clause store, in time
+slices of about SLICE seconds, asking the caller's stop predicate in
+between.  It is compiled on first use with whatever C
 compiler is around and cached under `$XDG_CACHE_HOME/mcmsat` (by
 default `~/.cache/mcmsat`); when that fails the Python implementation
 simply runs instead.
@@ -64,8 +66,9 @@ typedef struct {
     int32_t *trail, trail_len, qhead, *trail_lim, nlevels;
     int32_t *level, *tpos, *reason, *learnt, nlearnt, *expl;
     double *act, inc;
-    /* learned clause c is clits[cstart[c]:cstart[c + 1]]; watch slot
-       2c + j watches its literal j, linked from whead[WIDX] via wnext */
+    /* clause c is clits[cstart[c]:cstart[c + 1]], the original clauses
+       first; watch slot 2c + j watches its literal j, linked from
+       whead[WIDX] via wnext */
     int32_t *clits, *cstart, *clbd, *wnext, *whead, nclauses;
     int64_t nlits, lcap, ccap, since_restart, restarts, reductions, next_reduce;
     int64_t decisions, propagations, conflicts;
@@ -142,9 +145,13 @@ static void watch(Ctx *s, int32_t lit) {
     }
 }
 
+/* The clauses to a fixpoint first, then one queued counter row at a time. */
 static int32_t propagate(Ctx *s) {
     while (s->confl < 0) {
-        if (s->queue_len > 0) {
+        if (s->qhead < s->trail_len) {
+            int32_t var = s->trail[s->qhead++];
+            watch(s, s->assigned[var] ? -var : var);
+        } else if (s->queue_len > 0) {
             int32_t r = s->queue[--s->queue_len], bound = s->bounds[r];
             s->queued[r] = 0;
             if (s->satsum[r] >= bound) continue;
@@ -156,9 +163,6 @@ static int32_t propagate(Ctx *s) {
                 assign(s, VAR(lit), lit > 0, r);
                 if (s->confl >= 0 || s->satsum[r] >= bound) break;
             }
-        } else if (s->qhead < s->trail_len) {
-            int32_t var = s->trail[s->qhead++];
-            watch(s, s->assigned[var] ? -var : var);
         } else return -1;
     }
     while (s->queue_len > 0) s->queued[s->queue[--s->queue_len]] = 0;
@@ -305,17 +309,23 @@ void mcm_free(Ctx *s) {
     free(s);
 }
 
-Ctx *mcm_new(int32_t nvars, int32_t nrows,
+/* Runs once per search: left unoptimized, like mcm_build, for a shorter
+   compile. */
+__attribute__((optimize("O0")))
+Ctx *mcm_new(int32_t nvars, int32_t nrows, int32_t nclauses,
              const int32_t *row_ptr, const int32_t *row_coef,
              const int32_t *row_lit, const int32_t *bounds,
              const int32_t *pos_ptr, const int32_t *pos_row, const int32_t *pos_coef,
              const int32_t *neg_ptr, const int32_t *neg_row, const int32_t *neg_coef,
+             const int32_t *clause_ptr, const int32_t *clause_lit,
              const uint8_t *phases,
              int32_t *maxposs, int32_t *satsum, int8_t *assigned) {
     Ctx *s = (Ctx *)calloc(1, sizeof(Ctx));
     if (!s) return 0;
     int64_t nv = nvars + 2;
     s->nvars = nvars; s->nrows = nrows;
+    s->nclauses = nclauses; s->nlits = clause_ptr[nclauses];
+    s->lcap = s->nlits + 1024; s->ccap = nclauses + 64;
     s->row_ptr = row_ptr; s->row_coef = row_coef; s->row_lit = row_lit;
     s->bounds = bounds;
     s->occ[1] = (Occ){pos_ptr, pos_row, pos_coef};
@@ -330,11 +340,17 @@ Ctx *mcm_new(int32_t nvars, int32_t nrows,
                         &s->learnt, &s->expl};
     int ok = s->queued && s->phase && s->seen && s->mark && s->act;
     for (int i = 0; i < 7; i++) ok = grow(ints[i], nv) && ok;
-    ok = grow(&s->queue, nrows + 1) && grow(&s->whead, 2 * nv) && grow(&s->cstart, 1) && ok;
+    ok = grow(&s->queue, nrows + 1) && grow(&s->whead, 2 * nv) && grow(&s->clits, s->lcap)
+         && grow(&s->cstart, s->ccap + 1) && grow(&s->clbd, s->ccap)
+         && grow(&s->wnext, 2 * s->ccap) && ok;
     if (!ok) { mcm_free(s); return 0; }
     memcpy(s->phase, phases, nvars + 1);
     for (int32_t w = 0; w < 2 * nv; w++) s->whead[w] = -1;
-    s->cstart[0] = 0;
+    /* the original clauses, copied: permanent (LBD 0) and watched */
+    if (s->nlits) memcpy(s->clits, clause_lit, sizeof(int32_t) * s->nlits);
+    memcpy(s->cstart, clause_ptr, sizeof(int32_t) * (nclauses + 1));
+    memset(s->clbd, 0, sizeof(int32_t) * nclauses);
+    for (int32_t slot = 0; slot < 2 * nclauses; slot++) add_watch(s, slot);
     s->inc = 1.0;
     s->next_reduce = REDUCE_FIRST;
     s->confl = -1;
@@ -390,20 +406,22 @@ int mcm_run(Ctx *s, int64_t budget) {
     return 0;
 }
 
-/* RefSolver._build on the arena of n rows.  Counting pass (out == 0):
-   sizes = kept rows, their terms, longest row, root conflict, and
-   pos_ptr[v] / neg_ptr[v] count +v / -v.  Filling pass: out = row_ptr,
-   row_coef, row_lit, bounds, maxposs, pos_row, pos_coef, neg_row,
-   neg_coef at the counted sizes.  Returns 1 when a kept row sums beyond
-   int32, -1 out of memory, else 0.  Left unoptimized: -O1 would add
-   about a fifth to the core's compile, which a first use pays, to save
-   0.05 s on a 400k-row formula. */
+/* RefSolver._build on the arena of n rows.  A kept row of bound 1 and
+   two or more literals is a clause; the others are counter rows.
+   Counting pass (out == 0): sizes = counter rows, their terms, longest
+   row, root conflict, clauses, their literals, and pos_ptr[v] /
+   neg_ptr[v] count +v / -v in counter rows.  Filling pass: out =
+   row_ptr, row_coef, row_lit, bounds, maxposs, pos_row, pos_coef,
+   neg_row, neg_coef, clause_ptr, clause_lit at the counted sizes.
+   Returns 1 when a kept row sums beyond int32, -1 out of memory, else 0.
+   Left unoptimized: -O1 would add about a fifth to the core's compile,
+   which a first use pays, to save 0.05 s on a 400k-row formula. */
 __attribute__((optimize("O0")))
 int mcm_build(int64_t n, const int64_t *coefs, const int32_t *vars, const int64_t *ptr,
               const int64_t *rhs, const uint8_t *rel, int32_t nvars, int64_t *sizes,
               int32_t *pos_ptr, int32_t *neg_ptr, int32_t **out) {
     int64_t *key = out ? (int64_t *)malloc(sizeof(int64_t) * (sizes[2] + 1)) : 0;
-    int32_t nr = 0, at = 0;
+    int32_t nr = 0, at = 0, nc = 0, cat = 0;
     if (out && !key) return -1;
     for (int64_t i = 0; i < n; i++) {
         __int128 total = 0, net = 0;
@@ -415,28 +433,35 @@ int mcm_build(int64_t n, const int64_t *coefs, const int32_t *vars, const int64_
             if (total < bound) sizes[3] = 1;
             if (total < bound || bound <= 0) continue;
             if (total > INT32_MAX) { free(key); return 1; }
+            int clause = bound == 1 && len > 1;
             for (int32_t k = 0; k < len; k++) {
                 int32_t lit = (c[k] > 0) != half ? vars[ptr[i] + k] : -vars[ptr[i] + k];
-                if (!out) (lit > 0 ? pos_ptr : neg_ptr)[VAR(lit)]++;
+                if (!out) { if (!clause) (lit > 0 ? pos_ptr : neg_ptr)[VAR(lit)]++; }
                 else key[k] = ((int64_t)(INT32_MAX - (c[k] < 0 ? -c[k] : c[k])) << 32)
                               | ((uint32_t)lit ^ 0x80000000u);
             }
             if (out) {  /* coefficient descending, then literal */
+                int32_t *lits = clause ? out[10] + cat : out[2] + at;
                 qsort(key, len, sizeof *key, by_key);
                 for (int32_t k = 0; k < len; k++) {
-                    out[1][at + k] = INT32_MAX - (int32_t)(key[k] >> 32);
-                    out[2][at + k] = (int32_t)((uint32_t)key[k] ^ 0x80000000u);
+                    lits[k] = (int32_t)((uint32_t)key[k] ^ 0x80000000u);
+                    if (!clause) out[1][at + k] = INT32_MAX - (int32_t)(key[k] >> 32);
                 }
-                out[0][nr + 1] = at + len;
-                out[3][nr] = (int32_t)bound;
-                out[4][nr] = (int32_t)total;
+                if (clause) out[9][nc + 1] = cat + len;
+                else {
+                    out[0][nr + 1] = at + len;
+                    out[3][nr] = (int32_t)bound;
+                    out[4][nr] = (int32_t)total;
+                }
             } else if (len > sizes[2]) sizes[2] = len;
-            nr++;
-            at += len;
+            if (clause) { nc++; cat += len; }
+            else { nr++; at += len; }
         }
     }
     sizes[0] = nr;
     sizes[1] = at;
+    sizes[4] = nc;
+    sizes[5] = cat;
     if (!out) return 0;
     free(key);
     /* Counting sort, rows ascending within a literal: each count becomes
@@ -494,12 +519,12 @@ def _compile() -> Path | None:
 
 
 def load():
-    """Compiled core handle, or None when unavailable."""
+    """Compiled core handle, or None when unavailable or MCMSAT_NO_NATIVE is set."""
     global _core, _core_failed
-    if _core is not None:
-        return _core
     if _core_failed or os.environ.get("MCMSAT_NO_NATIVE"):
         return None
+    if _core is not None:
+        return _core
     try:
         so_path = _compile()
         if so_path is None:
@@ -508,9 +533,7 @@ def load():
             return None
         lib = ctypes.CDLL(str(so_path))
         lib.mcm_new.restype = ctypes.c_void_p
-        lib.mcm_new.argtypes = [ctypes.c_int32, ctypes.c_int32] + [
-            ctypes.c_void_p
-        ] * 14
+        lib.mcm_new.argtypes = [ctypes.c_int32] * 3 + [ctypes.c_void_p] * 16
         lib.mcm_run.restype = ctypes.c_int
         lib.mcm_run.argtypes = [ctypes.c_void_p, ctypes.c_int64]
         lib.mcm_free.argtypes = [ctypes.c_void_p]
@@ -538,20 +561,23 @@ def build(lib, solver, formula) -> bool:
     arena = [a.buffer_info()[0] for a in (formula.coefs, formula.vars, formula.row_ptr,
                                           formula.bounds)]
     arena.append(ctypes.addressof((ctypes.c_char * len(rel)).from_buffer(rel)))
-    sizes = array("q", [0]) * 4  # kept rows, their terms, longest row, root conflict
+    # counter rows, their terms, longest row, root conflict, clauses, their literals
+    sizes = array("q", [0]) * 6
     pos_ptr, neg_ptr = array("i", [0]) * (solver.nvars + 2), array("i", [0]) * (solver.nvars + 2)
     args = (len(formula.bounds), *arena, solver.nvars,
             *(a.buffer_info()[0] for a in (sizes, pos_ptr, neg_ptr)))
     if lib.mcm_build(*args, None):
         return False
-    nrows, nterms, _, conflict = sizes
+    nrows, nterms, _, conflict, nclauses, nlits = sizes
     npos = sum(pos_ptr)
     store = [array("i", [0]) * n for n in (nrows + 1, nterms, nterms, nrows, nrows,
-                                           npos, npos, nterms - npos, nterms - npos)]
-    if lib.mcm_build(*args, (ctypes.c_void_p * 9)(*(a.buffer_info()[0] for a in store))):
+                                           npos, npos, nterms - npos, nterms - npos,
+                                           nclauses + 1, nlits)]
+    if lib.mcm_build(*args, (ctypes.c_void_p * 11)(*(a.buffer_info()[0] for a in store))):
         raise MemoryError("the compiled solver core ran out of memory")
     (solver.row_ptr, solver.row_coef, solver.row_lit, solver.bounds, solver.maxposs,
-     solver.pos_row, solver.pos_coef, solver.neg_row, solver.neg_coef) = store
+     solver.pos_row, solver.pos_coef, solver.neg_row, solver.neg_coef,
+     solver.clause_ptr, solver.clause_lit) = store
     solver.pos_ptr, solver.neg_ptr, solver.root_conflict = pos_ptr, neg_ptr, bool(conflict)
     return True
 
@@ -562,7 +588,8 @@ def run(lib, solver, stop):
     Returns UNKNOWN once `stop()` (asked after each slice) is True.
     """
     nv, nr = solver.nvars, solver.nrows
-    # The search state is copied; the row store is read in place.
+    # The search state is copied, the clauses by the core; the row store
+    # is read in place.
     maxposs = array("i", solver.maxposs)
     satsum = array("i", [0]) * nr
     assigned = array("b", [UNASSIGNED]) * (nv + 1)
@@ -570,10 +597,11 @@ def run(lib, solver, stop):
         solver.row_ptr, solver.row_coef, solver.row_lit, solver.bounds,
         solver.pos_ptr, solver.pos_row, solver.pos_coef,
         solver.neg_ptr, solver.neg_row, solver.neg_coef,
+        solver.clause_ptr, solver.clause_lit,
         solver.phases, maxposs, satsum, assigned,
     )
     # An empty array's address is 0, which the core never reads.
-    ctx = lib.mcm_new(nv, nr, *(a.buffer_info()[0] for a in store))
+    ctx = lib.mcm_new(nv, nr, len(solver.clause_ptr) - 1, *(a.buffer_info()[0] for a in store))
     if not ctx:
         return solver._solve_python(stop)
     stats = (ctypes.c_int64 * 4)()

@@ -1,15 +1,20 @@
 """Self-contained complete solver for pseudo-Boolean decision instances.
 
 Conflict-driven clause learning over normalized >=-constraints, after
-MiniSat+ (Een & Sorensson 2006):
+MiniSat+ (Een & Sorensson 2006), propagating each kind of row its own
+way, as Galena (Chai & Kuehlmann 2003) and RoundingSat (Elffers &
+Nordstrom 2018) do:
 
-* counter propagation: each row tracks the coefficients of its true
-  literals (satsum) and of its literals not false (maxposs), and forces
-  every unassigned literal whose coefficient exceeds its slack;
-* a row explains a literal it forced by its literals that were false
-  earlier on the trail, and a conflict by all its false literals, so
-  first-UIP analysis learns clauses, which are minimized locally, stored
-  in flat int32 arrays and watched by two literals;
+* a row of bound 1 and two or more literals is a clause, whatever its
+  coefficients; clauses are watched by two literals;
+* every other row is a counter row: it tracks the coefficients of its
+  true literals (satsum) and of its literals not false (maxposs), and
+  forces every unassigned literal whose coefficient exceeds its slack;
+* a counter row explains a literal it forced by its literals that were
+  false earlier on the trail, and a conflict by all its false literals,
+  a clause by its other literals, so first-UIP analysis learns clauses,
+  which are minimized locally and join the original clauses in flat
+  int32 arrays;
 * backjumping, VSIDS decisions (ties to the lowest index, so the first
   descent runs in index order) with phases saved from `phases` on,
   Luby restarts, and periodic deletion of the learned clauses of high
@@ -17,13 +22,14 @@ MiniSat+ (Een & Sorensson 2006):
 
 A compiled core with the identical algorithm is used when a C compiler
 is available (see native.py); the Python paths below are the reference
-and the fallback.  Both read one row store of flat int32 arrays, which
-the core builds from the formula's arena when it loads and
-RefSolver._build builds otherwise, and both agree on verdict, model and
-counters.  A row whose absolute coefficients sum beyond 2^31 - 1 does
-not fit that store; the core declines it and _build refuses it with
-PbError.  Intended for desk-scale instances; use an external
-solver beyond ~10-bit constants.
+and the fallback.  Both read one store of flat int32 arrays, the counter
+rows and the clauses apart, which the core builds from the formula's
+arena when it loads and RefSolver._build builds otherwise; a search
+copies what it writes, so a solver can solve again.  Both agree on
+verdict, model and counters.  A row whose absolute coefficients sum
+beyond 2^31 - 1 does not fit that store; the core declines it and
+_build refuses it with PbError.  Intended for desk-scale instances; use
+an external solver beyond ~10-bit constants.
 """
 
 from __future__ import annotations
@@ -54,9 +60,10 @@ class RefSolver:
         self.phases = array("B", [phases.get(v, 0) for v in range(nv + 1)])
         # The row store: each row normalized once to positive coefficients
         # over literals (+v / -v) and a >= bound, its terms ordered by
-        # coefficient descending, then literal, in flat int32 arrays, and
-        # the occurrences of each literal.  The compiled core, when asked
-        # for and it loads, builds it from the formula's arena, else _build
+        # coefficient descending, then literal.  Clauses go to clause_ptr /
+        # clause_lit; the counter rows to flat int32 arrays with the
+        # occurrences of each literal.  The compiled core, when asked for
+        # and it loads, builds it from the formula's arena, else _build
         # does; the core's search reads it in place, so it is never resized.
         self.core = None
         if use_native:
@@ -80,6 +87,7 @@ class RefSolver:
         self.root_conflict = False
         row_ptr, row_coef, row_lit, bounds, maxposs = (array("i", [0]), array("i"), array("i"),
                                                        array("i"), array("i"))
+        clause_ptr, clause_lit = array("i", [0]), array("i")
         out = []  # the (-coef, literal) terms of a block's rows
         # Rows in blocks, to bound the per-term lists; prefix sums of |coef|
         # and of coef give a row's total and the bound shift of its negations.
@@ -106,7 +114,12 @@ class RefSolver:
                             # The total bounds every coefficient and the bound too.
                             raise PbError(f"row coefficients sum to {total}, beyond the "
                                           "bundled solver's int32 range")
-                        out.extend(sorted(terms))
+                        terms = sorted(terms)
+                        if bound == 1 and len(terms) > 1:  # a clause
+                            clause_lit.extend([lit for _, lit in terms])
+                            clause_ptr.append(len(clause_lit))
+                            continue
+                        out.extend(terms)
                         row_ptr.append(row_ptr[-1] + len(terms))
                         bounds.append(bound)
                         maxposs.append(total)
@@ -115,6 +128,7 @@ class RefSolver:
             out.clear()
         self.row_ptr, self.row_coef, self.row_lit = row_ptr, row_coef, row_lit
         self.bounds, self.maxposs = bounds, maxposs
+        self.clause_ptr, self.clause_lit = clause_ptr, clause_lit
         # Occurrences split by polarity, rows ascending within a variable:
         # assigning v=1 satisfies its pos rows and shrinks its neg rows;
         # v=0 the other way around.  A counting sort over the row store into
@@ -145,13 +159,13 @@ class RefSolver:
         self.reason[var] = reason
         self.trail.append(var)
         gp, gr, gc, lp, lr, lc = self._sides[value]
-        satsum, maxposs, bounds, queued = self.satsum, self.maxposs, self.bounds, self.queued
+        satsum, poss, bounds, queued = self.satsum, self.poss, self.bounds, self.queued
         lo, hi = gp[var], gp[var + 1]
         for r, a in zip(gr[lo:hi], gc[lo:hi]):
             satsum[r] += a
         lo, hi = lp[var], lp[var + 1]
         for r, a in zip(lr[lo:hi], lc[lo:hi]):
-            mp = maxposs[r] = maxposs[r] - a
+            mp = poss[r] = poss[r] - a
             if mp < bounds[r]:
                 self.confl = r
             elif satsum[r] < bounds[r] and not queued[r]:
@@ -160,7 +174,7 @@ class RefSolver:
 
     def _backjump(self, level: int) -> None:
         """Pop the trail down to `level`, saving phases."""
-        trail, assigned, satsum, maxposs = self.trail, self.assigned, self.satsum, self.maxposs
+        trail, assigned, satsum, poss = self.trail, self.assigned, self.satsum, self.poss
         if len(self.trail_lim) > level:
             height = self.trail_lim[level]
             del self.trail_lim[level:]
@@ -175,26 +189,32 @@ class RefSolver:
                     satsum[r] -= a
                 lo, hi = lp[var], lp[var + 1]
                 for r, a in zip(lr[lo:hi], lc[lo:hi]):
-                    maxposs[r] += a
+                    poss[r] += a
         self.qhead = len(trail)
         self.confl = -1
 
     def _propagate(self) -> int:
         """Exhaust forced assignments; returns the conflict or -1.
 
-        A conflict is a row index, or nrows + c for learned clause c.
+        The clauses are propagated to a fixpoint first, the cheaper kind,
+        then one queued counter row at a time.  A conflict is a counter
+        row's index, or nrows + c for clause c.
         """
-        assigned, bounds, maxposs, satsum = self.assigned, self.bounds, self.maxposs, self.satsum
+        assigned, bounds, poss, satsum = self.assigned, self.bounds, self.poss, self.satsum
         row_ptr, row_coef, row_lit = self.row_ptr, self.row_coef, self.row_lit
         queue, queued, trail = self.queue, self.queued, self.trail
         while self.confl < 0:
-            if queue:
+            if self.qhead < len(trail):
+                var = trail[self.qhead]
+                self.qhead += 1
+                self._watch(-var if assigned[var] else var)
+            elif queue:
                 ridx = queue.pop()
                 queued[ridx] = 0
                 bound = bounds[ridx]
                 if satsum[ridx] >= bound:
                     continue
-                slack = maxposs[ridx] - bound
+                slack = poss[ridx] - bound
                 for i in range(row_ptr[ridx], row_ptr[ridx + 1]):
                     if row_coef[i] <= slack:
                         break
@@ -205,10 +225,6 @@ class RefSolver:
                         self._assign(var, 1 if lit > 0 else 0, ridx)
                         if self.confl >= 0 or satsum[ridx] >= bound:
                             break
-            elif self.qhead < len(trail):
-                var = trail[self.qhead]
-                self.qhead += 1
-                self._watch(-var if assigned[var] else var)
             else:
                 return -1
         for r in queue:
@@ -217,7 +233,7 @@ class RefSolver:
         return self.confl
 
     def _watch(self, false_lit: int) -> None:
-        """Visit the learned clauses watching `false_lit`, just made false."""
+        """Visit the clauses watching `false_lit`, just made false."""
         assigned, clits, cstart = self.assigned, self.clits, self.cstart
         whead, wnext = self.whead, self.wnext
         w = _widx(false_lit)
@@ -319,7 +335,7 @@ class RefSolver:
         kept[1], kept[i] = kept[i], kept[1]
         return kept, levels[i - 1]
 
-    # -- learned clauses -----------------------------------------------
+    # -- clauses ---------------------------------------------------------
 
     def _add_watch(self, slot: int) -> None:
         w = _widx(self.clits[self.cstart[slot >> 1] + (slot & 1)])
@@ -385,8 +401,10 @@ class RefSolver:
 
     def _solve_python(self, stop=None):
         nv = self.nvars
-        # Search state; maxposs starts from the row store's totals, as in native.run.
-        self.maxposs, self.satsum = list(self.maxposs), [0] * self.nrows
+        # Search state, copied from the row store, which is never written:
+        # poss is each counter row's maxposs during the search.
+        self.decisions = self.propagations = self.conflicts = 0
+        self.poss, self.satsum = list(self.maxposs), [0] * self.nrows
         self.assigned = [UNASSIGNED] * (nv + 1)
         self.level, self.tpos, self.reason = [0] * (nv + 1), [0] * (nv + 1), [-1] * (nv + 1)
         self.seen = bytearray(nv + 1)
@@ -394,11 +412,16 @@ class RefSolver:
         self.trail, self.trail_lim, self.qhead, self.confl = [], [], 0, -1
         self.queue = list(range(self.nrows))  # root propagation, last row first
         self.queued = bytearray(b"\x01") * self.nrows
-        # Learned clause c is clits[cstart[c]:cstart[c + 1]] of LBD clbd[c];
-        # watch slot 2c + j watches its literal j, linked from whead[_widx]
+        # Clause c is clits[cstart[c]:cstart[c + 1]] of LBD clbd[c]: the
+        # original clauses first, permanent (LBD 0), then the learned ones.
+        # Watch slot 2c + j watches its literal j, linked from whead[_widx]
         # through wnext.
-        self.clits, self.cstart, self.clbd = array("i"), array("i", [0]), array("i")
-        self.whead, self.wnext = array("i", [-1]) * (2 * nv + 2), array("i")
+        ncl = len(self.clause_ptr) - 1
+        self.clits, self.cstart = array("i", self.clause_lit), array("i", self.clause_ptr)
+        self.clbd = array("i", [0]) * ncl
+        self.whead, self.wnext = array("i", [-1]) * (2 * nv + 2), array("i", [-1]) * (2 * ncl)
+        for slot in range(2 * ncl):
+            self._add_watch(slot)
         # VSIDS: the unassigned variable of highest activity, ties to the
         # lowest index.  Entries go stale as activities grow; a valid one
         # carries the variable's current activity.

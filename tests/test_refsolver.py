@@ -1,6 +1,8 @@
+import copy
 import os
 import random
 import shutil
+import subprocess
 import time
 from itertools import product
 
@@ -113,6 +115,86 @@ def test_python_and_native_agree_exactly():
         assert py == nat
 
 
+def clause_heavy_formula(rng: random.Random, nv: int) -> PbFormula:
+    """Four to five rows per variable, most of them clauses of three or four
+    literals, near where random 3-SAT turns UNSAT, and with them the rows
+    that sit next to clauses in the store: one-literal rows, bound-1 rows
+    with a coefficient above 1, repeated clauses, `=` rows whose halves
+    are both clauses, and cardinality rows."""
+    f = PbFormula()
+    for _ in range(nv):
+        f.new_var()
+    clauses = []
+    for _ in range(rng.randint(4 * nv, 5 * nv)):
+        kind = rng.random()
+        chosen = rng.sample(range(1, nv + 1), min(nv, rng.choice((3, 3, 3, 4))))
+        signs = [rng.choice((1, -1)) for _ in chosen]
+        lits = tuple(zip(signs, chosen))
+        negatives = signs.count(-1)  # a literal -v reads 1 - v
+        if kind < 0.80:  # a clause: a sum of literals >= 1
+            clauses.append((lits, GE, 1 - negatives))
+            f.add(*clauses[-1])
+        elif kind < 0.81:  # one literal
+            f.add(lits[:1], GE, 1 - (signs[0] < 0))
+        elif kind < 0.86:  # 2x + y + z >= 1 and the like
+            f.add(((2 * signs[0], chosen[0]),) + lits[1:], GE, 1 - negatives - (signs[0] < 0))
+        elif kind < 0.88:  # x + y = 1: both halves are clauses
+            f.add(lits[:2], EQ, 1 - signs[:2].count(-1))
+        elif kind < 0.94 and clauses:
+            f.add(*rng.choice(clauses))
+        elif len(lits) > 3:  # a cardinality row: two of four
+            f.add(lits, GE, 2 - negatives)
+    return f
+
+
+def test_python_and_native_agree_on_clause_heavy_formulas():
+    rng = random.Random(404)
+    conflicts = 0
+    for i in range(170):
+        f = clause_heavy_formula(rng, rng.randint(2, 10) if i < 150 else rng.randint(100, 250))
+        phases = {v: rng.randint(0, 1) for v in range(1, f.var_count + 1)}
+        py, nat = solve_both(f, phases)
+        assert py == nat
+        if f.var_count <= 10:
+            assert py[0] == brute_status(f)
+        conflicts += py[2][2]
+    assert conflicts > 1000  # the larger formulas take a real search
+
+
+def test_a_bound_one_row_is_a_clause_whatever_its_coefficients():
+    f = PbFormula()
+    x, y, z = f.new_var(), f.new_var(), f.new_var()
+    f.add(((2, x), (1, y)), GE, 1)  # x + y >= 1
+    f.add(((1, x), (1, z)), EQ, 1)  # x + z >= 1 and -x - z >= -1
+    f.add(((1, y),), GE, 1)  # one literal: a counter row
+    f.add(((1, x), (1, y), (1, z)), GE, 2)  # a counter row
+    for use_native in (False, True):
+        solver = RefSolver(f, use_native=use_native)
+        assert list(solver.clause_ptr) == [0, 2, 4, 6]
+        assert list(solver.clause_lit) == [1, 2, 1, 3, -3, -1]
+        assert solver.nrows == 2 and list(solver.bounds) == [1, 2]
+
+
+@pytest.mark.parametrize("use_native", [False, True])
+def test_solving_twice_repeats_verdict_model_and_counters(use_native):
+    # The search copies what it writes, so the row and clause store that
+    # a second solve starts from is the one the first solve started from.
+    rng = random.Random(11)
+    formulas = [clause_heavy_formula(rng, rng.randint(20, 120)) for _ in range(12)]
+    for targets, ops in (([29, 43], 3), ([29, 43], 2), ([45], 3)):
+        formulas.append(encode_mcm(normalize_targets(targets), EncodingConfig(ops=ops)).formula)
+    verdicts = set()
+    for f in formulas:
+        solver = RefSolver(f, use_native=use_native)
+        store = {name: copy.copy(getattr(solver, name)) for name in STORE}
+        first = solver.solve()
+        once = counters(solver)
+        assert solver.solve() == first and counters(solver) == once
+        assert {name: getattr(solver, name) for name in STORE} == store
+        verdicts.add(first[0])
+    assert verdicts == {"SAT", "UNSAT"}
+
+
 @pytest.mark.parametrize("use_native", [False, True])
 def test_rows_beyond_int32_are_refused(use_native):
     # Truncated to int32, the first row would read 0*x1 + x2 >= 0: SAT.
@@ -149,7 +231,8 @@ def test_int64_edge_rows_that_need_no_int32_store(use_native):
 
 
 STORE = ("row_ptr", "row_coef", "row_lit", "bounds", "maxposs", "pos_ptr", "pos_row",
-         "pos_coef", "neg_ptr", "neg_row", "neg_coef", "root_conflict")
+         "pos_coef", "neg_ptr", "neg_row", "neg_coef", "clause_ptr", "clause_lit",
+         "root_conflict")
 
 
 def assert_same_store(f):
@@ -157,6 +240,13 @@ def assert_same_store(f):
     for name in STORE:
         assert getattr(py, name) == getattr(nat, name), name
         assert type(getattr(py, name)) is type(getattr(nat, name)), name
+    # Clauses live in the clause store alone: no counter row is one, and
+    # the occurrence lists name counter rows only.
+    sizes = [hi - lo for lo, hi in zip(py.row_ptr, py.row_ptr[1:])]
+    assert not any(b == 1 and n > 1 for b, n in zip(py.bounds, sizes))
+    assert all(r < py.nrows for r in py.pos_row + py.neg_row)
+    assert len(py.pos_row) + len(py.neg_row) == len(py.row_lit)
+    assert all(hi - lo > 1 for lo, hi in zip(py.clause_ptr, py.clause_ptr[1:]))
 
 
 def test_native_and_python_build_the_same_row_store():
@@ -165,6 +255,7 @@ def test_native_and_python_build_the_same_row_store():
     rng = random.Random(7)
     for _ in range(150):
         assert_same_store(random_formula(rng))
+        assert_same_store(clause_heavy_formula(rng, rng.randint(2, 12)))
     assert_same_store(PbFormula())
     f = PbFormula()
     x = [f.new_var() for _ in range(8)]  # x[6] and x[7] are in no row
@@ -187,6 +278,31 @@ def test_compiled_core_loads_where_a_compiler_exists():
     if os.environ.get("MCMSAT_NO_NATIVE") or not any(map(shutil.which, ("cc", "gcc", "clang"))):
         pytest.skip("no C compiler, or the core is switched off")
     assert native.load() is not None
+
+
+def test_no_native_is_read_on_every_load(monkeypatch):
+    core = native.load()
+    if core is None:
+        pytest.skip("no compiled core (no C compiler, or the core is switched off)")
+    monkeypatch.setenv("MCMSAT_NO_NATIVE", "1")
+    assert native.load() is None
+    assert RefSolver(PbFormula()).core is None
+    monkeypatch.delenv("MCMSAT_NO_NATIVE")
+    assert native.load() is core
+
+
+def test_compiled_core_has_no_warnings(tmp_path):
+    compiler = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
+    if compiler is None:
+        pytest.skip("no C compiler")
+    src = tmp_path / "mcmcore.c"
+    src.write_text(native.C_SOURCE)
+    proc = subprocess.run(
+        [compiler, "-Wall", "-Wextra", "-Werror", "-O1", "-shared", "-fPIC", str(src),
+         "-o", str(tmp_path / "mcmcore.so")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_int32_max_coefficient_solves_on_both_paths():
@@ -286,7 +402,7 @@ def test_python_and_native_agree_on_encodings():
 
 
 def test_python_and_native_agree_past_restarts_and_reduction():
-    # Optimum 5: refuting 4 ops takes over 3,000 conflicts, so the search
+    # Optimum 5: refuting 4 ops takes about 3,000 conflicts, so the search
     # restarts more than ten times and deletes learned clauses once.
     enc = encode_mcm(normalize_targets([137, 171, 227]), EncodingConfig(ops=4))
     py, nat = solve_both(enc.formula, enc.phase_hints)
