@@ -646,3 +646,49 @@ def test_witness_phase_hints_are_pinned():
         hand += cases(targets, parse_graph(text))
     digests["hand"] = hashlib.sha256(repr(hand).encode()).hexdigest()
     assert digests == GOLDEN_HINTS
+
+
+# sha256 of the concatenated format_graph texts per graph source, over
+# HINT_INSTANCES and (the cheap sources) the benchmark's descent sets.
+GOLDEN_GRAPHS = {
+    "heuristic": "b08873ae660b55ada50c061100e0ec4f299347561680094d9b2cf79a6d75e014",
+    "recoding": "66e474e6722307de80fb9623eada152c6197fc4d5aa02b472321d31110d14cf3",
+    "oracle": "94f6ad9ac10015983c4821a0cd16beac4f643c8f5071c2bb90d689c9ece87f52",
+    "optimal": "336acdc31bd6d66e7507bf57ee02dae787df308e710a8d228fb000120d61e4f9",
+    "oracle_r": "ca4e15148a694f01e169b308492e417f29a10780b448eda4cf4f12a86117f38a",
+    "optimal_r": "e009a93f4284f6ab922f3641f4a02d45463792b20d7bf004e2f3a07938cdaaa9",
+    "optimal_v1": "74c86084a7909bf0dd95ef3e013e0a450d2da22a23bad4b4adea9b938de711ab",
+    "optimal_v2": "fed6c5d6cd5683f8edd0fcc24f6e6a457232373f089f08924487313e34a05e6e",
+}
+DESCENT_SETS = (
+    (29, 43), (45, 75, 105), (163, 253), (187, 245), (241, 243), (183, 193),
+    (177, 191), (197, 231), (161, 255), (197, 255), (185, 191), (175, 189),
+    (223, 225), (153, 163),
+)
+
+
+def test_graphs_are_pinned():
+    from mcmsat.graphio import format_graph
+    from mcmsat.model import recoding_witness
+    from mcmsat.oracle import brute_force_optimal
+
+    def optimal(**kw):
+        return lambda inst: optimal_mcm(inst, cfg=EncodingConfig(ops=1, **kw)).graph
+
+    wide = HINT_INSTANCES + DESCENT_SETS
+    sources = {
+        "heuristic": (heuristic_graph, wide),
+        "recoding": (recoding_witness, wide),
+        "oracle": (lambda inst: brute_force_optimal(inst)[1], wide),
+        "optimal": (optimal(), wide),
+        "oracle_r": (lambda inst: brute_force_optimal(inst, right_shifts=True)[1],
+                     HINT_INSTANCES),
+        "optimal_r": (optimal(right_shifts=True), HINT_INSTANCES),
+        "optimal_v1": (optimal(variant=1), HINT_INSTANCES),
+        "optimal_v2": (optimal(variant=2), HINT_INSTANCES),
+    }
+    digests = {}
+    for name, (make, sets) in sources.items():
+        texts = [format_graph(make(normalize_targets(list(t)))) for t in sets]
+        digests[name] = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digests == GOLDEN_GRAPHS
