@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 
-from .model import AdderGraph, AOperationParams, GraphNode, McmError
+from .model import AdderGraph, AOperationParams, McmError
 
 _DIRECTIVE_RE = re.compile(r"#\s*([a-zA-Z_][\w-]*)\s*:\s*(.+?)\s*$")
 _NODE_RE = re.compile(
@@ -68,29 +68,23 @@ def format_graph(graph: AdderGraph) -> str:
 
 
 def parse_graph(text: str) -> AdderGraph:
-    nodes: list[GraphNode] = []
-    index_of = {1: 0}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _NODE_RE.match(line)
-        if not m:
-            raise McmError(f"bad graph line {lineno}: {raw!r}")
-        value = int(m.group(1))
-        u, l1 = int(m.group(2)), int(m.group(3) or 0)
-        sign = 0 if m.group(4) == "+" else 1
-        v, l2 = int(m.group(5)), int(m.group(6) or 0)
-        r = int(m.group(7) or 0)
-        if u not in index_of or v not in index_of:
-            raise McmError(f"graph line {lineno}: operand not defined yet")
-        nodes.append(
-            GraphNode(
-                value,
-                index_of[u],
-                index_of[v],
-                AOperationParams(l1, l2, r, sign),
-            )
-        )
-        index_of.setdefault(value, len(nodes))
-    return AdderGraph(tuple(nodes))
+    """The graph of format_graph's text; McmError names the first bad line."""
+    lineno = 0
+
+    def steps():
+        nonlocal lineno
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            m = _NODE_RE.match(line)
+            if not m:
+                raise McmError(repr(raw))
+            value, u, l1, op, v, l2, r = m.groups()
+            params = AOperationParams(int(l1 or 0), int(l2 or 0), int(r or 0), int(op == "-"))
+            yield int(value), int(u), int(v), params
+
+    try:
+        return AdderGraph.from_steps(steps())
+    except McmError as exc:
+        raise McmError(f"bad graph line {lineno}: {exc}") from None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 
 class McmError(Exception):
@@ -73,6 +74,37 @@ class AdderGraph:
     def values(self) -> tuple[int, ...]:
         return tuple(n.value for n in self.nodes)
 
+    @classmethod
+    def from_steps(cls, steps) -> AdderGraph:
+        """Graph of (value, u, v, params) steps whose operands are named by value.
+
+        An operand is the first node holding its value, or node 0 for 1;
+        McmError when no earlier step made it.
+        """
+        index_of = {1: 0}
+        nodes: list[GraphNode] = []
+        for value, u, v, params in steps:
+            if u not in index_of or v not in index_of:
+                raise McmError(f"operand of {value} not made by an earlier step")
+            nodes.append(GraphNode(value, index_of[u], index_of[v], params))
+            index_of.setdefault(value, len(nodes))
+        return cls(tuple(nodes))
+
+    def reindexed(self, order) -> AdderGraph:
+        """The nodes at the listed indices, in that order, operands remapped.
+
+        McmError when an operand is not listed before the node using it.
+        """
+        new_index = {0: 0}
+        nodes: list[GraphNode] = []
+        for old in order:
+            n = self.nodes[old - 1]
+            if n.left not in new_index or n.right not in new_index:
+                raise McmError(f"node {old}: operand not listed before it")
+            nodes.append(GraphNode(n.value, new_index[n.left], new_index[n.right], n.params))
+            new_index[old] = len(nodes)
+        return AdderGraph(tuple(nodes))
+
 
 def normalize_targets(raw) -> McmInstance:
     """Map each value to its positive odd part, drop 0/1/duplicates.
@@ -116,47 +148,61 @@ def apply_a_operation(u: int, v: int, p: AOperationParams) -> int:
     return pre >> p.right_shift
 
 
+def _shifted_sums(u: int, v: int, max_shift: int, width: int | None = None, signs=(0, 1)):
+    """(l1, l2, sign, |(u << l1) +/- (v << l2)|) for every nonzero result.
+
+    Shifts run up to max_shift, in order l1, l2, sign; with a width,
+    shifted operands stay below 2^width, as in the encoder's N-bit shift
+    stages.
+    """
+    top1 = top2 = max_shift
+    if width is not None:
+        top1 = min(max_shift, width - u.bit_length())
+        top2 = min(max_shift, width - v.bit_length())
+    for l1 in range(top1 + 1):
+        su = u << l1
+        for l2 in range(top2 + 1):
+            sv = v << l2
+            for sign in signs:
+                pre = abs(su - sv) if sign else su + sv
+                if pre:
+                    yield l1, l2, sign, pre
+
+
+def exact_right_shift(pre: int, value: int, max_shift: int) -> int | None:
+    """The r <= max_shift with pre == value << r, or None."""
+    r = pre.bit_length() - value.bit_length()
+    return r if 0 <= r <= max_shift and value << r == pre else None
+
+
+def _add_operations(found: dict, pairs, bit_width: int, right_shifts: bool) -> None:
+    """Give found each value below 2^bit_width that one operation on a pair reaches.
+
+    A value already in found keeps its witness; a new one gets the first
+    (u, v, params) in pair order, then shift order, then r.
+    """
+    limit = 1 << bit_width
+    max_shift = bit_width - 1
+    shifts = range(max_shift + 1 if right_shifts else 1)
+    for u, v in pairs:
+        for l1, l2, sign, pre in _shifted_sums(u, v, max_shift, bit_width):
+            for r in shifts:
+                if pre < limit and pre not in found:
+                    found[pre] = (u, v, AOperationParams(l1, l2, r, sign))
+                if pre % 2:
+                    break
+                pre //= 2
+
+
 def one_operation_values(base, bit_width: int, right_shifts: bool = False) -> dict:
     """All values reachable from `base` by a single operation.
 
     Returns {value: (u, v, params)} with a deterministic first witness
-    per value.  Shift amounts range over [0, bit_width - 1]; results are
-    restricted to (0, 2^bit_width).
+    per value.  Shift amounts range over [0, bit_width - 1]; shifted
+    operands and results are restricted to (0, 2^bit_width).
     """
-    limit = 1 << bit_width
-    max_shift = bit_width - 1
     found: dict[int, tuple[int, int, AOperationParams]] = {}
-    values = sorted(base)
-    shifts = range(max_shift + 1)
-    # Shifted operands stay below 2^bit_width, mirroring the N-bit shift
-    # stages of the encoder.
-    for u in values:
-        for v in values:
-            for l1 in shifts:
-                su = u << l1
-                if su >= limit:
-                    break
-                for l2 in shifts:
-                    sv = v << l2
-                    if sv >= limit:
-                        break
-                    for sign in (0, 1):
-                        pre = abs(su - sv) if sign else su + sv
-                        if pre == 0:
-                            continue
-                        if not right_shifts:
-                            if pre < limit and pre not in found:
-                                found[pre] = (u, v, AOperationParams(l1, l2, 0, sign))
-                            continue
-                        w = pre
-                        r = 0
-                        while True:
-                            if w < limit and w not in found:
-                                found[w] = (u, v, AOperationParams(l1, l2, r, sign))
-                            if w % 2 or r >= max_shift:
-                                break
-                            w //= 2
-                            r += 1
+    _add_operations(found, product(sorted(base), repeat=2), bit_width, right_shifts)
     return found
 
 
@@ -168,16 +214,12 @@ def find_params(
     Shifts are tried in order sign, l1, l2, r, smallest first; None when
     no assignment with shifts up to max_shift works.
     """
-    r_range = range(max_shift + 1) if right_shifts else (0,)
+    max_r = max_shift if right_shifts else 0
     for sign in signs:
-        for l1 in range(max_shift + 1):
-            for l2 in range(max_shift + 1):
-                pre = abs((u << l1) + (-1) ** sign * (v << l2))
-                if pre == 0:
-                    continue
-                for r in r_range:
-                    if pre % (1 << r) == 0 and pre >> r == value:
-                        return AOperationParams(l1, l2, r, sign)
+        for l1, l2, _, pre in _shifted_sums(u, v, max_shift, signs=(sign,)):
+            r = exact_right_shift(pre, value, max_r)
+            if r is not None:
+                return AOperationParams(l1, l2, r, sign)
     return None
 
 
@@ -285,39 +327,22 @@ def recoding_witness(inst: McmInstance) -> AdderGraph:
     positive and below 2^bit_width.  Costs exactly csd_upper_bound ops
     (fewer when partial sums repeat across targets).
     """
-    nodes: list[GraphNode] = []
-    index_of: dict[int, int] = {1: 0}
-
-    def add_node(value, left, right, params):
-        if value in index_of:
-            return index_of[value]
-        nodes.append(GraphNode(value, left, right, params))
-        index_of[value] = len(nodes)
-        return index_of[value]
-
+    steps: dict[int, tuple] = {}  # value -> (u, v, params), the first way found
     for t in inst.targets:
         digits = csd_digits(t)
         width = len(digits)
         positions = [
             (width - 1 - i, d) for i, d in enumerate(digits) if d
         ]  # (power, sign digit), MSB first
-        acc_power, _ = positions[0]
-        acc_value = 1 << acc_power
-        acc_index = 0
-        acc_shift = acc_power  # pending shift on the accumulator while it is node 0
+        # The accumulator is u << shift: node 0 shifted until the first step.
+        u, shift = 1, positions[0][0]
         for power, d in positions[1:]:
-            value = acc_value + d * (1 << power)
-            params = AOperationParams(
-                left_shift_1=acc_shift,
-                left_shift_2=power,
-                sign=0 if d > 0 else 1,
-            )
-            acc_index = add_node(value, acc_index, 0, params)
-            acc_value = value
-            acc_shift = 0
-        if acc_value != t:  # single-digit target: power of two, already node 0
+            value = (u << shift) + d * (1 << power)
+            steps.setdefault(value, (u, 1, AOperationParams(shift, power, sign=int(d < 0))))
+            u, shift = value, 0
+        if u << shift != t:  # single-digit target: power of two, already node 0
             raise McmError(f"recoding witness failed for {t}")
-    return AdderGraph(tuple(nodes))
+    return AdderGraph.from_steps((value, *how) for value, how in steps.items())
 
 
 def _csd_runs(value: int) -> dict[int, int]:
@@ -377,10 +402,9 @@ def heuristic_graph(inst: McmInstance) -> AdderGraph:
     remaining = set(inst.targets)
     runs = {t: _csd_runs(t) for t in remaining}
     ready = {1}
-    nodes: list[GraphNode] = []
-    index_of = {1: 0}
+    steps: list[tuple] = []
     options = one_operation_values(ready, inst.bit_width)
-    while remaining and len(nodes) < witness.cost:
+    while remaining and len(steps) < witness.cost:
         value = min((t for t in remaining if t in options), default=None)
         if value is None:
             score, gain = Counter(), Counter()
@@ -390,12 +414,11 @@ def heuristic_graph(inst: McmInstance) -> AdderGraph:
                 for x, digits in runs[t].items():  # digits of t that x adds
                     gain[x] += max(0, digits - built)
             value = min(options.keys() - ready, key=lambda s: (-score[s], -gain[s], s))
-        u, v, params = options[value]
-        nodes.append(GraphNode(value, index_of[u], index_of[v], params))
-        index_of[value] = len(nodes)
+        steps.append((value, *options[value]))
         ready.add(value)
         remaining.discard(value)
         for x in ready:  # only pairs with the new value reach new values
-            for w, how in one_operation_values({x, value}, inst.bit_width).items():
-                options.setdefault(w, how)
-    return witness if remaining else AdderGraph(tuple(nodes))
+            pair = sorted({x, value})
+            news = [(a, b) for a in pair for b in pair if value in (a, b)]
+            _add_operations(options, news, inst.bit_width, right_shifts=False)
+    return witness if remaining else AdderGraph.from_steps(steps)

@@ -363,8 +363,7 @@ Ctx *mcm_new(int32_t nvars, int32_t nrows, int32_t nclauses,
 }
 
 void mcm_stats(Ctx *s, int64_t *out) {
-    out[0] = s->decisions; out[1] = s->propagations;
-    out[2] = s->conflicts; out[3] = 0;
+    out[0] = s->decisions; out[1] = s->propagations; out[2] = s->conflicts;
 }
 
 /* Returns 0 budget spent, 1 SAT, 2 UNSAT, 3 out of memory.  Each step
@@ -413,7 +412,8 @@ int mcm_run(Ctx *s, int64_t budget) {
    neg_ptr[v] count +v / -v in counter rows.  Filling pass: out =
    row_ptr, row_coef, row_lit, bounds, maxposs, pos_row, pos_coef,
    neg_row, neg_coef, clause_ptr, clause_lit at the counted sizes.
-   Returns 1 when a kept row sums beyond int32, -1 out of memory, else 0.
+   Returns 1 when a kept counter row sums beyond int32, -1 out of
+   memory, else 0.
    Left unoptimized: -O1 would add about a fifth to the core's compile,
    which a first use pays, to save 0.05 s on a 400k-row formula. */
 __attribute__((optimize("O0")))
@@ -432,12 +432,15 @@ int mcm_build(int64_t n, const int64_t *coefs, const int32_t *vars, const int64_
             __int128 bound = half ? (total + net) / 2 - rhs[i] : rhs[i] + (total - net) / 2;
             if (total < bound) sizes[3] = 1;
             if (total < bound || bound <= 0) continue;
-            if (total > INT32_MAX) { free(key); return 1; }
             int clause = bound == 1 && len > 1;
+            if (!clause && total > INT32_MAX) { free(key); return 1; }
             for (int32_t k = 0; k < len; k++) {
                 int32_t lit = (c[k] > 0) != half ? vars[ptr[i] + k] : -vars[ptr[i] + k];
+                /* -|c|, which cannot overflow, clamped at -INT32_MAX: a
+                   clause's coefficients only order its literals */
+                int64_t neg = c[k] < 0 ? c[k] : -c[k];
                 if (!out) { if (!clause) (lit > 0 ? pos_ptr : neg_ptr)[VAR(lit)]++; }
-                else key[k] = ((int64_t)(INT32_MAX - (c[k] < 0 ? -c[k] : c[k])) << 32)
+                else key[k] = ((int64_t)(INT32_MAX + (neg < -INT32_MAX ? -INT32_MAX : neg)) << 32)
                               | ((uint32_t)lit ^ 0x80000000u);
             }
             if (out) {  /* coefficient descending, then literal */
@@ -554,7 +557,7 @@ def build(lib, solver, formula) -> bool:
     """Build the solver's row store from the formula's arena on the core.
 
     Python allocates every array at the size a counting pass reports and
-    the core fills them.  False when a row does not fit int32; the
+    the core fills them.  False when a counter row does not fit int32; the
     Python build then refuses it.
     """
     rel = formula.relations
@@ -604,7 +607,7 @@ def run(lib, solver, stop):
     ctx = lib.mcm_new(nv, nr, len(solver.clause_ptr) - 1, *(a.buffer_info()[0] for a in store))
     if not ctx:
         return solver._solve_python(stop)
-    stats = (ctypes.c_int64 * 4)()
+    stats = (ctypes.c_int64 * 3)()
     budget = 1000
     try:
         while True:
@@ -612,7 +615,7 @@ def run(lib, solver, stop):
             rc = lib.mcm_run(ctx, budget)
             elapsed = time.perf_counter() - start
             lib.mcm_stats(ctx, stats)
-            solver.decisions, solver.propagations, solver.conflicts, solver.islands = stats
+            solver.decisions, solver.propagations, solver.conflicts = stats
             if rc == C_SAT:
                 return SAT, Model((0,) + tuple(assigned[1:]))
             if rc == C_UNSAT:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from .model import (
     AdderGraph,
-    GraphNode,
     McmError,
     McmInstance,
     one_operation_values,
@@ -80,12 +79,7 @@ def brute_force_optimal(
     for budget in range(len(targets), max_ops + 1):
         steps = search(frozenset({1}), budget, set())
         if steps is not None:
-            nodes = []
-            index_of = {1: 0}
-            for value, u, v, params in steps:
-                nodes.append(GraphNode(value, index_of[u], index_of[v], params))
-                index_of[value] = len(nodes)
-            graph = AdderGraph(tuple(nodes))
+            graph = AdderGraph.from_steps(steps)
             assert verify_solution(inst, graph)
             return budget, graph
     raise SearchBudgetExceeded(f"exceeds max_ops ({max_ops})")

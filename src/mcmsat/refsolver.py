@@ -26,8 +26,8 @@ and the fallback.  Both read one store of flat int32 arrays, the counter
 rows and the clauses apart, which the core builds from the formula's
 arena when it loads and RefSolver._build builds otherwise; a search
 copies what it writes, so a solver can solve again.  Both agree on
-verdict, model and counters.  A row whose absolute coefficients sum
-beyond 2^31 - 1 does not fit that store; the core declines it and
+verdict, model and counters.  A counter row whose absolute coefficients
+sum beyond 2^31 - 1 does not fit that store; the core declines it and
 _build refuses it with PbError.  Intended for desk-scale instances; use
 an external solver beyond ~10-bit constants.
 """
@@ -96,7 +96,10 @@ class RefSolver:
             rows = range(start, min(start + 512, len(formula.bounds)))
             base, top = ptr[start], ptr[rows[-1] + 1]
             cs = coefs[base:top]
-            pairs = list(zip(map(operator.neg, map(abs, cs)),
+            # A clause's coefficients only order its literals, so a key
+            # clamps them at INT32_MAX, as the core's does.
+            keys = map(operator.neg, map(min, map(abs, cs), repeat(INT32_MAX)))
+            pairs = list(zip(keys,
                              [v if c > 0 else -v for c, v in zip(cs, vs[base:top])]))
             abs_sum = list(accumulate(map(abs, cs), initial=0))
             net_sum = list(accumulate(cs, initial=0))
@@ -110,15 +113,15 @@ class RefSolver:
                     if total < bound:
                         self.root_conflict = True
                     elif bound > 0:
-                        if total > INT32_MAX:
-                            # The total bounds every coefficient and the bound too.
-                            raise PbError(f"row coefficients sum to {total}, beyond the "
-                                          "bundled solver's int32 range")
                         terms = sorted(terms)
                         if bound == 1 and len(terms) > 1:  # a clause
                             clause_lit.extend([lit for _, lit in terms])
                             clause_ptr.append(len(clause_lit))
                             continue
+                        if total > INT32_MAX:
+                            # The total bounds every coefficient and the bound too.
+                            raise PbError(f"counter row coefficients sum to {total}, "
+                                          "beyond the bundled solver's int32 range")
                         out.extend(terms)
                         row_ptr.append(row_ptr[-1] + len(terms))
                         bounds.append(bound)

@@ -24,10 +24,10 @@ from pathlib import Path
 from .encoder import EXACTLY2, KINDS, EncodeResult, EncodingConfig, encode_mcm
 from .model import (
     AdderGraph,
-    GraphNode,
     McmError,
     McmInstance,
     csd_upper_bound,
+    exact_right_shift,
     find_params,
     heuristic_graph,
     recoding_witness,  # unused here; benchmark/ calls it through this module
@@ -203,42 +203,32 @@ def decode_solution(res: EncodeResult, model: Model) -> AdderGraph:
             needed.update((cand.op1, cand.op2))
     needed.discard(0)
 
-    nodes: list[GraphNode] = []
-    node_of = {0: 0}  # slot -> node index
+    steps = []
     value_of = {0: 1}  # slot -> value
-    value_index = {1: 0}
     for slot in sorted(needed):
         pin = pinned.get(slot)
         if pin is not None:
-            left = value_index.get(pin.left_value)
-            right = value_index.get(pin.right_value)
-            if left is None or right is None:
-                raise DecodeError("decode failure: pinned operand missing")
-            value, params = pin.value, pin.params
-        else:
-            cand = chosen[slot]
-            value = model.value_of(res.op_values[slot - 1])
-            pre_vec = res.pre_shift_values[slot - 1]
-            pre_value = model.value_of(pre_vec) if pre_vec is not None else value
-            if value < 1 or pre_value < 1:
-                raise DecodeError(f"decode failure: slot {slot} holds {value}")
-            right_shift = (pre_value // value).bit_length() - 1
-            if value << right_shift != pre_value:
-                raise DecodeError("decode failure: inconsistent right shift")
-            subtract = cand.kind != EXACTLY2 and KINDS[cand.kind][0]
-            found = find_params(
-                value_of[cand.op1], value_of[cand.op2], pre_value, max_shift,
-                right_shifts=False, signs=(int(subtract),),
-            )
-            if found is None:
-                raise DecodeError(f"decode failure: slot {slot} value {pre_value}")
-            left, right = node_of[cand.op1], node_of[cand.op2]
-            params = replace(found, right_shift=right_shift)
-        nodes.append(GraphNode(value, left, right, params))
-        node_of[slot] = len(nodes)
+            steps.append((pin.value, pin.left_value, pin.right_value, pin.params))
+            value_of[slot] = pin.value
+            continue
+        cand = chosen[slot]
+        value = model.value_of(res.op_values[slot - 1])
+        pre_vec = res.pre_shift_values[slot - 1]
+        pre_value = model.value_of(pre_vec) if pre_vec is not None else value
+        if value < 1 or pre_value < 1:
+            raise DecodeError(f"decode failure: slot {slot} holds {value}")
+        right_shift = exact_right_shift(pre_value, value, max_shift)
+        if right_shift is None:
+            raise DecodeError("decode failure: inconsistent right shift")
+        u, v = value_of[cand.op1], value_of[cand.op2]
+        subtract = cand.kind != EXACTLY2 and KINDS[cand.kind][0]
+        found = find_params(u, v, pre_value, max_shift, right_shifts=False,
+                            signs=(int(subtract),))
+        if found is None:
+            raise DecodeError(f"decode failure: slot {slot} value {pre_value}")
+        steps.append((value, u, v, replace(found, right_shift=right_shift)))
         value_of[slot] = value
-        value_index.setdefault(value, len(nodes))
-    return AdderGraph(tuple(nodes))
+    return AdderGraph.from_steps(steps)
 
 
 def prune_graph(graph: AdderGraph, targets) -> AdderGraph:
@@ -248,42 +238,23 @@ def prune_graph(graph: AdderGraph, targets) -> AdderGraph:
     for idx in range(len(graph.nodes), 0, -1):
         node = graph.nodes[idx - 1]
         if node.value in wanted or idx in keep:
-            keep.add(idx)
-            keep.add(node.left)
-            keep.add(node.right)
+            keep.update((idx, node.left, node.right))
             wanted.discard(node.value)
-    order = [i for i in range(1, len(graph.nodes) + 1) if i in keep]
-    remap = {0: 0}
-    nodes = []
-    for new_idx, old_idx in enumerate(order, start=1):
-        node = graph.nodes[old_idx - 1]
-        nodes.append(
-            GraphNode(node.value, remap[node.left], remap[node.right], node.params)
-        )
-        remap[old_idx] = new_idx
-    return AdderGraph(tuple(nodes))
+    return graph.reindexed(sorted(keep - {0}))
 
 
 def _reorder_roots_first(graph: AdderGraph) -> AdderGraph | None:
-    """Topological reorder with all from-scratch operations leading."""
+    """Topological reorder with all from-scratch operations leading.
+
+    None when an operand follows the node using it, so no such order
+    exists.
+    """
     roots = [i for i, n in enumerate(graph.nodes, 1) if n.left == 0 and n.right == 0]
     rest = [i for i, n in enumerate(graph.nodes, 1) if not (n.left == 0 and n.right == 0)]
-    order = roots + rest
-    remap = {0: 0}
-    for new_idx, old_idx in enumerate(order, 1):
-        remap[old_idx] = new_idx
-    nodes = [None] * len(order)
-    for old_idx in order:
-        node = graph.nodes[old_idx - 1]
-        if remap[node.left] >= remap[old_idx] or remap[node.right] >= remap[old_idx]:
-            return None  # a non-root feeds a root; cannot lead with roots
-        nodes[remap[old_idx] - 1] = node
-    return AdderGraph(
-        tuple(
-            GraphNode(n.value, remap[n.left], remap[n.right], n.params)
-            for n in nodes
-        )
-    )
+    try:
+        return graph.reindexed(roots + rest)
+    except McmError:
+        return None
 
 
 def witness_phase_hints(enc: EncodeResult, graph: AdderGraph) -> dict | None:

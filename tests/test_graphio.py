@@ -72,6 +72,12 @@ def test_parse_graph_undefined_operand():
         parse_graph("29 = 7<<2 + 1\n")
 
 
+def test_parse_graph_names_the_line_of_an_undefined_operand():
+    text = "# 29 from 7\n\n7 = 1<<3 - 1\n29 = 7<<2 + 1\n43 = 7<<1 + 29\n45 = 15<<2 - 15\n"
+    with pytest.raises(McmError, match=r"^bad graph line 6: operand of 45"):
+        parse_graph(text)
+
+
 def test_parse_graph_bad_syntax():
     with pytest.raises(McmError, match="bad graph line"):
         parse_graph("29 := 7 + 1\n")

@@ -177,6 +177,35 @@ def test_verify_shift_cap():
     assert not ok
 
 
+def test_from_steps_names_operands_by_value():
+    p = AOperationParams
+    graph = AdderGraph.from_steps(
+        [(7, 1, 1, p(3, 0, 0, 1)), (29, 7, 1, p(2, 0, 0, 0)), (43, 7, 29, p(1, 0, 0, 0))]
+    )
+    assert graph == FIG_GRAPH
+    # A repeated value: operands name its first node.
+    twice = AdderGraph.from_steps([(3, 1, 1, p(1)), (3, 1, 1, p(0, 1)), (9, 3, 3, p(1))])
+    assert [(n.left, n.right) for n in twice.nodes] == [(0, 0), (0, 0), (1, 1)]
+
+
+def test_from_steps_rejects_an_operand_no_earlier_step_made():
+    with pytest.raises(McmError, match="operand of 29"):
+        AdderGraph.from_steps([(29, 7, 1, AOperationParams(2, 0, 0, 0))])
+    with pytest.raises(McmError, match="operand of 7"):  # not even itself
+        AdderGraph.from_steps([(7, 7, 1, AOperationParams(0, 0, 0, 1))])
+
+
+def test_reindexed_remaps_operands():
+    p = AOperationParams
+    graph = AdderGraph.from_steps([(3, 1, 1, p(1)), (7, 1, 1, p(3, 0, 0, 1)), (21, 7, 7, p(1))])
+    assert graph.reindexed([1, 2, 3]) == graph
+    only = graph.reindexed([2, 3])
+    assert [(n.value, n.left, n.right) for n in only.nodes] == [(7, 0, 0), (21, 1, 1)]
+    # 29 uses 7, so 29 cannot lead.
+    with pytest.raises(McmError, match="node 2: operand"):
+        FIG_GRAPH.reindexed([2, 1, 3])
+
+
 def test_verify_acyclicity():
     inst = normalize_targets([5])
     graph = AdderGraph((GraphNode(5, 1, 0, AOperationParams(2, 0, 0, 0)),))

@@ -213,6 +213,37 @@ def test_rows_beyond_int32_are_refused(use_native):
         RefSolver(f, use_native=use_native).solve()
 
 
+def huge_clause_formula():
+    """Clauses whose coefficients sum beyond int32 and int64, and one tie."""
+    f = PbFormula()
+    x = [f.new_var() for _ in range(4)]
+    f.add(((2**40, x[0]), (1, x[1])), GE, 1)
+    # Literals -x1 (2^63), x2 (5), x3 (2^40) and x4 (2^62): the sort key
+    # clamps the three beyond int32 alike, so they go by literal.
+    f.add(((-(2**63), x[0]), (5, x[1]), (2**40, x[2]), (2**62, x[3])), GE, 1 - 2**63)
+    # x1 true and x2, x4 false: the second clause forces x3.
+    f.add(((1, x[0]),), GE, 1)
+    f.add(((-1, x[1]),), GE, 0)
+    f.add(((-1, x[3]),), GE, 0)
+    return f
+
+
+@pytest.mark.parametrize("use_native", [False, True])
+def test_clauses_beyond_int32_are_taken(use_native):
+    f = huge_clause_formula()
+    solver = RefSolver(f, use_native=use_native)
+    assert list(solver.clause_ptr) == [0, 2, 6]
+    assert list(solver.clause_lit) == [1, 2, -1, 3, 4, 2]
+    assert solver.nrows == 3
+    status, model = solver.solve()
+    assert status == brute_status(f) == "SAT"
+    assert model.values == (0, 1, 0, 1, 0)
+    # The = row's <= half is a counter row of bound 2^40: still refused.
+    f.add(((2**40, f.new_var()), (1, f.new_var())), EQ, 1)
+    with pytest.raises(PbError, match="int32"):
+        RefSolver(f, use_native=use_native)
+
+
 @pytest.mark.parametrize("use_native", [False, True])
 def test_int64_edge_rows_that_need_no_int32_store(use_native):
     # -2^63 x1 >= -2^63 holds for either value: its >= bound is 0, so
@@ -267,6 +298,7 @@ def test_native_and_python_build_the_same_row_store():
     f.add(((1, x[3]), (-1, x[4])), EQ, 0)
     f.add(((1, x[5]),), EQ, 2)  # a root conflict, kept rows around it
     assert_same_store(f)
+    assert_same_store(huge_clause_formula())
     for variant in (1, 2, 3):
         enc = encode_mcm(normalize_targets([29, 43]), EncodingConfig(ops=3, variant=variant))
         assert_same_store(enc.formula)

@@ -265,6 +265,14 @@ def test_decode_tampered_model_fails():
     values[bit] ^= 1
     with pytest.raises(DecodeError, match="decode failure"):
         decode_solution(enc, Model(tuple(values)))
+    # A slot value above its pre-shift value: no right shift gives it.
+    enc = encode_mcm(normalize_targets([45]), EncodingConfig(ops=2, right_shifts=True))
+    values = list(solve(enc.formula, phases=enc.phase_hints).model.values)
+    bits = enc.pre_shift_values[1].bits
+    for i, var in enumerate(bits):
+        values[var] = (15 >> (len(bits) - 1 - i)) & 1
+    with pytest.raises(DecodeError, match="inconsistent right shift"):
+        decode_solution(enc, Model(tuple(values)))
 
 
 def test_decode_right_shift_mode():
@@ -327,6 +335,21 @@ def test_prune_graph_drops_unused():
     pruned = prune_graph(graph, inst.targets)
     assert verify_solution(inst, pruned)
     assert pruned.cost <= graph.cost
+
+
+def test_reorder_roots_first():
+    from mcmsat.graphio import parse_graph
+    from mcmsat.model import AdderGraph, AOperationParams, GraphNode
+    from mcmsat.solve import _reorder_roots_first
+
+    graph = parse_graph("7 = 1<<3 - 1\n29 = 7<<2 + 1\n3 = 1<<1 + 1\n43 = 29 + 7<<1\n")
+    reordered = _reorder_roots_first(graph)
+    assert [n.value for n in reordered.nodes] == [7, 3, 29, 43]
+    assert [(n.left, n.right) for n in reordered.nodes] == [(0, 0), (0, 0), (1, 0), (3, 1)]
+    # Node 1 reads node 2, a non-root: no order puts every operand first.
+    p = AOperationParams(1, 0, 0, 0)
+    graph = AdderGraph((GraphNode(15, 2, 0, p), GraphNode(7, 1, 0, p)))
+    assert _reorder_roots_first(graph) is None
 
 
 # -- the optimization loop ------------------------------------------------------
