@@ -672,7 +672,8 @@ def test_witness_phase_hints_are_pinned():
 
 
 # sha256 of the concatenated format_graph texts per graph source, over
-# HINT_INSTANCES and (the cheap sources) the benchmark's descent sets.
+# HINT_INSTANCES and the benchmark's descent sets; the right-shift and
+# variant 1 and 2 sources over HINT_INSTANCES alone.
 GOLDEN_GRAPHS = {
     "heuristic": "b08873ae660b55ada50c061100e0ec4f299347561680094d9b2cf79a6d75e014",
     "recoding": "66e474e6722307de80fb9623eada152c6197fc4d5aa02b472321d31110d14cf3",
