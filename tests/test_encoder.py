@@ -276,6 +276,10 @@ GOLDEN_OPB = {
     ((33951,), 1): "4076a2680d7a508191ffd7a9e025aa208fd306669206b21b8a775878ea5afb66",
     ((33951,), 2): "c19e124e98efe29d3ce7585587cb596d77eccbbe63b775ef1893c7098f8a4a4e",
     ((33951,), 3): "a9c03555a5001f2d86dd91b64ecda4ba9269e29bea02c3cc50df2d41c7fab76f",
+    # Preprocessing pins slot 1 to 3, so these pin the rows of a pinned slot.
+    ((3, 683), 1): "df4a6a26c8635af45d1e72679e62d5e95246fac6b1272a3858cc18c06b51c956",
+    ((3, 683), 2): "1753082fd0eae08fbeb091414fcf5571a10eed9b8fc607c4ca8d4eb33dc96ce9",
+    ((3, 683), 3): "07788a1d141f9f64c6aa0ae75f291f360c40edd6d8adcd318a957bea4b0471c2",
 }
 
 
