@@ -11,7 +11,7 @@ from pathlib import Path
 
 import click
 
-from .encoder import EncodingConfig, encode_mcm, predict_size
+from .encoder import IMPROVEMENTS, EncodingConfig, encode_mcm, predict_size
 from .graphio import format_graph, format_instance, parse_graph, parse_instance
 from .model import (
     McmError,
@@ -25,13 +25,6 @@ from .model import (
 from .pb import SAT, UNKNOWN, UNSAT
 from .solve import DecodeError, decode_solution, default_backend, optimal_mcm, solve
 
-IMPROVEMENT_FLAGS = (
-    "nonzero_sub",
-    "skip_odd_target_shift",
-    "trivial_precompute",
-    "limit_exactly_rows",
-    "start_i_at_2",
-)
 IMPROVEMENT_STATES = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
 
 
@@ -50,9 +43,9 @@ def _config(ops, encoding, right_shifts, no_improvements, improvement, annotate=
         cfg = cfg.improvements_off()
     for item in improvement:
         name, _, state = item.partition("=")
-        if name not in IMPROVEMENT_FLAGS:
+        if name not in IMPROVEMENTS:
             raise click.BadParameter(
-                f"unknown improvement {name!r}; choose from {', '.join(IMPROVEMENT_FLAGS)}"
+                f"unknown improvement {name!r}; choose from {', '.join(IMPROVEMENTS)}"
             )
         if state.lower() not in IMPROVEMENT_STATES:
             raise click.BadParameter(
@@ -300,7 +293,7 @@ def _bench_one(path: Path, backends, timeout, encoding):
     ops = int(directives["ops"])
     record = {"instance": path.name, "ops": ops, "variant": encoding}
     if inst.is_empty:
-        record.update(trivial="SAT", outcomes={})
+        record.update(trivial=SAT, outcomes={})
         return record
     enc = encode_mcm(inst, EncodingConfig(ops=ops, variant=encoding))
     if enc.trivial_verdict is not None:
@@ -373,8 +366,8 @@ def bench(directory, backend, timeout, encoding, jobs, out, as_json):
     report = {
         "instances": records,
         "trivial": {
-            "sat": sum(1 for r in records if r["trivial"] == "SAT"),
-            "unsat": sum(1 for r in records if r["trivial"] == "UNSAT"),
+            "sat": sum(1 for r in records if r["trivial"] == SAT),
+            "unsat": sum(1 for r in records if r["trivial"] == UNSAT),
         },
         "aggregates": aggregates,
         "vbs": {"solved": len(decided), "avg_time": _mean_elapsed(decided)},

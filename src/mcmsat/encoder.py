@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import gadgets
-from .gadgets import CarryChain, emit_false, exactly
+from .gadgets import emit_false, exactly
 from .model import AOperationParams, McmError, McmInstance, one_operation_values
-from .pb import EQ, GE, BitVec, PbFormula
+from .pb import EQ, GE, SAT, UNSAT, BitVec, PbFormula
 
 EXACTLY2 = "exactly2"
 POWER_DIFF = "power_diff"
@@ -60,6 +60,15 @@ KINDS = {
     SUB_PAIR_REV: (True, "t", "s"),
 }
 
+# The encoding reductions, by their EncodingConfig field names.
+IMPROVEMENTS = (
+    "nonzero_sub",
+    "skip_odd_target_shift",
+    "trivial_precompute",
+    "limit_exactly_rows",
+    "start_i_at_2",
+)
+
 
 @dataclass(frozen=True)
 class EncodingConfig:
@@ -79,14 +88,7 @@ class EncodingConfig:
             raise McmError(f"unknown encoding variant {self.variant}")
 
     def improvements_off(self) -> "EncodingConfig":
-        return replace(
-            self,
-            nonzero_sub=False,
-            skip_odd_target_shift=False,
-            trivial_precompute=False,
-            limit_exactly_rows=False,
-            start_i_at_2=False,
-        )
+        return replace(self, **dict.fromkeys(IMPROVEMENTS, False))
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ class PreprocessResult:
     removed: tuple[PinnedOp, ...]
     remaining: tuple[int, ...]
     ops_left: int
-    verdict: str | None  # "SAT" | "UNSAT" | None
+    verdict: str | None  # SAT | UNSAT | None
 
 
 @dataclass
@@ -119,8 +121,9 @@ class EncodeResult:
     formula: PbFormula
     inst: McmInstance
     cfg: EncodingConfig
-    op_values: list[BitVec | None] = field(default_factory=list)
-    pre_shift_values: list[BitVec | None] = field(default_factory=list)
+    op_values: list[BitVec] = field(default_factory=list)
+    # The vector the candidates write: op_values' own without right shifts.
+    pre_shift_values: list[BitVec] = field(default_factory=list)
     candidates: list[list[Candidate]] = field(default_factory=list)
     pinned: tuple[PinnedOp, ...] = ()
     remaining_targets: tuple[int, ...] = ()
@@ -164,9 +167,9 @@ def preprocess_trivial(inst: McmInstance, ops: int) -> PreprocessResult:
         ready.add(hit)
         budget -= 1
     if not remaining and budget >= 0:
-        verdict = "SAT"
+        verdict = SAT
     elif budget < len(remaining):
-        verdict = "UNSAT"
+        verdict = UNSAT
     else:
         verdict = None
     return PreprocessResult(tuple(removed), tuple(remaining), budget, verdict)
@@ -194,7 +197,7 @@ class _Session:
         if inst.bit_width > 64:
             raise McmError("bit width beyond 64 is not supported")
         if inst.is_empty:
-            res.trivial_verdict = "SAT"
+            res.trivial_verdict = SAT
             return res
         if cfg.trivial_precompute:
             pre = preprocess_trivial(inst, cfg.ops)
@@ -259,18 +262,10 @@ class _Session:
             self._encode_slot_shared(slot)
         pin = next((p for p in self.result.pinned if p.slot == slot), None)
         if pin is not None:
-            self._pin_bits(self.result.op_values[slot - 1], pin.value)
-
-    def _pin_bits(self, vec: BitVec, value: int) -> None:
-        n = len(vec)
-        for i in range(n):
-            if (value >> (n - 1 - i)) & 1:
-                self.f.add(((1, vec[i]),), GE, 1)
-            else:
-                self.f.add(((-1, vec[i]),), GE, 0)
+            gadgets.encode_const(self.f, self.result.op_values[slot - 1], pin.value)
 
     def _mark_selectors(self, sels) -> None:
-        for v in sels.bits:
+        for v in sels:
             self.result.phase_hints[v] = 1
 
     def _note(self, slot, kind, op1, op2):
@@ -303,7 +298,7 @@ class _Session:
             self._mark_selectors(gadgets.encode_shift(self.f, out, pre, direction="right"))
         res = self.result
         res.op_values.append(out)
-        res.pre_shift_values.append(pre if self.cfg.right_shifts else None)
+        res.pre_shift_values.append(pre)
         res.candidates.append(candidates)
         res.slot_shifts.append(shifts)
         res.slot_powers.append(powers)
@@ -338,7 +333,7 @@ class _Session:
 
         shared_chain = None
         if cfg.variant == 3 and has_addsub and n >= 2:
-            shared_chain = CarryChain(tuple(f.new_var() for _ in range(n - 1)))
+            shared_chain = tuple(f.new_var() for _ in range(n - 1))
 
         pre, out = self._output_vectors()
         for (kind, op1, op2), cond in zip(kinds, conds):
@@ -417,7 +412,7 @@ class _Session:
         Targets are odd after normalization, so with the odd-target
         reduction the shift stage is dropped and slots bind directly.
         """
-        f, n, cfg = self.f, self.width, self.cfg
+        f, cfg = self.f, self.cfg
         if not members:
             emit_false(f)
             return
@@ -428,11 +423,7 @@ class _Session:
         f.add(tuple((1, s) for s in selectors), GE, 1,
               note=f"target {target}" if cfg.annotate else None)
         for sel, vec in zip(selectors, vecs):
-            for i in range(n):
-                if (target >> (n - 1 - i)) & 1:
-                    f.add(((-1, sel), (1, vec[i])), GE, 0)
-                else:
-                    f.add(((-1, sel), (-1, vec[i])), GE, -1)
+            gadgets.encode_const(f, vec, target, sel)
 
 
 def encode_mcm(inst: McmInstance, cfg: EncodingConfig) -> EncodeResult:

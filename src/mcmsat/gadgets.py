@@ -1,11 +1,11 @@
 """Constraint gadgets over bit vectors: XORs, ripple adders/subtractors
 (plain, conditional, and conditional with a shared carry/borrow chain),
-constant and variable barrel shifts, and popcount pins.
+constant and variable barrel shifts, constants and popcount pins.
 
-All vectors are big-endian (index 0 is the MSB).  Carry/borrow chains
-have length N-1; chain[i] feeds result bit i and is defined from the
-operands at position i+1.  Emission order within each gadget is fixed so
-formulas are reproducible.
+A vector and a carry/borrow chain are plain tuples of variables, the
+most significant bit first.  Chains have length N-1; chain[i] feeds
+result bit i and is defined from the operands at position i+1.  Emission
+order within each gadget is fixed so formulas are reproducible.
 
 A conditional gadget writes the same rows as the plain one, each behind
 a guard: "this row holds only while cond is true" is the prefix term
@@ -17,20 +17,7 @@ only a shared chain is guarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .pb import EQ, GE, BitVec, PbError, PbFormula
-
-
-@dataclass(frozen=True)
-class CarryChain:
-    bits: tuple[int, ...]  # length N-1; empty for N == 1
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __getitem__(self, i: int) -> int:
-        return self.bits[i]
+from .pb import EQ, GE, BitVec, PbError, PbFormula, bits_of
 
 
 def _guard(cond: int | None, w: int) -> tuple:
@@ -78,19 +65,17 @@ def _check_widths(*vecs: BitVec) -> int:
     return width
 
 
-def _chain_for(
-    f: PbFormula, width: int, cond: int | None, shared: CarryChain | None
-) -> CarryChain:
+def _chain_for(f: PbFormula, width: int, cond: int | None, shared: BitVec | None) -> BitVec:
     if shared is not None:
         if cond is None:
             raise PbError("a shared chain requires a condition")
         if len(shared) != width - 1:
             raise PbError("shared chain length mismatch")
         return shared
-    return CarryChain(tuple(f.new_var() for _ in range(width - 1)))
+    return tuple(f.new_var() for _ in range(width - 1))
 
 
-def _sum_bits(f, out: BitVec, b: BitVec, c: BitVec, d: CarryChain, cond) -> None:
+def _sum_bits(f, out: BitVec, b: BitVec, c: BitVec, d: BitVec, cond) -> None:
     """out[i] = b[i] xor c[i] xor d[i]; the LSB has no incoming chain bit."""
     n = len(out)
     for i in range(n - 1):
@@ -104,8 +89,8 @@ def encode_adder(
     b: BitVec,
     c: BitVec,
     cond: int | None = None,
-    shared_carries: CarryChain | None = None,
-) -> CarryChain:
+    shared_carries: BitVec | None = None,
+) -> BitVec:
     """out = b + c over N bits, overflow forbidden.
 
     Unconditional when cond is None.  With cond, the sum is only
@@ -142,8 +127,8 @@ def encode_subtractor(
     b: BitVec,
     c: BitVec,
     cond: int | None = None,
-    shared_borrows: CarryChain | None = None,
-) -> CarryChain:
+    shared_borrows: BitVec | None = None,
+) -> BitVec:
     """out = b - c over N bits; underflow (b < c) forbidden."""
     n = _check_widths(out, b, c)
     d = _chain_for(f, n, cond, shared_borrows)
@@ -216,7 +201,7 @@ def encode_shift(
     """
     n = _check_widths(out, src)
     selectors = f.new_bitvec(n)
-    f.add(tuple((1, s) for s in selectors.bits), EQ, 1)
+    f.add(tuple((1, s) for s in selectors), EQ, 1)
     for amount in range(n):
         encode_cond_shift(f, selectors[amount], out, src, amount, direction)
     return selectors
@@ -227,8 +212,17 @@ def exactly(f: PbFormula, count: int, width: int) -> BitVec:
     if not 0 <= count <= width:
         raise PbError("popcount out of range")
     vec = f.new_bitvec(width)
-    f.add(tuple((1, b) for b in vec.bits), EQ, count)
+    f.add(tuple((1, b) for b in vec), EQ, count)
     return vec
+
+
+def encode_const(f: PbFormula, vec: BitVec, value: int, cond: int | None = None) -> None:
+    """vec = value, one unit row per bit, only while cond is true when cond is given."""
+    if not 0 <= value < 1 << len(vec):
+        raise PbError("constant out of range")
+    g = _guard(cond, 1)
+    for var, bit in zip(vec, bits_of(value, len(vec))):
+        f.add(g + ((1, var) if bit else (-1, var),), GE, bit - len(g))
 
 
 def emit_false(f: PbFormula) -> None:

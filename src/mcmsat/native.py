@@ -29,7 +29,7 @@ import time
 from array import array
 from pathlib import Path
 
-from .pb import SAT, UNKNOWN, UNSAT, Model
+from .pb import SAT, UNKNOWN, UNSAT, Model, PbError
 from .refsolver import UNASSIGNED
 
 log = logging.getLogger(__name__)
@@ -553,12 +553,12 @@ def load():
         return None
 
 
-def build(lib, solver, formula) -> bool:
+def build(lib, solver, formula) -> None:
     """Build the solver's row store from the formula's arena on the core.
 
     Python allocates every array at the size a counting pass reports and
-    the core fills them.  False when a counter row does not fit int32; the
-    Python build then refuses it.
+    the core fills them.  A counter row that does not fit int32 is
+    refused with PbError, as RefSolver._build refuses it.
     """
     rel = formula.relations
     arena = [a.buffer_info()[0] for a in (formula.coefs, formula.vars, formula.row_ptr,
@@ -570,7 +570,7 @@ def build(lib, solver, formula) -> bool:
     args = (len(formula.bounds), *arena, solver.nvars,
             *(a.buffer_info()[0] for a in (sizes, pos_ptr, neg_ptr)))
     if lib.mcm_build(*args, None):
-        return False
+        raise PbError("a counter row's coefficients sum beyond the bundled solver's int32 range")
     nrows, nterms, _, conflict, nclauses, nlits = sizes
     npos = sum(pos_ptr)
     store = [array("i", [0]) * n for n in (nrows + 1, nterms, nterms, nrows, nrows,
@@ -582,7 +582,6 @@ def build(lib, solver, formula) -> bool:
      solver.pos_row, solver.pos_coef, solver.neg_row, solver.neg_coef,
      solver.clause_ptr, solver.clause_lit) = store
     solver.pos_ptr, solver.neg_ptr, solver.root_conflict = pos_ptr, neg_ptr, bool(conflict)
-    return True
 
 
 def run(lib, solver, stop):
@@ -606,7 +605,7 @@ def run(lib, solver, stop):
     # An empty array's address is 0, which the core never reads.
     ctx = lib.mcm_new(nv, nr, len(solver.clause_ptr) - 1, *(a.buffer_info()[0] for a in store))
     if not ctx:
-        return solver._solve_python(stop)
+        raise MemoryError("the compiled solver core ran out of memory")
     stats = (ctypes.c_int64 * 3)()
     budget = 1000
     try:

@@ -58,17 +58,12 @@ class PbError(McmError):
     """Malformed constraint, out-of-range variable, or unparsable text."""
 
 
-@dataclass(frozen=True)
-class BitVec:
-    """Fixed-width unsigned value; bits[0] is the most significant bit."""
+BitVec = tuple[int, ...]  # a vector of variables, the most significant bit first
 
-    bits: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __getitem__(self, i: int) -> int:
-        return self.bits[i]
+def bits_of(value: int, width: int) -> tuple[int, ...]:
+    """The `width` low bits of value, the most significant first."""
+    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class Model:
 
     def value_of(self, vec: BitVec) -> int:
         out = 0
-        for bit in vec.bits:
+        for bit in vec:
             out = (out << 1) | self.values[bit]
         return out
 
@@ -109,7 +104,7 @@ class PbFormula:
             raise PbError("bitvec width must be >= 1")
         base = self.var_count
         self.var_count += width
-        return BitVec(tuple(base + 1 + i for i in range(width)))
+        return tuple(range(base + 1, base + 1 + width))
 
     @property
     def constraints(self) -> Sequence[Row]:

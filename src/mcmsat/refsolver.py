@@ -27,9 +27,9 @@ rows and the clauses apart, which the core builds from the formula's
 arena when it loads and RefSolver._build builds otherwise; a search
 copies what it writes, so a solver can solve again.  Both agree on
 verdict, model and counters.  A counter row whose absolute coefficients
-sum beyond 2^31 - 1 does not fit that store; the core declines it and
-_build refuses it with PbError.  Intended for desk-scale instances; use
-an external solver beyond ~10-bit constants.
+sum beyond 2^31 - 1 does not fit that store; both builds refuse it
+with PbError.  Intended for desk-scale instances; use an external
+solver beyond ~10-bit constants.
 """
 
 from __future__ import annotations
@@ -70,7 +70,9 @@ class RefSolver:
             from . import native
 
             self.core = native.load()
-        if self.core is None or not native.build(self.core, self, formula):
+        if self.core is not None:
+            native.build(self.core, self, formula)
+        else:
             self._build(formula)
         self.nrows = len(self.bounds)
         pos = (self.pos_ptr, self.pos_row, self.pos_coef)

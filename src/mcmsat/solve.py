@@ -33,7 +33,7 @@ from .model import (
     recoding_witness,  # unused here; benchmark/ calls it through this module
     verify_solution,
 )
-from .pb import RELATIONS, SAT, UNKNOWN, UNSAT, Model, PbFormula, parse_solver_output
+from .pb import RELATIONS, SAT, UNKNOWN, UNSAT, Model, PbFormula, bits_of, parse_solver_output
 from .refsolver import RefSolver
 
 SOLVER_ENV_VAR = "MCMSAT_SOLVER"
@@ -213,8 +213,7 @@ def decode_solution(res: EncodeResult, model: Model) -> AdderGraph:
             continue
         cand = chosen[slot]
         value = model.value_of(res.op_values[slot - 1])
-        pre_vec = res.pre_shift_values[slot - 1]
-        pre_value = model.value_of(pre_vec) if pre_vec is not None else value
+        pre_value = model.value_of(res.pre_shift_values[slot - 1])
         if value < 1 or pre_value < 1:
             raise DecodeError(f"decode failure: slot {slot} holds {value}")
         right_shift = exact_right_shift(pre_value, value, max_shift)
@@ -277,11 +276,9 @@ def witness_phase_hints(enc: EncodeResult, graph: AdderGraph) -> dict | None:
     if graph is None or len(graph.nodes) > len(enc.op_values):
         return None
     hints = dict(enc.phase_hints)
-    n = enc.inst.bit_width
 
     def hint_vec(vec, value):
-        for i, var in enumerate(vec.bits):
-            hints[var] = (value >> (n - 1 - i)) & 1
+        hints.update(zip(vec, bits_of(value, len(vec))))
 
     # Node i goes to slot i, so an operand's node index is its slot.
     for slot, node in enumerate(graph.nodes, 1):
@@ -316,7 +313,7 @@ def witness_phase_hints(enc: EncodeResult, graph: AdderGraph) -> dict | None:
             for role in KINDS[chosen.kind][1:]:
                 if role in amount:
                     sels = enc.slot_shifts[slot - 1][op1 if role == "s" else (op1, op2)]
-                    for i, var in enumerate(sels.bits):
+                    for i, var in enumerate(sels):
                         hints[var] = 1 if i == amount[role] else 0
                 else:
                     hint_vec(enc.slot_powers[slot - 1][role], value[role])
@@ -359,9 +356,8 @@ def solve_encoding(
 ) -> SolveOutcome:
     """Solve one encoding, optionally warm-started from a known graph."""
     if enc.trivial_verdict is not None:
-        status = SAT if enc.trivial_verdict == "SAT" else UNSAT
-        model = Model((0,)) if status == SAT else None
-        return SolveOutcome(status, model, 0.0, "preprocess")
+        model = Model((0,)) if enc.trivial_verdict == SAT else None
+        return SolveOutcome(enc.trivial_verdict, model, 0.0, "preprocess")
     phases = enc.phase_hints
     if hint_graph is not None:
         hinted = witness_phase_hints(enc, hint_graph)

@@ -1,6 +1,12 @@
 import os
+from pathlib import Path
 
 import pytest
+
+# Child processes that a test starts, such as a fake external solver,
+# import this package from the same tree as the tests do.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def child_pids() -> set[int]:

@@ -158,6 +158,9 @@ def test_criterion_4_gadget_exhaustiveness():
     tg.test_exactly_models(2, 3, {3, 5, 6})
     tg.test_exactly_models(0, 3, {0})
     checks += 3
+    for n in (1, 2, 3):
+        tg.test_const_truth_table(n)
+        checks += 1
     report(4, f"{checks} exhaustive truth tables, zero mismatches")
 
 

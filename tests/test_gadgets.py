@@ -8,7 +8,6 @@ from itertools import product
 import pytest
 
 from mcmsat import gadgets
-from mcmsat.gadgets import CarryChain
 from mcmsat.pb import GE, PbError, PbFormula
 
 
@@ -33,7 +32,7 @@ def universe(f: PbFormula):
 
 def vec_val(bits, vec) -> int:
     v = 0
-    for b in vec.bits:
+    for b in vec:
         v = (v << 1) | bits[b - 1]
     return v
 
@@ -124,7 +123,7 @@ def _build_addsub(n, *, conditional, shared, subtract):
     cond = f.new_var() if conditional else None
     chain = None
     if shared:
-        chain = CarryChain(tuple(f.new_var() for _ in range(n - 1)))
+        chain = tuple(f.new_var() for _ in range(n - 1))
     fn = gadgets.encode_subtractor if subtract else gadgets.encode_adder
     chain = fn(f, a, b, c, cond, chain)
     return f, a, b, c, cond, chain
@@ -136,7 +135,7 @@ def test_adder_truth_table(n):
     expected = set()
     for m in universe(f):
         av, bv, cv = vec_val(m, a), vec_val(m, b), vec_val(m, c)
-        ch = tuple(m[x - 1] for x in chain.bits)
+        ch = tuple(m[x - 1] for x in chain)
         if bv + cv < (1 << n) and av == bv + cv and ch == ripple_carries(bv, cv, n):
             expected.add(m)
     assert all_models(f) == expected
@@ -148,7 +147,7 @@ def test_subtractor_truth_table(n):
     expected = set()
     for m in universe(f):
         av, bv, cv = vec_val(m, a), vec_val(m, b), vec_val(m, c)
-        ch = tuple(m[x - 1] for x in chain.bits)
+        ch = tuple(m[x - 1] for x in chain)
         if bv >= cv and av == bv - cv and ch == ripple_borrows(bv, cv, n):
             expected.add(m)
     assert all_models(f) == expected
@@ -189,14 +188,14 @@ def test_cond_adder_fresh_chain_truth_table(n):
     expected = set()
     for m in universe(f):
         av, bv, cv = vec_val(m, a), vec_val(m, b), vec_val(m, c)
-        ch = tuple(m[x - 1] for x in chain.bits)
+        ch = tuple(m[x - 1] for x in chain)
         if ch != ripple_carries(bv, cv, n):
             continue
         if m[cond - 1]:
             if bv + cv < (1 << n) and av == bv + cv:
                 expected.add(m)
         else:
-            if not (m[b.bits[0] - 1] and m[c.bits[0] - 1] and m[chain.bits[0] - 1]):
+            if not (m[b[0] - 1] and m[c[0] - 1] and m[chain[0] - 1]):
                 expected.add(m)
     assert all_models(f) == expected
 
@@ -209,7 +208,7 @@ def test_cond_adder_shared_chain_truth_table(n):
     expected = set()
     for m in universe(f):
         av, bv, cv = vec_val(m, a), vec_val(m, b), vec_val(m, c)
-        ch = tuple(m[x - 1] for x in chain.bits)
+        ch = tuple(m[x - 1] for x in chain)
         if m[cond - 1]:
             if (
                 bv + cv < (1 << n)
@@ -218,7 +217,7 @@ def test_cond_adder_shared_chain_truth_table(n):
             ):
                 expected.add(m)
         else:
-            if not (m[b.bits[0] - 1] and m[c.bits[0] - 1] and m[chain.bits[0] - 1]):
+            if not (m[b[0] - 1] and m[c[0] - 1] and m[chain[0] - 1]):
                 expected.add(m)
     assert all_models(f) == expected
 
@@ -231,7 +230,7 @@ def test_cond_subtractor_fresh_chain_truth_table(n):
     expected = set()
     for m in universe(f):
         av, bv, cv = vec_val(m, a), vec_val(m, b), vec_val(m, c)
-        ch = tuple(m[x - 1] for x in chain.bits)
+        ch = tuple(m[x - 1] for x in chain)
         if ch != ripple_borrows(bv, cv, n):
             continue
         if m[cond - 1]:
@@ -249,7 +248,7 @@ def test_cond_subtractor_shared_chain_truth_table(n):
     expected = set()
     for m in universe(f):
         av, bv, cv = vec_val(m, a), vec_val(m, b), vec_val(m, c)
-        ch = tuple(m[x - 1] for x in chain.bits)
+        ch = tuple(m[x - 1] for x in chain)
         if m[cond - 1]:
             if bv >= cv and av == bv - cv and ch == ripple_borrows(bv, cv, n):
                 expected.add(m)
@@ -261,7 +260,7 @@ def test_cond_subtractor_shared_chain_truth_table(n):
 def test_shared_chain_requires_condition():
     f = PbFormula()
     a, b, c = f.new_bitvec(2), f.new_bitvec(2), f.new_bitvec(2)
-    chain = CarryChain((f.new_var(),))
+    chain = (f.new_var(),)
     with pytest.raises(PbError):
         gadgets.encode_adder(f, a, b, c, None, chain)
 
@@ -282,7 +281,7 @@ def test_shared_chain_joint_satisfiability(subtract, n):
                 if not subtract and bv + cv >= (1 << n):
                     continue
                 f = PbFormula()
-                chain = CarryChain(tuple(f.new_var() for _ in range(n - 1)))
+                chain = tuple(f.new_var() for _ in range(n - 1))
                 conds = []
                 vecs = []
                 for k in range(3):
@@ -362,7 +361,7 @@ def test_shift_gadget_truth_table(direction):
     assert len(f.constraints) == 1 + 2 * n * n
     expected = set()
     for m in universe(f):
-        sels = [m[s - 1] for s in sel.bits]
+        sels = [m[s - 1] for s in sel]
         if sum(sels) != 1:
             continue
         amount = sels.index(1)
@@ -410,6 +409,33 @@ def test_exactly_out_of_range():
     f = PbFormula()
     with pytest.raises(PbError):
         gadgets.exactly(f, 4, 3)
+
+
+# -- constants ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_const_truth_table(n):
+    # Plain: the vector holds the constant.  Guarded: it does while cond is 1.
+    for value in range(1 << n):
+        f = PbFormula()
+        vec = f.new_bitvec(n)
+        gadgets.encode_const(f, vec, value)
+        assert len(f.constraints) == n
+        assert all_models(f) == {m for m in universe(f) if vec_val(m, vec) == value}
+
+        f = PbFormula()
+        vec, cond = f.new_bitvec(n), f.new_var()
+        gadgets.encode_const(f, vec, value, cond)
+        expected = {m for m in universe(f) if m[cond - 1] == 0 or vec_val(m, vec) == value}
+        assert all_models(f) == expected
+
+
+@pytest.mark.parametrize("value", [-1, 8])
+def test_const_out_of_range(value):
+    f = PbFormula()
+    with pytest.raises(PbError):
+        gadgets.encode_const(f, f.new_bitvec(3), value)
 
 
 # -- per-gadget constraint counts ---------------------------------------------

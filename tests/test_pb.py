@@ -20,6 +20,7 @@ from mcmsat.pb import (
     PbError,
     PbFormula,
     _lines,
+    bits_of,
     parse_opb,
     parse_solver_output,
 )
@@ -28,13 +29,13 @@ from mcmsat.pb import (
 def test_bitvec_dense_allocation():
     f = PbFormula()
     vec = f.new_bitvec(4)
-    assert vec.bits == (1, 2, 3, 4)
+    assert vec == (1, 2, 3, 4)
 
 
 def test_bitvec_no_reuse():
     f = PbFormula()
-    assert f.new_bitvec(2).bits == (1, 2)
-    assert f.new_bitvec(2).bits == (3, 4)
+    assert f.new_bitvec(2) == (1, 2)
+    assert f.new_bitvec(2) == (3, 4)
 
 
 def test_decode_big_endian():
@@ -42,6 +43,14 @@ def test_decode_big_endian():
     vec = f.new_bitvec(4)
     model = Model((0, 1, 0, 1, 0))
     assert model.value_of(vec) == 10
+
+
+def test_bits_of_is_the_inverse_of_value_of():
+    assert bits_of(10, 4) == (1, 0, 1, 0)
+    assert bits_of(10, 6) == (0, 0, 1, 0, 1, 0)
+    vec = PbFormula().new_bitvec(5)
+    for value in range(32):
+        assert Model((0,) + bits_of(value, 5)).value_of(vec) == value
 
 
 def test_add_constraint_validates_range():
@@ -84,7 +93,7 @@ def test_emit_empty_formula():
 def test_emit_equality_and_header():
     f = PbFormula()
     vec = f.new_bitvec(3)
-    f.add(tuple((1, v) for v in vec.bits), EQ, 1)
+    f.add(tuple((1, v) for v in vec), EQ, 1)
     lines = f.emit_opb().splitlines()
     assert lines[0] == "* #variable= 3 #constraint= 1"
     assert lines[1] == "+1 x1 +1 x2 +1 x3 = 1 ;"
@@ -94,7 +103,7 @@ def test_opb_round_trip_is_byte_identical():
     f = PbFormula()
     vec = f.new_bitvec(5)
     f.add(((3, vec[0]), (-2, vec[3])), GE, -1)
-    f.add(tuple((1, v) for v in vec.bits), EQ, 2)
+    f.add(tuple((1, v) for v in vec), EQ, 2)
     text = f.emit_opb()
     assert parse_opb(text).emit_opb() == text
 
@@ -259,7 +268,7 @@ def test_emit_opb_holds_one_block_of_lines_at_a_time():
     # The text, its blocks and one block's lines: about twice the text.
     # Holding every line until the final join took 3.7 times the text.
     f = PbFormula()
-    xs = f.new_bitvec(40).bits
+    xs = f.new_bitvec(40)
     for i in range(20000):
         f.add(((i + 1, xs[i % 40]), (-3, xs[(i + 7) % 40]), (1, xs[(i + 13) % 40])), GE, i)
     tracemalloc.start()

@@ -323,6 +323,39 @@ def test_no_native_is_read_on_every_load(monkeypatch):
     assert native.load() is core
 
 
+def test_the_core_refuses_a_row_beyond_int32_itself(monkeypatch):
+    if native.load() is None:
+        pytest.skip("no compiled core (no C compiler, or the core is switched off)")
+    monkeypatch.setattr(RefSolver, "_build", lambda *_: pytest.fail("the Python build ran"))
+    f = PbFormula()
+    x1, x2 = f.new_var(), f.new_var()
+    f.add(((2**32, x1), (1, x2)), GE, 2**32)
+    with pytest.raises(PbError, match="int32"):
+        RefSolver(f)
+
+
+def test_a_core_that_cannot_start_a_search_raises():
+    # Rather than run the far slower Python search in its place.
+    core = native.load()
+    if core is None:
+        pytest.skip("no compiled core (no C compiler, or the core is switched off)")
+
+    class NoContext:
+        def __getattr__(self, name):
+            return getattr(core, name)
+
+        def mcm_new(self, *_):
+            return None  # what the core returns when it cannot allocate
+
+    f = PbFormula()
+    x, y = f.new_var(), f.new_var()
+    f.add(((1, x), (1, y)), GE, 2)
+    solver = RefSolver(f)
+    solver.core = NoContext()
+    with pytest.raises(MemoryError):
+        solver.solve()
+
+
 def test_compiled_core_has_no_warnings(tmp_path):
     compiler = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
     if compiler is None:
@@ -363,7 +396,7 @@ def test_enumerate_models_is_exhaustive():
 def test_enumerate_models_limit():
     f = PbFormula()
     vec = f.new_bitvec(4)
-    f.add(tuple((1, v) for v in vec.bits), GE, 0)
+    f.add(tuple((1, v) for v in vec), GE, 0)
     assert len(enumerate_models(f, limit=5)) == 5
 
 

@@ -261,14 +261,14 @@ def test_decode_tampered_model_fails():
     enc = encode_mcm(inst, EncodingConfig(ops=3, variant=3))
     outcome = solve(enc.formula, phases=enc.phase_hints)
     values = list(outcome.model.values)
-    bit = enc.op_values[0].bits[2]
+    bit = enc.op_values[0][2]
     values[bit] ^= 1
     with pytest.raises(DecodeError, match="decode failure"):
         decode_solution(enc, Model(tuple(values)))
     # A slot value above its pre-shift value: no right shift gives it.
     enc = encode_mcm(normalize_targets([45]), EncodingConfig(ops=2, right_shifts=True))
     values = list(solve(enc.formula, phases=enc.phase_hints).model.values)
-    bits = enc.pre_shift_values[1].bits
+    bits = enc.pre_shift_values[1]
     for i, var in enumerate(bits):
         values[var] = (15 >> (len(bits) - 1 - i)) & 1
     with pytest.raises(DecodeError, match="inconsistent right shift"):
@@ -317,7 +317,7 @@ def test_decode_ignores_unused_zero_slot(variant):
     )
     cand = next(c for c in enc.candidates[2] if (c.kind, c.op1, c.op2) == (SUB_PAIR, 1, 1))
     enc.formula.add(((1, cand.cond),), GE, 1)
-    for bit in enc.op_values[2].bits:  # slot 3 holds 0, whatever the search order
+    for bit in enc.op_values[2]:  # slot 3 holds 0, whatever the search order
         enc.formula.add(((-1, bit),), GE, 0)
     outcome = solve(enc.formula, phases=enc.phase_hints)
     assert outcome.status == "SAT"
