@@ -103,9 +103,9 @@ def encode(instance, ops, encoding, right_shifts, no_improvements, improvement, 
         return
     cfg = _config(ops, encoding, right_shifts, no_improvements, improvement, annotate)
     res = encode_mcm(inst, cfg)
-    text = res.formula.emit_opb(include_annotations=annotate)
+    data = res.formula.emit_opb(include_annotations=annotate).encode()
     out = out or str(Path(instance).with_suffix(f".e{encoding}.opb"))
-    Path(out).write_text(text)
+    Path(out).write_bytes(data)
     nvars, ncons = res.formula.stats()
     info = {
         "out": out,
@@ -113,7 +113,7 @@ def encode(instance, ops, encoding, right_shifts, no_improvements, improvement, 
         "ops": ops,
         "variables": nvars,
         "constraints": ncons,
-        "bytes": len(text.encode()),
+        "bytes": len(data),
         "trivial": res.trivial_verdict,
     }
     if as_json:

@@ -1,4 +1,4 @@
-"""Optional compiled core for the reference solver.
+"""Optional compiled core for the reference solver and for OPB text.
 
 The C source below is a line-for-line port of RefSolver._solve_python
 and its helpers: the same conflict-driven search, with clauses watched
@@ -11,10 +11,17 @@ arrays that Python allocates at the sizes of a counting pass.  Its
 search reads the counter rows in place, through the addresses of their
 arrays, and copies the clauses into its own clause store, in time
 slices of about SLICE seconds, asking the caller's stop predicate in
-between.  It is compiled on first use with whatever C
-compiler is around and cached under `$XDG_CACHE_HOME/mcmsat` (by
-default `~/.cache/mcmsat`); when that fails the Python implementation
-simply runs instead.
+between.  It writes and reads OPB text too (mcm_emit, mcm_parse) for
+PbFormula.emit_opb and parse_opb: the writer writes the Python writer's
+bytes into a new str, and the reader reads the str's own buffer in place
+but takes only a strict subset of what the Python reader takes, which
+stays the reference and decides every text the core refuses.  On the
+4-tap build-wide formula (426,681 rows) writing takes about 0.2 s where
+the Python writer takes 1.0-1.3 s, and reading about 0.2 s where the
+Python reader takes 1.9-3.3 s.  It is compiled on first use with
+whatever C compiler is around and cached under `$XDG_CACHE_HOME/mcmsat`
+(by default `~/.cache/mcmsat`); when that fails the Python
+implementation simply runs instead.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import time
 from array import array
 from pathlib import Path
 
-from .pb import SAT, UNKNOWN, UNSAT, Model, PbError
+from .pb import SAT, UNKNOWN, UNSAT, Model, PbError, PbFormula
 from .refsolver import UNASSIGNED
 
 log = logging.getLogger(__name__)
@@ -479,6 +486,160 @@ int mcm_build(int64_t n, const int64_t *coefs, const int32_t *vars, const int64_
         }
     return 0;
 }
+
+/* OPB text: mcm_emit writes it as PbFormula.emit_opb's Python writer
+   does, and mcm_parse reads a strict subset of what parse_opb's Python
+   reader reads.  The put_ helpers write at out + at, or with out == 0
+   only count, and return the end.  All of it is left unoptimized, like
+   mcm_build. */
+__attribute__((optimize("O0")))
+static int64_t put_str(char *out, int64_t at, const char *s) {
+    for (; *s; s++, at++) if (out) out[at] = *s;
+    return at;
+}
+
+/* x in decimal, '+' before a nonnegative x when plus is set. */
+__attribute__((optimize("O0")))
+static int64_t put_int(char *out, int64_t at, int64_t x, int plus) {
+    char digit[20];
+    int n = 0;
+    uint64_t m = x < 0 ? 0 - (uint64_t)x : (uint64_t)x;
+    do { digit[n++] = (char)('0' + m % 10); m /= 10; } while (m);
+    if (x < 0 || plus) { if (out) out[at] = x < 0 ? '-' : '+'; at++; }
+    while (n--) { if (out) out[at] = digit[n]; at++; }
+    return at;
+}
+
+/* Rows lo to hi - 1 of the arena, each line ended by a newline; the
+   number of bytes. */
+__attribute__((optimize("O0")))
+int64_t mcm_emit(int64_t lo, int64_t hi, const int64_t *coefs, const int32_t *vars,
+                 const int64_t *ptr, const int64_t *rhs, const uint8_t *rel, char *out) {
+    int64_t at = 0;
+    for (int64_t i = lo; i < hi; i++) {
+        for (int64_t k = ptr[i]; k < ptr[i + 1]; k++) {
+            at = put_int(out, at, coefs[k], 1);
+            at = put_str(out, at, " x");
+            at = put_int(out, at, vars[k], 0);
+            at = put_str(out, at, " ");
+        }
+        at = put_str(out, at, rel[i] ? "= " : ">= ");
+        at = put_int(out, at, rhs[i], 0);
+        at = put_str(out, at, " ;\n");
+    }
+    return at;
+}
+
+__attribute__((optimize("O0")))
+static const char *blanks(const char *p, const char *end) {
+    while (p < end && (*p == ' ' || *p == '\t')) p++;
+    return p;
+}
+
+/* Blanks, then the word s. */
+__attribute__((optimize("O0")))
+static int word(const char **p, const char *end, const char *s) {
+    const char *q = blanks(*p, end);
+    for (; *s; s++, q++) if (q == end || *q != *s) return 0;
+    *p = q;
+    return 1;
+}
+
+/* One or more decimal digits, of a value of at most limit. */
+__attribute__((optimize("O0")))
+static int read_digits(const char **p, const char *end, uint64_t limit, uint64_t *value) {
+    const char *q = *p;
+    uint64_t m = 0;
+    for (; q < end && *q >= '0' && *q <= '9'; q++) {
+        uint64_t d = (uint64_t)(*q - '0');
+        if (d > limit || m > (limit - d) / 10) return 0;
+        m = 10 * m + d;
+    }
+    if (q == *p) return 0;
+    *p = q;
+    *value = m;
+    return 1;
+}
+
+/* An optional sign, then digits, of a value within int64. */
+__attribute__((optimize("O0")))
+static int read_int(const char **p, const char *end, int64_t *value) {
+    int neg = *p < end && **p == '-';
+    uint64_t m;
+    if (*p < end && (**p == '-' || **p == '+')) (*p)++;
+    if (!read_digits(p, end, neg ? (uint64_t)INT64_MAX + 1 : INT64_MAX, &m)) return 0;
+    *value = neg ? (int64_t)(0 - m) : (int64_t)m;
+    return 1;
+}
+
+/* The lines after the header: rows, comment lines and blank lines.
+   stamp[v] is 1 + the last row that holds v. */
+__attribute__((optimize("O0")))
+static int read_rows(const char *p, const char *end, uint64_t nvars, int64_t *stamp,
+                     int64_t *sizes, void **out) {
+    int64_t row = 0, at = 0;
+    while (p < end) {  /* p at a newline: read the line after it */
+        p = blanks(p + 1, end);
+        if (p < end && *p == '*') {
+            for (; p < end && *p != '\n'; p++)
+                if ((unsigned char)*p >= 127 || (*p < ' ' && *p != '\t')) return 1;
+            continue;
+        }
+        if (p == end || *p == '\n') continue;
+        int64_t coef, bound;
+        uint64_t var;
+        while (p == end || (*p != '>' && *p != '=')) {  /* "[+-]coef xvar", then a blank */
+            if (!read_int(&p, end, &coef) || !coef || !word(&p, end, "x")
+                || !read_digits(&p, end, nvars, &var) || !var || stamp[var] == row + 1
+                || p == end || (*p != ' ' && *p != '\t')) return 1;
+            p = blanks(p, end);
+            stamp[var] = row + 1;
+            if (out) { ((int64_t *)out[0])[at] = coef; ((int32_t *)out[1])[at] = (int32_t)var; }
+            at++;
+        }
+        int eq = *p == '=';
+        if (!word(&p, end, eq ? "=" : ">=")) return 1;
+        p = blanks(p, end);
+        if (!read_int(&p, end, &bound) || !word(&p, end, ";")) return 1;
+        p = blanks(p, end);
+        if (p < end && *p != '\n') return 1;
+        if (out) {
+            ((int64_t *)out[2])[row + 1] = at;
+            ((int64_t *)out[3])[row] = bound;
+            ((uint8_t *)out[4])[row] = (uint8_t)eq;
+        }
+        row++;
+    }
+    sizes[1] = row;
+    sizes[2] = at;
+    return 0;
+}
+
+/* parse_opb on a text of len bytes, or a refusal (nonzero) of any text
+   outside a strict subset of what the Python reader takes: printable
+   ASCII, tabs and "\n" line ends; spaces or tabs between tokens; no
+   "<=", no value beyond int64, no zero coefficient, no repeated or
+   out-of-range variable, and as many rows as the header declares.
+   Counting pass (out == 0): sizes = variables, rows, terms.  Filling
+   pass: out = coefs, vars, row_ptr, bounds, relations at those sizes.
+   Returns 0 read, 1 refused, -1 out of memory. */
+__attribute__((optimize("O0")))
+int mcm_parse(const char *p, int64_t len, int64_t *sizes, void **out) {
+    const char *end = p + len;
+    uint64_t nvars, declared;
+    if (p == end || *p++ != '*' || !word(&p, end, "#variable=")
+        || !(p = blanks(p, end), read_digits(&p, end, INT32_MAX, &nvars))
+        || !word(&p, end, "#constraint=")
+        || !(p = blanks(p, end), read_digits(&p, end, INT64_MAX, &declared))) return 1;
+    p = blanks(p, end);
+    if (p < end && *p != '\n') return 1;
+    int64_t *stamp = (int64_t *)calloc(nvars + 1, sizeof(int64_t));
+    if (!stamp) return -1;
+    sizes[0] = (int64_t)nvars;
+    int rc = read_rows(p, end, nvars, stamp, sizes, out);
+    free(stamp);
+    return rc ? rc : (uint64_t)sizes[1] != declared;
+}
 """
 
 
@@ -545,12 +706,76 @@ def load():
         lib.mcm_build.argtypes = (
             [ctypes.c_int64] + [ctypes.c_void_p] * 5 + [ctypes.c_int32] + [ctypes.c_void_p] * 4
         )
+        lib.mcm_emit.restype = ctypes.c_int64
+        lib.mcm_emit.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6
+        lib.mcm_parse.restype = ctypes.c_int
+        lib.mcm_parse.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
         _core = lib
         return _core
     except Exception as exc:  # pragma: no cover - environment specific
         _core_failed = True
         log.info("compiled solver core unavailable (%s); using Python", exc)
         return None
+
+
+def _arena(formula) -> list[int]:
+    """Addresses of the formula's coefs, vars, row_ptr, bounds and relations."""
+    rel = formula.relations
+    arena = [a.buffer_info()[0] for a in (formula.coefs, formula.vars, formula.row_ptr,
+                                          formula.bounds)]
+    arena.append(ctypes.addressof((ctypes.c_char * len(rel)).from_buffer(rel)))
+    return arena
+
+
+# A new ASCII str of a given length, and the address of a str's
+# characters: for an ASCII str, its own buffer, read and filled in place.
+_new_str = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_ssize_t, ctypes.c_uint32)(
+    ("PyUnicode_New", ctypes.pythonapi))
+_chars = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_void_p)(
+    ("PyUnicode_AsUTF8AndSize", ctypes.pythonapi))
+
+
+def emit(lib, formula, notes) -> str | None:
+    """PbFormula.emit_opb's text, written on the core into the new str.
+
+    The core writes the runs of rows between the noted rows; Python
+    writes the header and the `* note` lines.  None when a note is not
+    ASCII, for the Python writer to write.
+    """
+    n = len(formula.bounds)
+    cuts = sorted(i for i in notes if 0 <= i < n)
+    heads = [f"* #variable= {formula.var_count} #constraint= {n}\n",
+             *(f"* {notes[i]}\n" for i in cuts)]
+    if not all(map(str.isascii, heads)):
+        return None
+    arena = _arena(formula)
+    text = _new_str(sum(map(len, heads)) + lib.mcm_emit(0, n, *arena, None), 127)
+    at = _chars(text, None)
+    for lo, hi, head in zip([0, *cuts], [*cuts, n], heads):
+        ctypes.memmove(at, head.encode(), len(head))
+        at += len(head)
+        at += lib.mcm_emit(lo, hi, *arena, at)
+    return text
+
+
+def parse(lib, text: str):
+    """parse_opb's formula, read on the core from the str's own buffer.
+
+    Python allocates the arena at the sizes a counting pass reports and
+    the core fills it.  None when the core refuses the text, which the
+    Python reader then decides.
+    """
+    if not text.isascii():
+        return None
+    sizes = array("q", [0]) * 3  # variables, rows, terms
+    args = (_chars(text, None), len(text), sizes.buffer_info()[0])
+    if lib.mcm_parse(*args, None):
+        return None
+    f = PbFormula()
+    f.var_count, nrows, nterms = sizes
+    f.coefs, f.vars = array("q", [0]) * nterms, array("i", [0]) * nterms
+    f.row_ptr, f.bounds, f.relations = array("q", [0]) * (nrows + 1), array("q", [0]) * nrows, bytearray(nrows)
+    return None if lib.mcm_parse(*args, (ctypes.c_void_p * 5)(*_arena(f))) else f
 
 
 def build(lib, solver, formula) -> None:
@@ -560,10 +785,7 @@ def build(lib, solver, formula) -> None:
     the core fills them.  A counter row that does not fit int32 is
     refused with PbError, as RefSolver._build refuses it.
     """
-    rel = formula.relations
-    arena = [a.buffer_info()[0] for a in (formula.coefs, formula.vars, formula.row_ptr,
-                                          formula.bounds)]
-    arena.append(ctypes.addressof((ctypes.c_char * len(rel)).from_buffer(rel)))
+    arena = _arena(formula)
     # counter rows, their terms, longest row, root conflict, clauses, their literals
     sizes = array("q", [0]) * 6
     pos_ptr, neg_ptr = array("i", [0]) * (solver.nvars + 2), array("i", [0]) * (solver.nvars + 2)

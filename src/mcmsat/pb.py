@@ -140,8 +140,17 @@ class PbFormula:
         return self.var_count, len(self.bounds)
 
     def emit_opb(self, include_annotations: bool = False) -> str:
-        """Serialize to OPB text, byte-for-byte reproducible."""
+        """Serialize to OPB text, byte-for-byte reproducible.
+
+        Written on the compiled core when one loads; the Python writer
+        below is the reference and the fallback.
+        """
+        from . import native  # native imports this module
+
         notes = self.annotations if include_annotations else {}
+        lib = native.load()
+        if lib is not None and (text := native.emit(lib, self, notes)) is not None:
+            return text
         coefs, vs, ptr, rels = self.coefs, self.vars, self.row_ptr, self.relations
         blocks = [f"* #variable= {self.var_count} #constraint= {len(self.bounds)}"]
         formats = {}  # by row length: "%+d x%d " per term, then relation and bound
@@ -202,8 +211,16 @@ def parse_opb(text: str) -> PbFormula:
     """Inverse of emit_opb; emit(parse(emit(f))) is byte-identical.
 
     A line is read whole or refused with PbError naming it: the relation
-    "<=", a non-integer bound or any other text is not a row.
+    "<=", a non-integer bound or any other text is not a row.  The
+    compiled core, when one loads, reads a strict subset of the texts
+    read here; the Python reader below is the reference and decides every
+    text the core refuses.
     """
+    from . import native  # native imports this module
+
+    lib = native.load()
+    if lib is not None and (f := native.parse(lib, text)) is not None:
+        return f
     lines = _lines(text)
     m = _HEADER_RE.match(next(lines, ""))
     if not m:

@@ -1,0 +1,173 @@
+"""The OPB writer and reader on the compiled core and in Python.
+
+The Python writer and reader are the reference: the core must write the
+same bytes, and read a strict subset of the texts the Python reader
+reads, to the same arena; any text it refuses goes to the Python reader.
+"""
+
+import os
+import shutil
+from unittest import mock
+
+import pytest
+import test_encoder
+import test_pb
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_pb import COEFS, INT64_MAX, INT64_MIN
+
+from mcmsat import native
+from mcmsat.pb import GE, PbError, PbFormula, parse_opb
+
+NO_CORE = bool(os.environ.get("MCMSAT_NO_NATIVE")) or not any(map(shutil.which, ("cc", "gcc", "clang")))
+needs_core = pytest.mark.skipif(NO_CORE, reason="no C compiler, or the core is switched off")
+
+
+@pytest.fixture
+def python_only(monkeypatch):
+    monkeypatch.setenv("MCMSAT_NO_NATIVE", "1")
+
+
+@pytest.mark.parametrize("targets,variant", test_encoder.GOLDEN_OPB)
+def test_pinned_bytes_from_the_python_writer(python_only, targets, variant):
+    test_encoder.test_emitted_opb_bytes_are_pinned(targets, variant)
+
+
+def test_round_trip_property_on_the_python_path(python_only):
+    test_pb.test_opb_round_trip_property()
+
+
+@pytest.mark.parametrize("coef, bound", [(INT64_MAX, 0), (INT64_MIN, 0), (1, INT64_MAX), (1, INT64_MIN)])
+def test_int64_edges_on_the_python_path(python_only, coef, bound):
+    test_pb.test_int64_edges_are_kept(coef, bound)
+
+
+@pytest.mark.parametrize("coef, bound", [(2**63, 0), (INT64_MIN - 1, 0), (1, 2**63), (1, INT64_MIN - 1)])
+def test_beyond_int64_on_the_python_path(python_only, coef, bound):
+    test_pb.test_beyond_int64_is_refused_never_truncated(coef, bound)
+
+
+@needs_core
+def test_no_native_after_the_core_loaded_sends_opb_text_to_python(monkeypatch):
+    assert native.load() is not None
+    calls = []
+    for name in ("emit", "parse"):
+        real = getattr(native, name)
+        monkeypatch.setattr(native, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    f = PbFormula()
+    f.add(((3, f.new_var()),), GE, 1)
+    text = f.emit_opb()
+    assert arena(parse_opb(text)) == arena(f) and calls == ["emit", "parse"]
+    monkeypatch.setenv("MCMSAT_NO_NATIVE", "1")
+    assert f.emit_opb() == text
+    assert arena(parse_opb(text)) == arena(f) and calls == ["emit", "parse"]
+
+
+def arena(f):
+    return f.var_count, f.coefs, f.vars, f.row_ptr, f.bounds, f.relations
+
+
+def read(text, core):
+    """parse_opb's arena, or the text of its PbError, on one path."""
+    with mock.patch.dict(os.environ, {"MCMSAT_NO_NATIVE": "" if core else "1"}):
+        try:
+            return arena(parse_opb(text))
+        except PbError as e:
+            return str(e)
+
+
+BLANK = st.sampled_from([" ", "\t", "  ", " \t "])
+MAYBE_BLANK = st.sampled_from(["", "", " ", "\t"])
+ZEROS = st.sampled_from(["", "", "0", "00"])
+
+
+@st.composite
+def numbers(draw, value, sign=False):
+    """value in decimal, with or without '+', with leading zeros or not."""
+    plus = draw(st.sampled_from(["+"] if sign else ["", "+"]))
+    return ("-" if value < 0 else plus) + draw(ZEROS) + str(abs(value))
+
+
+@st.composite
+def rows(draw, coefs, vs, relation, bound):
+    line = draw(MAYBE_BLANK)
+    for coef, var in zip(coefs, vs):
+        line += draw(numbers(coef, draw(st.booleans()))) + draw(MAYBE_BLANK) + "x"
+        line += draw(ZEROS) + str(var) + draw(BLANK)
+    return line + relation + draw(MAYBE_BLANK) + draw(numbers(bound)) + draw(MAYBE_BLANK) + ";" + draw(MAYBE_BLANK)
+
+
+BAD_ROWS = ["zero coefficient", "repeated variable", "variable beyond the header", "beyond int64"]
+BAD_TEXTS = ["<=", "no ;", "\r\n", "\x0c", "\xa0", "wrong count"]
+
+
+@st.composite
+def opb_texts(draw):
+    """OPB texts written in the varied ways the Python reader reads,
+    perturbed or not by one fault it refuses."""
+    nvars = draw(st.integers(1, 5))
+    specs = []
+    for _ in range(draw(st.integers(0, 5))):
+        vs = draw(st.lists(st.integers(1, nvars), unique=True, max_size=nvars))
+        specs.append(([draw(COEFS) for _ in vs], vs, draw(st.sampled_from(["=", ">="])),
+                      draw(st.integers(INT64_MIN, INT64_MAX))))
+    fault = draw(st.sampled_from([None] * 6 + BAD_ROWS + BAD_TEXTS))
+    bad = {
+        "zero coefficient": ([0], [1], ">=", 0),
+        "repeated variable": ([1, 2], [1, 1], ">=", 1),
+        "variable beyond the header": ([1], [nvars + 1], ">=", 1),
+        "beyond int64": ([draw(st.sampled_from([1, 2**63, INT64_MIN - 1]))], [1], "=",
+                         draw(st.sampled_from([2**63, INT64_MIN - 1]))),
+    }
+    if fault in bad:
+        specs.insert(draw(st.integers(0, len(specs))), bad[fault])
+    lines, row_lines = [], []
+    for spec in specs:
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t", "* a comment", " *\tnote", "*"]), max_size=2))
+        row_lines.append(len(lines))
+        lines.append(draw(rows(*spec)))
+    count = len(specs) + (draw(st.sampled_from([-1, 1])) if fault == "wrong count" else 0)
+    header = ("*" + draw(MAYBE_BLANK) + "#variable=" + draw(MAYBE_BLANK) + draw(ZEROS) + str(nvars)
+              + draw(BLANK) + "#constraint=" + draw(MAYBE_BLANK) + str(count) + draw(MAYBE_BLANK))
+    text = "\n".join([header] + lines) + draw(st.sampled_from(["\n", ""]))
+    if fault in ("<=", "no ;") and specs:
+        n = draw(st.sampled_from(row_lines))
+        if fault == "no ;":
+            lines[n] = lines[n].replace(";", "")
+        else:
+            lines[n] = lines[n].replace(">=" if ">=" in lines[n] else "=", "<=")
+        text = "\n".join([header] + lines) + "\n"
+    elif fault == "\r\n":
+        text = text.replace("\n", "\r\n", draw(st.integers(1, 3)))
+    elif fault in ("\x0c", "\xa0"):
+        old = "\n" if fault == "\x0c" else " "
+        spots = [i for i, c in enumerate(text) if c == old]
+        if spots:
+            i = draw(st.sampled_from(spots))
+            text = text[:i] + fault + text[i + 1:]
+    return text
+
+
+@needs_core
+@given(opb_texts())
+@settings(max_examples=400, deadline=None)
+def test_core_and_python_readers_agree(text):
+    python = read(text, core=False)
+    assert read(text, core=True) == python
+    # What the core's own reader accepts, the Python reader accepts alike.
+    read_on_core = native.parse(native.load(), text)
+    if read_on_core is not None:
+        assert arena(read_on_core) == python
+
+
+@needs_core
+@pytest.mark.parametrize("text", [
+    "* #variable= 3 #constraint= 2\n+1 x1 -2 x3 >= -1 ;\n+1 x2 = 1 ;\n",
+    "*#variable=3\t#constraint=002  \n\n  * a comment\n\t3x1  -02\tx03 >=+1;\t\n = -0 ;",
+    "* #variable= 0 #constraint= 0",
+    f"* #variable= 1 #constraint= 2\n{INT64_MIN} x1 >= {INT64_MAX} ;\n{INT64_MAX} x1 = {INT64_MIN} ;\n",
+])
+def test_the_core_reads_the_texts_it_should(text):
+    # The core reads these itself rather than handing them to Python.
+    read_on_core = native.parse(native.load(), text)
+    assert read_on_core is not None and arena(read_on_core) == read(text, core=False)
