@@ -280,7 +280,12 @@ GOLDEN_OPB = {
     ((3, 683), 1): "df4a6a26c8635af45d1e72679e62d5e95246fac6b1272a3858cc18c06b51c956",
     ((3, 683), 2): "1753082fd0eae08fbeb091414fcf5571a10eed9b8fc607c4ca8d4eb33dc96ce9",
     ((3, 683), 3): "07788a1d141f9f64c6aa0ae75f291f360c40edd6d8adcd318a957bea4b0471c2",
+    # The 21-bit size-comparison builds, at 5 ops: the longest gadget rows.
+    ((731951,), 1): "1322a40a943a835f60592261a466d766be7179f18ab9b10073bbfdfe81b8f64f",
+    ((731951,), 2): "003bcc37df154e6ce416091d18a9c679b65dc9c734bebdbc26d8d45f06fe86eb",
+    ((731951,), 3): "c16ddd3def49b6f2b952ffe613192140bcf6e6dfbaf1f868c6a9defcd2dbd597",
 }
+GOLDEN_OPS = {(731951,): 5}  # ops of a pinned encoding; 3 when not listed
 
 
 @pytest.mark.parametrize("targets,variant", GOLDEN_OPB)
@@ -288,7 +293,8 @@ def test_emitted_opb_bytes_are_pinned(targets, variant):
     inst = normalize_targets(list(targets))
     digest = hashlib.sha256()
     for right_shifts in (False, True):
-        cfg = EncodingConfig(ops=3, variant=variant, right_shifts=right_shifts)
+        cfg = EncodingConfig(ops=GOLDEN_OPS.get(targets, 3), variant=variant,
+                             right_shifts=right_shifts)
         for c in (cfg, cfg.improvements_off()):
             digest.update(encode_mcm(inst, c).formula.emit_opb().encode())
     if targets == (29, 43):
