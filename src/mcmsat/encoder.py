@@ -284,8 +284,7 @@ class _Session:
 
     def _nonzero_difference(self, e1: BitVec, e1b: BitVec) -> None:
         """The two powers of the power-difference candidate differ."""
-        for i in range(self.width):
-            self.f.add(((-1, e1[i]), (-1, e1b[i])), GE, -1)
+        gadgets.encode_not_both(self.f, e1, e1b)
 
     def _output_vectors(self) -> tuple[BitVec, BitVec]:
         """The vector the candidates write, and the slot's value: the same
@@ -341,8 +340,7 @@ class _Session:
             if note:
                 f.annotations[len(f.bounds)] = note
             if kind == EXACTLY2:
-                for i in range(n):
-                    gadgets.encode_cond_copy(f, cond, e2[i], pre[i])
+                gadgets.encode_cond_copies(f, cond, e2, pre)
                 continue
             subtract, x, y = KINDS[kind]
             vec = {"e1": e1, "e1b": e1b, "s": shifted.get(op1), "t": shifted.get((op1, op2))}
@@ -397,8 +395,7 @@ class _Session:
         if vectors:
             f.add(tuple((1, s) for s in selectors), GE, 1)
             for sel, member in zip(selectors, vectors):
-                for i in range(n):
-                    gadgets.encode_cond_copy(f, sel, member[i], chosen[i])
+                gadgets.encode_cond_copies(f, sel, member, chosen)
         else:
             emit_false(f)
         candidates = [Candidate(k, s, o1, o2) for (k, o1, o2), s in zip(kinds, selectors)]

@@ -5,7 +5,11 @@ constant and variable barrel shifts, constants and popcount pins.
 A vector and a carry/borrow chain are plain tuples of variables, the
 most significant bit first.  Chains have length N-1; chain[i] feeds
 result bit i and is defined from the operands at position i+1.  Emission
-order within each gadget is fixed so formulas are reproducible.
+order within each gadget is fixed so formulas are reproducible.  Rows
+are written per gadget in blocks, in that order: a per-bit loop of rows
+of one length is one checked `PbFormula.add_rows` call, and the one-bit
+gadgets (`encode_xor2`, `encode_xor3`, `encode_cond_copy`) are the
+one-bit case of the same row tables.
 
 A conditional gadget writes the same rows as the plain one, each behind
 a guard: "this row holds only while cond is true" is the prefix term
@@ -17,44 +21,63 @@ only a shared chain is guarded.
 
 from __future__ import annotations
 
-from .pb import EQ, GE, BitVec, PbError, PbFormula, bits_of
+from functools import cache
+from itertools import chain, repeat
+from operator import mul
+
+from .pb import EQ, BitVec, PbError, PbFormula, bits_of
 
 
-def _guard(cond: int | None, w: int) -> tuple:
-    """Prefix of a row that may fall short by w while cond is false."""
-    return () if cond is None else ((-w, cond),)
+# Row tables: one row per (coefficients, bound), over one bit of each
+# operand vector in turn.
+_XOR2 = (((-1, 1, 1), 0), ((-1, -1, -1), -2), ((1, 1, -1), 0), ((1, -1, 1), 0))  # a <-> b xor c
+_XOR3 = (  # a <-> b xor c xor d
+    ((-1, 1, 1, 1), 0), ((-1, 1, -1, -1), -2), ((-1, -1, 1, -1), -2), ((-1, -1, -1, 1), -2),
+    ((1, -1, -1, -1), -2), ((1, -1, 1, 1), 0), ((1, 1, -1, 1), 0), ((1, 1, 1, -1), 0),
+)
+_EQUAL = (((-1, 1), 0), ((1, -1), 0))  # b <-> c
+
+
+def _rows(f: PbFormula, cols: tuple, cond: int | None, w: int, *table) -> None:
+    """One block: for each bit i in turn, a row per (coefficients, bound)
+    of `table` over the variables col[i] of `cols`, each behind the guard
+    (cond, w)."""
+    bits = list(zip(*cols)) if cond is None else list(zip(repeat(cond), *cols))
+    if bits:
+        coefs, bounds = _shape(table, None if cond is None else w)
+        f.add_rows(len(bits[0]), coefs * len(bits), list(chain.from_iterable(
+            map(mul, bits, repeat(len(table))))), bounds * len(bits))
+
+
+@cache
+def _shape(table: tuple, w: int | None) -> tuple[list, list]:
+    """A table's coefficients, row after row, and its bounds; behind a
+    guard of weight w unless w is None."""
+    if w is not None:
+        table = [((-w, *coefs), bound - w) for coefs, bound in table]
+    return [c for coefs, _ in table for c in coefs], [bound for _, bound in table]
 
 
 def encode_xor2(f: PbFormula, a: int, b: int, c: int, cond: int | None = None) -> None:
     """a <-> (b xor c), only while cond is true when cond is given."""
-    g = _guard(cond, 1)
-    k = len(g)
-    f.add(g + ((-1, a), (1, b), (1, c)), GE, -k)
-    f.add(g + ((-1, a), (-1, b), (-1, c)), GE, -2 - k)
-    f.add(g + ((1, a), (1, b), (-1, c)), GE, -k)
-    f.add(g + ((1, a), (-1, b), (1, c)), GE, -k)
+    _rows(f, ((a,), (b,), (c,)), cond, 1, *_XOR2)
 
 
 def encode_xor3(
     f: PbFormula, a: int, b: int, c: int, d: int, cond: int | None = None
 ) -> None:
     """a <-> (b xor c xor d), only while cond is true when cond is given."""
-    g = _guard(cond, 1)
-    k = len(g)
-    f.add(g + ((-1, a), (1, b), (1, c), (1, d)), GE, -k)
-    f.add(g + ((-1, a), (1, b), (-1, c), (-1, d)), GE, -2 - k)
-    f.add(g + ((-1, a), (-1, b), (1, c), (-1, d)), GE, -2 - k)
-    f.add(g + ((-1, a), (-1, b), (-1, c), (1, d)), GE, -2 - k)
-    f.add(g + ((1, a), (-1, b), (-1, c), (-1, d)), GE, -2 - k)
-    f.add(g + ((1, a), (-1, b), (1, c), (1, d)), GE, -k)
-    f.add(g + ((1, a), (1, b), (-1, c), (1, d)), GE, -k)
-    f.add(g + ((1, a), (1, b), (1, c), (-1, d)), GE, -k)
+    _rows(f, ((a,), (b,), (c,), (d,)), cond, 1, *_XOR3)
+
+
+def encode_cond_copies(f: PbFormula, cond: int, b: BitVec, c: BitVec) -> None:
+    """cond -> (b[i] <-> c[i]) for every bit i."""
+    _rows(f, (b, c), cond, 1, *_EQUAL)
 
 
 def encode_cond_copy(f: PbFormula, cond: int, b: int, c: int) -> None:
     """cond -> (b <-> c)."""
-    f.add(((-1, cond), (-1, b), (1, c)), GE, -1)
-    f.add(((-1, cond), (1, b), (-1, c)), GE, -1)
+    encode_cond_copies(f, cond, (b,), (c,))
 
 
 def _check_widths(*vecs: BitVec) -> int:
@@ -77,10 +100,8 @@ def _chain_for(f: PbFormula, width: int, cond: int | None, shared: BitVec | None
 
 def _sum_bits(f, out: BitVec, b: BitVec, c: BitVec, d: BitVec, cond) -> None:
     """out[i] = b[i] xor c[i] xor d[i]; the LSB has no incoming chain bit."""
-    n = len(out)
-    for i in range(n - 1):
-        encode_xor3(f, out[i], b[i], c[i], d[i], cond)
-    encode_xor2(f, out[n - 1], b[n - 1], c[n - 1], cond)
+    _rows(f, (out[:-1], b[:-1], c[:-1], d), cond, 1, *_XOR3)
+    _rows(f, (out[-1:], b[-1:], c[-1:]), cond, 1, *_XOR2)
 
 
 def encode_adder(
@@ -101,22 +122,18 @@ def encode_adder(
     n = _check_widths(out, b, c)
     d = _chain_for(f, n, cond, shared_carries)
     chain_cond = cond if shared_carries is not None else None
-    cg1, cg2 = _guard(chain_cond, 1), _guard(chain_cond, 2)
-    ck = len(cg1)
     # Carry definitions: d[i-1] is the carry out of position i+1 (1-based).
     if n >= 2:
-        for i in range(n - 2):
-            f.add(cg2 + ((-2, d[i]), (1, b[i + 1]), (1, c[i + 1]), (1, d[i + 1])), GE, -2 * ck)
-        for i in range(n - 2):
-            f.add(cg2 + ((2, d[i]), (-1, b[i + 1]), (-1, c[i + 1]), (-1, d[i + 1])), GE, -1 - 2 * ck)
-        f.add(cg2 + ((-2, d[n - 2]), (1, b[n - 1]), (1, c[n - 1])), GE, -2 * ck)
-        f.add(cg1 + ((1, d[n - 2]), (-1, b[n - 1]), (-1, c[n - 1])), GE, -1 - ck)
+        inner, last = (d[:-1], b[1:-1], c[1:-1], d[1:]), (d[-1:], b[-1:], c[-1:])
+        _rows(f, inner, chain_cond, 2, ((-2, 1, 1, 1), 0))
+        _rows(f, inner, chain_cond, 2, ((2, -1, -1, -1), -1))
+        _rows(f, last, chain_cond, 2, ((-2, 1, 1), 0))
+        _rows(f, last, chain_cond, 1, ((1, -1, -1), -1))
     # Disallow overflow out of the MSB.  Guarded with weight 1 although
     # the row can fall short by 2, so b0 = c0 = d0 = 1 stays forbidden
     # while the adder is disabled.
-    g = _guard(cond, 1)
-    msb = ((-1, b[0]), (-1, c[0])) + (((-1, d[0]),) if n >= 2 else ())
-    f.add(g + msb, GE, -1 - len(g))
+    msb = (b[:1], c[:1], d[:1]) if n >= 2 else (b[:1], c[:1])
+    _rows(f, msb, cond, 1, ((-1,) * len(msb), -1))
     _sum_bits(f, out, b, c, d, cond)
     return d
 
@@ -133,25 +150,53 @@ def encode_subtractor(
     n = _check_widths(out, b, c)
     d = _chain_for(f, n, cond, shared_borrows)
     chain_cond = cond if shared_borrows is not None else None
-    cg1, cg2 = _guard(chain_cond, 1), _guard(chain_cond, 2)
-    ck = len(cg1)
     # Borrow definitions: d[i-1] is the borrow out of position i+1.
     if n >= 2:
-        for i in range(n - 2):
-            f.add(cg2 + ((2, d[i]), (1, b[i + 1]), (-1, c[i + 1]), (-1, d[i + 1])), GE, -2 * ck)
-        for i in range(n - 2):
-            f.add(cg2 + ((-2, d[i]), (-1, b[i + 1]), (1, c[i + 1]), (1, d[i + 1])), GE, -1 - 2 * ck)
-        f.add(cg2 + ((-2, d[n - 2]), (-1, b[n - 1]), (1, c[n - 1])), GE, -1 - 2 * ck)
-        f.add(cg1 + ((1, d[n - 2]), (1, b[n - 1]), (-1, c[n - 1])), GE, -ck)
+        inner, last = (d[:-1], b[1:-1], c[1:-1], d[1:]), (d[-1:], b[-1:], c[-1:])
+        _rows(f, inner, chain_cond, 2, ((2, 1, -1, -1), 0))
+        _rows(f, inner, chain_cond, 2, ((-2, -1, 1, 1), -1))
+        _rows(f, last, chain_cond, 2, ((-2, -1, 1), -1))
+        _rows(f, last, chain_cond, 1, ((1, 1, -1), 0))
     # Disallow underflow at the MSB.
-    g = _guard(cond, 1)
-    k = len(g)
-    f.add(g + ((1, b[0]), (-1, c[0])), GE, -k)
+    _rows(f, (b[:1], c[:1]), cond, 1, ((1, -1), 0))
     if n >= 2:
-        f.add(g + ((1, b[0]), (-1, d[0])), GE, -k)
-        f.add(g + ((-1, c[0]), (-1, d[0])), GE, -1 - k)
+        _rows(f, (b[:1], d[:1]), cond, 1, ((1, -1), 0))
+        _rows(f, (c[:1], d[:1]), cond, 1, ((-1, -1), -1))
     _sum_bits(f, out, b, c, d, cond)
     return d
+
+
+def encode_not_both(f: PbFormula, a: BitVec, b: BitVec) -> None:
+    """not (a[i] and b[i]) for every bit i."""
+    _rows(f, (a, b), None, 1, ((-1, -1), -1))
+
+
+def _shift_rows(f: PbFormula, out: BitVec, src: BitVec, shifts, direction: str) -> None:
+    """cond -> (out = src << amount), or >> for direction "right", for
+    each (amount, cond) of `shifts` in turn.
+
+    Bits shifted past either end must be zero, so the shift is always
+    value-exact when enabled.  The zero rows after one amount's copies
+    and before the next amount's are one block.
+    """
+    n = _check_widths(out, src)
+    conds, zeros = (), ()  # the zero rows not yet written: cond -> not zero
+    for amount, cond in shifts:
+        if not 0 <= amount <= n - 1:
+            raise PbError("shift amount out of range")
+        if direction == "left":
+            # The low `amount` bits of out are zero, and no set bit of
+            # src may leave through the top.
+            before, copies, after = out[n - amount:], (out[:n - amount], src[amount:]), src[:amount]
+        elif direction == "right":
+            # Discarded low bits of src must be zero (exact division).
+            before, copies, after = out[:amount], (out[amount:], src[:n - amount]), src[n - amount:]
+        else:
+            raise PbError(f"bad shift direction {direction!r}")
+        encode_not_both(f, conds + (cond,) * amount, zeros + before)
+        encode_cond_copies(f, cond, *copies)
+        conds, zeros = (cond,) * amount, after
+    encode_not_both(f, conds, zeros)
 
 
 def encode_cond_shift(
@@ -162,33 +207,8 @@ def encode_cond_shift(
     amount: int,
     direction: str = "left",
 ) -> None:
-    """cond -> (out = src << amount), or >> for direction "right".
-
-    Bits shifted past either end must be zero, so the shift is always
-    value-exact when enabled.
-    """
-    n = _check_widths(out, src)
-    if not 0 <= amount <= n - 1:
-        raise PbError("shift amount out of range")
-    if direction == "left":
-        # Low `amount` bits of out are zero.
-        for i in range(n - amount, n):
-            f.add(((-1, cond), (-1, out[i])), GE, -1)
-        for i in range(n - amount):
-            encode_cond_copy(f, cond, out[i], src[i + amount])
-        # No set bit may leave through the top.
-        for i in range(amount):
-            f.add(((-1, cond), (-1, src[i])), GE, -1)
-    elif direction == "right":
-        for i in range(amount):
-            f.add(((-1, cond), (-1, out[i])), GE, -1)
-        for i in range(n - amount):
-            encode_cond_copy(f, cond, out[i + amount], src[i])
-        # Discarded low bits of src must be zero (exact division).
-        for i in range(n - amount, n):
-            f.add(((-1, cond), (-1, src[i])), GE, -1)
-    else:
-        raise PbError(f"bad shift direction {direction!r}")
+    """cond -> (out = src << amount), or >> for direction "right"."""
+    _shift_rows(f, out, src, [(amount, cond)], direction)
 
 
 def encode_shift(
@@ -199,11 +219,10 @@ def encode_shift(
     Returns the N fresh one-hot selector variables; selectors[k] enables
     amount k, so index order matches ascending shift amounts.
     """
-    n = _check_widths(out, src)
-    selectors = f.new_bitvec(n)
+    _check_widths(out, src)
+    selectors = f.new_bitvec(len(out))
     f.add(tuple((1, s) for s in selectors), EQ, 1)
-    for amount in range(n):
-        encode_cond_shift(f, selectors[amount], out, src, amount, direction)
+    _shift_rows(f, out, src, enumerate(selectors), direction)
     return selectors
 
 
@@ -220,13 +239,15 @@ def encode_const(f: PbFormula, vec: BitVec, value: int, cond: int | None = None)
     """vec = value, one unit row per bit, only while cond is true when cond is given."""
     if not 0 <= value < 1 << len(vec):
         raise PbError("constant out of range")
-    g = _guard(cond, 1)
-    for var, bit in zip(vec, bits_of(value, len(vec))):
-        f.add(g + ((1, var) if bit else (-1, var),), GE, bit - len(g))
+    bits = bits_of(value, len(vec))
+    if cond is None:
+        f.add_rows(1, [2 * bit - 1 for bit in bits], list(vec), list(bits))
+    else:
+        f.add_rows(2, [c for bit in bits for c in (-1, 2 * bit - 1)],
+                   [v for var in vec for v in (cond, var)], [bit - 1 for bit in bits])
 
 
 def emit_false(f: PbFormula) -> None:
     """Append an unsatisfiable pair (used for structurally empty choices)."""
     z = f.new_var()
-    f.add(((1, z),), GE, 1)
-    f.add(((-1, z),), GE, 0)
+    f.add_rows(1, [1, -1], [z, z], [1, 0])

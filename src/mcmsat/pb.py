@@ -5,8 +5,11 @@ Variables are dense 1-based integers.  A constraint is a list of
 bound.  A formula keeps all rows in one append-only arena of flat arrays
 (after MiniSat+ and RoundingSat): row i is coefs[j], vars[j] for j in
 row_ptr[i]:row_ptr[i + 1], bound bounds[i], relation RELATIONS[relations[i]].
-A coefficient or bound beyond int64 is refused with PbError, never
-truncated.  Appending keeps counts and OPB output reproducible byte for byte.
+Every row enters the arena through one checked append, `add_rows`, which
+takes a block of rows of one length as flat lists (`add` is its one-row
+case); the Python OPB reader appends through it too.  A coefficient or
+bound beyond int64 is refused with PbError, never truncated.  Appending
+keeps counts and OPB output reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, combinations, islice
+from operator import eq
 
 from .model import McmError
 
@@ -27,6 +31,7 @@ log = logging.getLogger(__name__)
 GE = ">="
 EQ = "="
 RELATIONS = (GE, EQ)  # by the relation code kept in the arena
+INT64_MIN, INT64_MAX, INT32_MAX = -1 << 63, (1 << 63) - 1, (1 << 31) - 1
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -114,27 +119,48 @@ class PbFormula:
     def add(self, terms, relation=GE, bound=0, note=None) -> int:
         """Append one row of (coefficient, variable) terms; its index."""
         coefs, vs = tuple(zip(*terms)) or ((), ())
-        return self._append(list(coefs), list(vs), relation, bound, note)
+        return self.add_rows(len(vs), list(coefs), list(vs), [bound], relation, note)
 
-    def _append(self, coefs: list, vs: list, relation, bound, note=None) -> int:
-        ordered = sorted(vs)
-        if (relation not in RELATIONS or 0 in coefs or len(set(vs)) < len(vs)
-                or vs and (ordered[0] < 1 or ordered[-1] > self.var_count)):
-            raise PbError(f"bad row {list(zip(coefs, vs))} {relation!r} {bound}: a relation not "
-                          f"'>=' or '=', a zero coefficient, or a repeated or unallocated variable")
-        idx, end = len(self.bounds), len(self.coefs)
-        try:  # fromlist appends all of a list or, failing, none of it
-            self.bounds.append(bound)
-            self.coefs.fromlist(coefs)
-            self.vars.fromlist(vs)
-        except OverflowError:
-            del self.bounds[idx:], self.coefs[end:]
-            raise PbError(f"row {idx} has a coefficient or bound beyond int64") from None
-        self.row_ptr.append(end + len(vs))
-        self.relations.append(relation == EQ)
-        if note is not None:
+    def add_rows(self, k: int, coefs: list, vs: list, bounds: list, relation=GE, note=None) -> int:
+        """Append a block of rows of k terms each; the index of the first.
+
+        Row r is coefs[k*r:k*r+k], vs[k*r:k*r+k], bounds[r].  The block is
+        checked whole and appended whole; a refused block leaves nothing
+        behind, and its PbError names the first bad row.
+        """
+        idx, end, m = len(self.bounds), len(self.coefs), len(bounds)
+        if len(coefs) != k * m or len(vs) != k * m:
+            raise PbError(f"{m} rows of {k} terms need {k * m} coefficients and variables")
+        if m and self._refusal(k, coefs, vs, bounds, relation):
+            for r, lo in enumerate(range(0, k * m, k)):
+                row = slice(lo, lo + k)
+                if why := self._refusal(k, coefs[row], vs[row], bounds[r:r + 1], relation):
+                    raise PbError(f"row {idx + r} {list(zip(coefs[row], vs[row]))} "
+                                  f"{relation!r} {bounds[r]}: {why}")
+        self.coefs.fromlist(coefs)
+        self.vars.fromlist(vs)
+        self.bounds.fromlist(bounds)
+        self.row_ptr.extend(range(end + k, end + k * m + 1, k) if k else [end] * m)
+        self.relations += bytes([relation == EQ]) * m
+        if note is not None and m:  # the note of the block's first row
             self.annotations[idx] = note
         return idx
+
+    def _refusal(self, k: int, coefs: list, vs: list, bounds: list, relation) -> str | None:
+        """Why the rows of k terms cannot enter the arena, or None."""
+        if relation not in RELATIONS:
+            return "a relation not '>=' or '='"
+        if 0 in coefs:
+            return "a zero coefficient"
+        if vs and not (min(vs) >= 1 and max(vs) <= min(self.var_count, INT32_MAX)):
+            return "a variable not allocated"
+        if len(set(vs)) < k if len(vs) == k else any(
+                any(map(eq, vs[p::k], vs[q::k])) for p, q in combinations(range(k), 2)):
+            return "a repeated variable"  # within one row: columns p and q agree
+        if not (INT64_MIN <= min(bounds) and max(bounds) <= INT64_MAX
+                and (not coefs or INT64_MIN <= min(coefs) and max(coefs) <= INT64_MAX)):
+            return "a coefficient or bound beyond int64"
+        return None
 
     def stats(self) -> tuple[int, int]:
         return self.var_count, len(self.bounds)
@@ -192,7 +218,9 @@ class _Rows(Sequence):
         return Row(tuple(zip(f.coefs[lo:hi], f.vars[lo:hi])), RELATIONS[f.relations[i]], f.bounds[i])
 
 
-_HEADER_RE = re.compile(r"\*\s*#variable=\s*(\d+)\s*#constraint=\s*(\d+)")
+# The whole header line: the two counts, then only further "#name= <int>"
+# fields such as the PB-competition "#equal=" and "#intsize=".
+_HEADER_RE = re.compile(r"\*\s*#variable=\s*(\d+)\s*#constraint=\s*(\d+)(?:\s*#\w+=\s*\d+)*\s*", re.ASCII)
 # One whole row: terms "[+|-]coef xvar", the relation, the bound and ";".
 _ROW_RE = re.compile(r"((?:[+-]?\d+\s*x\d+\s+)*)(>=|=)\s*([+-]?\d+)\s*;", re.ASCII)
 
@@ -222,9 +250,10 @@ def parse_opb(text: str) -> PbFormula:
     if lib is not None and (f := native.parse(lib, text)) is not None:
         return f
     lines = _lines(text)
-    m = _HEADER_RE.match(next(lines, ""))
+    header = next(lines, "")
+    m = _HEADER_RE.fullmatch(header)
     if not m:
-        raise PbError("missing OPB header line")
+        raise PbError(f"line 1 is not an OPB header: {header!r}")
     f = PbFormula()
     f.var_count = int(m.group(1))
     for n, line in enumerate(lines, 2):
@@ -236,7 +265,7 @@ def parse_opb(text: str) -> PbFormula:
             raise PbError(f"line {n} is not a '>=' or '=' row: {line!r}")
         nums = list(map(int, r[1].replace("x", " ").split()))  # coef, var, coef, ...
         try:
-            f._append(nums[::2], nums[1::2], r[2], int(r[3]))
+            f.add_rows(len(nums) // 2, nums[::2], nums[1::2], [int(r[3])], r[2])
         except PbError as e:
             raise PbError(f"line {n}: {e}") from None
     if int(m[2]) != len(f.bounds):

@@ -47,6 +47,15 @@ def test_beyond_int64_on_the_python_path(python_only, coef, bound):
     test_pb.test_beyond_int64_is_refused_never_truncated(coef, bound)
 
 
+@pytest.mark.parametrize("header", ["* #variable= 2 #constraint= 1 and then anything", "*#variable=2#constraint=1;;;"])
+def test_header_line_read_whole_on_the_python_path(python_only, header):
+    test_pb.test_parse_opb_reads_the_header_line_whole(header)
+
+
+def test_further_header_fields_on_the_python_path(python_only):
+    test_pb.test_parse_opb_reads_further_header_fields()
+
+
 @needs_core
 def test_no_native_after_the_core_loaded_sends_opb_text_to_python(monkeypatch):
     assert native.load() is not None

@@ -338,3 +338,99 @@ def test_opb_round_trip_property(f):
     assert parsed.emit_opb() == text
     assert list(parsed.constraints) == list(f.constraints)
     assert parse_opb(f.emit_opb(include_annotations=True)).emit_opb() == text
+
+
+def arena(f):
+    """Everything a formula holds, copied."""
+    return (f.var_count, f.coefs.tolist(), f.vars.tolist(), f.row_ptr.tolist(), f.bounds.tolist(),
+            bytes(f.relations), dict(f.annotations))
+
+
+DEFECTS = ["zero coefficient", "repeated variable", "variable 0", "variable beyond var_count",
+           "coefficient at 2^63", "bound at 2^63", "bad relation"]
+
+
+@st.composite
+def blocks(draw):
+    """A block of m rows of k terms over nv variables, valid or with one defect."""
+    k, m = draw(st.integers(1, 6)), draw(st.integers(0, 50))
+    nv = draw(st.integers(k, k + 3))
+    coefs = [draw(COEFS) for _ in range(k * m)]
+    vs = [v for _ in range(m) for v in draw(st.permutations(range(1, nv + 1)))[:k]]
+    bounds = [draw(st.integers(INT64_MIN, INT64_MAX)) for _ in range(m)]
+    relation = draw(st.sampled_from([GE, EQ]))
+    defect = draw(st.sampled_from([None] * 3 + DEFECTS)) if m else None
+    if defect:
+        r = m // 2 if defect in ("coefficient at 2^63", "bound at 2^63") else draw(st.integers(0, m - 1))
+        at = k * r + draw(st.integers(0, k - 1))  # a term of row r
+    if defect == "zero coefficient":
+        coefs[at] = 0
+    elif defect == "repeated variable" and k > 1:
+        vs[at] = vs[k * r + draw(st.sampled_from([p for p in range(k) if k * r + p != at]))]
+    elif defect == "variable 0":
+        vs[at] = 0
+    elif defect == "variable beyond var_count":
+        vs[at] = nv + 1
+    elif defect == "coefficient at 2^63":
+        coefs[at] = draw(st.sampled_from([2**63, -(2**63), INT64_MIN - 1]))
+    elif defect == "bound at 2^63":
+        bounds[r] = draw(st.sampled_from([2**63, -(2**63), INT64_MIN - 1]))
+    elif defect == "bad relation":
+        relation = draw(st.sampled_from(["<=", ">", "=="]))
+    return nv, k, coefs, vs, bounds, relation, draw(st.sampled_from([None, "a note"]))
+
+
+def outcome(write):
+    try:
+        write()
+    except PbError as e:
+        return str(e)
+    return None
+
+
+@given(blocks())
+@settings(max_examples=300, deadline=None)
+def test_add_rows_agrees_with_one_row_add(block):
+    nv, k, coefs, vs, bounds, relation, note = block
+    one, many = PbFormula(), PbFormula()
+    for f in (one, many):
+        f.new_bitvec(nv)
+        f.add(((1, 1),), EQ, 1, note="first")  # so the named row index counts from 1
+
+    def row_by_row():
+        for r in range(len(bounds)):
+            terms = zip(coefs[k * r:k * r + k], vs[k * r:k * r + k])
+            one.add(terms, relation, bounds[r], note if r == 0 else None)
+
+    before = arena(many)
+    refused = outcome(row_by_row)
+    assert outcome(lambda: many.add_rows(k, coefs, vs, bounds, relation, note)) == refused
+    # A refused block leaves nothing behind; an accepted one is the rows one by one.
+    assert arena(many) == (before if refused else arena(one))
+
+
+def test_add_rows_names_the_first_bad_row():
+    f = PbFormula()
+    a, b = f.new_var(), f.new_var()
+    with pytest.raises(PbError, match=r"^row 1 \[\(1, 2\), \(2, 2\)\] '>=' 0: a repeated variable$"):
+        f.add_rows(2, [1, 1, 1, 2, 0, 1], [a, b, b, b, a, b], [0, 0, 0])
+    with pytest.raises(PbError, match="3 rows of 2 terms need 6"):
+        f.add_rows(2, [1, 1], [a, b], [0, 0, 0])
+    assert f.stats() == (2, 0) and f.add_rows(2, [1, 1, 1, -1], [a, b, b, a], [1, 0], EQ, "n") == 0
+    assert list(f.constraints) == [(((1, a), (1, b)), EQ, 1), (((1, b), (-1, a)), EQ, 0)]
+    assert f.annotations == {0: "n"}
+
+
+@pytest.mark.parametrize("header", [
+    "* #variable= 2 #constraint= 1 and then anything",
+    "*#variable=2#constraint=1;;;",
+    "* #variable= 2 #constraint= 1 #equal=",
+])
+def test_parse_opb_reads_the_header_line_whole(header):
+    with pytest.raises(PbError, match="line 1 is not an OPB header"):
+        parse_opb(header + "\n+1 x1 >= 1 ;\n")
+
+
+def test_parse_opb_reads_further_header_fields():
+    f = parse_opb("* #variable= 2 #constraint= 1 #equal= 0 #intsize= 1 \n+1 x1 >= 1 ;\n")
+    assert f.stats() == (2, 1) and f.emit_opb() == HEADER + "+1 x1 >= 1 ;\n"
