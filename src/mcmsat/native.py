@@ -18,7 +18,16 @@ but takes only a strict subset of what the Python reader takes, which
 stays the reference and decides every text the core refuses.  On the
 4-tap build-wide formula (426,681 rows) writing takes about 0.2 s where
 the Python writer takes 1.0-1.3 s, and reading about 0.2 s where the
-Python reader takes 1.9-3.3 s.  It is compiled on first use with
+Python reader takes 1.9-3.3 s.  Two checks of the arena run on it as
+one pass each, with Python's checks as the reference, the fallback and
+the source of every error message: mcm_check_block checks a block that
+PbFormula.add_rows has just appended (the arrays' appends have checked
+each value's type and range), and mcm_check_model finds the first row a
+SAT model violates for solve._check_model, summing in 128 bits and
+reading the arena, never the search's own row store.  Encoding the five
+build-wide formulas takes 0.9-1.0 s where it took 1.6 s, and the model
+check of the solved 4-tap formula 0.009 s where it took 0.27 s.  It is
+compiled on first use with
 whatever C compiler is around and cached under `$XDG_CACHE_HOME/mcmsat`
 (by default `~/.cache/mcmsat`); when that fails the Python
 implementation simply runs instead.
@@ -487,6 +496,35 @@ int mcm_build(int64_t n, const int64_t *coefs, const int32_t *vars, const int64_
     return 0;
 }
 
+/* The checks of the PbFormula arena that stay outside the search; like
+   mcm_build, left unoptimized.  mcm_check_block: the first of m rows of
+   k terms, from coefs and vars, with a zero coefficient, a variable
+   outside 1..nvars or a variable twice; m when there is none.  Repeats
+   are found pairwise, so Python checks rows of more than PAIRWISE_MAX
+   terms itself. */
+__attribute__((optimize("O0")))
+int64_t mcm_check_block(int64_t k, int64_t m, const int64_t *coefs, const int32_t *vars, int64_t nvars) {
+    for (int64_t r = 0; r < m; r++)
+        for (int64_t p = k * r; p < k * r + k; p++) {
+            if (!coefs[p] || vars[p] < 1 || vars[p] > nvars) return r;
+            for (int64_t q = k * r; q < p; q++) if (vars[q] == vars[p]) return r;
+        }
+    return m;
+}
+
+/* mcm_check_model: the first of the n rows that the values (0 false,
+   else true) violate, each summed in 128 bits; n when there is none. */
+__attribute__((optimize("O0")))
+int64_t mcm_check_model(int64_t n, const int64_t *coefs, const int32_t *vars, const int64_t *ptr,
+                        const int64_t *rhs, const uint8_t *rel, const int8_t *values) {
+    for (int64_t i = 0; i < n; i++) {
+        __int128 lhs = 0;
+        for (int64_t k = ptr[i]; k < ptr[i + 1]; k++) if (values[vars[k]]) lhs += coefs[k];
+        if (lhs < rhs[i] || (rel[i] && lhs != rhs[i])) return i;
+    }
+    return n;
+}
+
 /* OPB text: mcm_emit writes it as PbFormula.emit_opb's Python writer
    does, and mcm_parse reads a strict subset of what parse_opb's Python
    reader reads.  The put_ helpers write at out + at, or with out == 0
@@ -710,6 +748,9 @@ def load():
         lib.mcm_emit.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6
         lib.mcm_parse.restype = ctypes.c_int
         lib.mcm_parse.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+        lib.mcm_check_block.restype = lib.mcm_check_model.restype = ctypes.c_int64
+        lib.mcm_check_block.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2 + [ctypes.c_int64]
+        lib.mcm_check_model.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 6
         _core = lib
         return _core
     except Exception as exc:  # pragma: no cover - environment specific
@@ -776,6 +817,31 @@ def parse(lib, text: str):
     f.coefs, f.vars = array("q", [0]) * nterms, array("i", [0]) * nterms
     f.row_ptr, f.bounds, f.relations = array("q", [0]) * (nrows + 1), array("q", [0]) * nrows, bytearray(nrows)
     return None if lib.mcm_parse(*args, (ctypes.c_void_p * 5)(*_arena(f))) else f
+
+
+def check_block(lib, formula, k: int, m: int, end: int) -> int:
+    """The first of the m rows of k terms appended to the arena at term
+    `end` that has a zero coefficient, an unallocated variable or a
+    repeated one; m when none.
+
+    The arrays' own appends have checked each value's type and range;
+    PbFormula._refusal words the error.
+    """
+    return lib.mcm_check_block(k, m, formula.coefs.buffer_info()[0] + 8 * end,
+                               formula.vars.buffer_info()[0] + 4 * end, formula.var_count)
+
+
+def check_model(lib, formula, values) -> int:
+    """The first row of the formula that the model's values violate; the
+    row count when none.  0, for Python to decide from the first row,
+    when the values do not fit int8 or do not cover every variable."""
+    try:
+        vals = array("b", values)
+    except (OverflowError, TypeError):
+        return 0
+    if len(vals) <= formula.var_count:
+        return 0
+    return lib.mcm_check_model(len(formula.bounds), *_arena(formula), vals.buffer_info()[0])
 
 
 def build(lib, solver, formula) -> None:

@@ -8,7 +8,13 @@ row_ptr[i]:row_ptr[i + 1], bound bounds[i], relation RELATIONS[relations[i]].
 Every row enters the arena through one checked append, `add_rows`, which
 takes a block of rows of one length as flat lists (`add` is its one-row
 case); the Python OPB reader appends through it too.  A coefficient or
-bound beyond int64 is refused with PbError, never truncated.  Appending
+bound beyond int64, or a value that is no integer, is refused with
+PbError, never truncated, and a refused block leaves the arena as it
+was.  On the compiled core the block is appended first, the arrays'
+own appends checking each value's type and range, and one core pass
+(native.check_block) checks its rows; a refused block is then cut off
+again.  `_refusal` is the reference and the fallback: it checks a block
+where no core loads, and words every refusal on both paths.  Appending
 keeps counts and OPB output reproducible byte for byte.
 """
 
@@ -32,6 +38,7 @@ GE = ">="
 EQ = "="
 RELATIONS = (GE, EQ)  # by the relation code kept in the arena
 INT64_MIN, INT64_MAX, INT32_MAX = -1 << 63, (1 << 63) - 1, (1 << 31) - 1
+PAIRWISE_MAX = 64  # longest row whose repeats the core checks, pairwise
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -126,30 +133,58 @@ class PbFormula:
 
         Row r is coefs[k*r:k*r+k], vs[k*r:k*r+k], bounds[r].  The block is
         checked whole and appended whole; a refused block leaves nothing
-        behind, and its PbError names the first bad row.
+        behind, and its PbError, worded by `_refusal`, names the first bad
+        row.
         """
-        idx, end, m = len(self.bounds), len(self.coefs), len(bounds)
+        idx, m = len(self.bounds), len(bounds)
         if len(coefs) != k * m or len(vs) != k * m:
             raise PbError(f"{m} rows of {k} terms need {k * m} coefficients and variables")
-        if m and self._refusal(k, coefs, vs, bounds, relation):
+        if m and not self._append(k, coefs, vs, bounds, relation):
             for r, lo in enumerate(range(0, k * m, k)):
                 row = slice(lo, lo + k)
                 if why := self._refusal(k, coefs[row], vs[row], bounds[r:r + 1], relation):
                     raise PbError(f"row {idx + r} {list(zip(coefs[row], vs[row]))} "
                                   f"{relation!r} {bounds[r]}: {why}")
-        self.coefs.fromlist(coefs)
-        self.vars.fromlist(vs)
-        self.bounds.fromlist(bounds)
+            raise AssertionError("a block was refused that _refusal takes row by row")
+        end = self.row_ptr[-1]
         self.row_ptr.extend(range(end + k, end + k * m + 1, k) if k else [end] * m)
         self.relations += bytes([relation == EQ]) * m
         if note is not None and m:  # the note of the block's first row
             self.annotations[idx] = note
         return idx
 
+    def _append(self, k: int, coefs: list, vs: list, bounds: list, relation) -> bool:
+        """Append the block's terms and bounds if the block is sound; else
+        append nothing and return False.
+
+        The arrays' own appends check each value's type and range (int64
+        coefficients and bounds, int32 variables), and native.check_block
+        the rest; where no core loads, or for rows longer than
+        PAIRWISE_MAX terms, `_refusal` checks the block first.
+        """
+        from . import native  # native imports this module
+
+        lib = native.load() if k <= PAIRWISE_MAX else None
+        if lib is None and self._refusal(k, coefs, vs, bounds, relation):
+            return False
+        m, end, nrows = len(bounds), len(self.coefs), len(self.bounds)
+        try:
+            self.coefs.fromlist(coefs)
+            self.vars.fromlist(vs)
+            self.bounds.fromlist(bounds)
+            if lib is None or relation in RELATIONS and native.check_block(lib, self, k, m, end) == m:
+                return True
+        except (TypeError, OverflowError):
+            pass  # a value that is no integer or beyond its array's range
+        del self.coefs[end:], self.vars[end:], self.bounds[nrows:]
+        return False
+
     def _refusal(self, k: int, coefs: list, vs: list, bounds: list, relation) -> str | None:
         """Why the rows of k terms cannot enter the arena, or None."""
         if relation not in RELATIONS:
             return "a relation not '>=' or '='"
+        if not all(hasattr(t, "__index__") for t in set(map(type, chain(coefs, vs, bounds)))):
+            return "a value not an integer"  # what the arena's arrays refuse to take
         if 0 in coefs:
             return "a zero coefficient"
         if vs and not (min(vs) >= 1 and max(vs) <= min(self.var_count, INT32_MAX)):

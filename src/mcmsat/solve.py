@@ -159,9 +159,23 @@ def solve(
 
 
 def _check_model(formula: PbFormula, model: Model, backend: str) -> None:
-    """Raise SolverError naming the first row `model` violates."""
-    values, ptr, terms = model.values, formula.row_ptr, zip(formula.coefs, formula.vars)
-    for idx, (eq, bound) in enumerate(zip(formula.relations, formula.bounds)):
+    """Raise SolverError naming the first row `model` violates.
+
+    The check reads the formula's arena, never a solver's own row store,
+    so it stays independent of the search.  On the compiled core, when
+    one loads, one pass (native.check_model) finds the first violated
+    row; the Python loop below is the reference and the fallback: it runs
+    from that row, or from row 0 without the core, and words the error.
+    """
+    from . import native  # imported on first use, as pb and refsolver import it
+
+    lib = native.load()
+    first = 0 if lib is None else native.check_model(lib, formula, model.values)
+    if first == len(formula.bounds):
+        return
+    values, ptr = model.values, formula.row_ptr
+    terms = islice(zip(formula.coefs, formula.vars), ptr[first], None)
+    for idx, (eq, bound) in islice(enumerate(zip(formula.relations, formula.bounds)), first, None):
         lhs = 0
         for coef, var in islice(terms, ptr[idx + 1] - ptr[idx]):
             if values[var]:

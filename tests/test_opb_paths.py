@@ -1,8 +1,11 @@
-"""The OPB writer and reader on the compiled core and in Python.
+"""The OPB writer and reader, and the arena's block check, on the
+compiled core and in Python.
 
 The Python writer and reader are the reference: the core must write the
 same bytes, and read a strict subset of the texts the Python reader
 reads, to the same arena; any text it refuses goes to the Python reader.
+The Python row checks of `PbFormula.add_rows` are the reference for the
+core's block check; they word every refusal on both paths.
 """
 
 import os
@@ -54,6 +57,24 @@ def test_header_line_read_whole_on_the_python_path(python_only, header):
 
 def test_further_header_fields_on_the_python_path(python_only):
     test_pb.test_parse_opb_reads_further_header_fields()
+
+
+def test_add_rows_agrees_with_one_row_add_on_the_python_path(python_only):
+    test_pb.test_add_rows_agrees_with_one_row_add()
+
+
+def test_add_rows_names_the_first_bad_row_on_the_python_path(python_only):
+    test_pb.test_add_rows_names_the_first_bad_row()
+
+
+@pytest.mark.parametrize("column", range(3))
+@pytest.mark.parametrize("value", [2.0, None, "2"])
+def test_a_value_not_an_integer_on_the_python_path(python_only, column, value):
+    test_pb.test_a_value_not_an_integer_is_refused_whole(column, value)
+
+
+def test_long_rows_on_the_python_path(python_only):
+    test_pb.test_long_rows_are_checked_for_repeats()
 
 
 @needs_core
@@ -167,6 +188,22 @@ def test_core_and_python_readers_agree(text):
     read_on_core = native.parse(native.load(), text)
     if read_on_core is not None:
         assert arena(read_on_core) == python
+
+
+def append(block, core):
+    """add_rows's arena, or the text of its PbError, on one path."""
+    nv, k, coefs, vs, bounds, relation, note = block
+    f = PbFormula()
+    f.new_bitvec(nv)
+    with mock.patch.dict(os.environ, {"MCMSAT_NO_NATIVE": "" if core else "1"}):
+        return test_pb.outcome(lambda: f.add_rows(k, coefs, vs, bounds, relation, note)) or test_pb.arena(f)
+
+
+@needs_core
+@given(test_pb.blocks())
+@settings(max_examples=300, deadline=None)
+def test_core_and_python_block_checks_agree(block):
+    assert append(block, core=True) == append(block, core=False)
 
 
 @needs_core

@@ -16,6 +16,7 @@ from mcmsat.model import normalize_targets
 from mcmsat.pb import (
     EQ,
     GE,
+    PAIRWISE_MAX,
     Model,
     PbError,
     PbFormula,
@@ -419,6 +420,37 @@ def test_add_rows_names_the_first_bad_row():
     assert f.stats() == (2, 0) and f.add_rows(2, [1, 1, 1, -1], [a, b, b, a], [1, 0], EQ, "n") == 0
     assert list(f.constraints) == [(((1, a), (1, b)), EQ, 1), (((1, b), (-1, a)), EQ, 0)]
     assert f.annotations == {0: "n"}
+
+
+@pytest.mark.parametrize("column", range(3))
+@pytest.mark.parametrize("value", [2.0, None, "2"])
+def test_a_value_not_an_integer_is_refused_whole(column, value):
+    # A float passed every row check and then failed the arena's own
+    # append partway, so the terms appended before it stayed behind.
+    f = PbFormula()
+    a, b = f.new_var(), f.new_var()
+    f.add(((1, a), (1, b)), GE, 1, note="first")
+    block = [[1, 1, 1, 1], [a, b, b, a], [0, 1]]
+    block[column][2 if column < 2 else 1] = value  # in row 2, the second of the block
+    before = arena(f)
+    with pytest.raises(PbError, match=r"^row 2 .*: a value not an integer$"):
+        f.add_rows(2, *block)
+    assert arena(f) == before
+    f.add(((1, a),), GE, 1)
+    assert f.emit_opb() == "* #variable= 2 #constraint= 2\n+1 x1 +1 x2 >= 1 ;\n+1 x1 >= 1 ;\n"
+
+
+def test_long_rows_are_checked_for_repeats():
+    # The core checks rows of up to PAIRWISE_MAX terms for repeats, and
+    # Python checks longer ones: either way a repeat is found anywhere.
+    for k in (PAIRWISE_MAX, PAIRWISE_MAX + 1):
+        f = PbFormula()
+        vs = list(f.new_bitvec(k))
+        for at in (0, k - 2):
+            bad = vs[:k - 1] + [vs[at]]
+            with pytest.raises(PbError, match="^row 1 .*: a repeated variable$"):
+                f.add_rows(k, [1] * 2 * k, vs + bad, [0, 0])
+        assert f.add_rows(k, [1] * 2 * k, vs + vs[::-1], [0, 0]) == 0 and len(f.bounds) == 2
 
 
 @pytest.mark.parametrize("header", [

@@ -5,8 +5,12 @@ import stat
 import sys
 import textwrap
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_opb_paths import needs_core
 
 from mcmsat.encoder import (
     ADD_PAIR,
@@ -23,10 +27,11 @@ from mcmsat.model import (
     normalize_targets,
     verify_solution,
 )
-from mcmsat.pb import GE, Model, PbFormula
+from mcmsat.pb import EQ, GE, Model, PbFormula
 from mcmsat.solve import (
     DecodeError,
     SolverError,
+    _check_model,
     decode_solution,
     optimal_mcm,
     prune_graph,
@@ -205,6 +210,53 @@ def test_wrong_sat_model_is_refused(tmp_path):
     script = fake_solver_script(tmp_path, WRONG_SAT)
     with pytest.raises(SolverError, match="violates row 1"):
         solve(toy_unsat_formula(), backend=script)
+
+
+def test_wrong_sat_model_is_refused_on_the_python_path(tmp_path, monkeypatch):
+    monkeypatch.setenv("MCMSAT_NO_NATIVE", "1")
+    test_wrong_sat_model_is_refused(tmp_path)
+
+
+INT64_MAX = 2**63 - 1
+COEF = st.one_of(st.integers(-3, 3), st.sampled_from([INT64_MAX, -INT64_MAX]),
+                 st.integers(-INT64_MAX, INT64_MAX)).filter(bool)
+
+
+@st.composite
+def checked_models(draw):
+    """A formula of random ">=" and "=" rows and a random 0/1 model; most
+    bounds lie within 1 of the row's sum under the model, and a row of
+    coefficients at +/-(2^63 - 1) sums beyond int64."""
+    f = PbFormula()
+    nv = draw(st.integers(1, 6))
+    f.new_bitvec(nv)
+    model = Model((0, *draw(st.lists(st.integers(0, 1), min_size=nv, max_size=nv))))
+    for _ in range(draw(st.integers(0, 6))):
+        vs = draw(st.lists(st.integers(1, nv), unique=True, max_size=nv))
+        terms = [(draw(COEF), v) for v in vs]
+        near = sum(c for c, v in terms if model[v]) + draw(st.sampled_from([-1, 0, 0, 1]))
+        bound = draw(st.sampled_from([max(-INT64_MAX - 1, min(INT64_MAX, near))] * 3
+                                     + [draw(st.integers(-INT64_MAX - 1, INT64_MAX))]))
+        f.add(terms, draw(st.sampled_from([GE, EQ])), bound)
+    return f, model
+
+
+def model_check(formula, model, core):
+    """_check_model's SolverError text, or None, on one path."""
+    with mock.patch.dict(os.environ, {"MCMSAT_NO_NATIVE": "" if core else "1"}):
+        try:
+            _check_model(formula, model, "b")
+        except SolverError as e:
+            return str(e)
+    return None
+
+
+@needs_core
+@given(checked_models())
+@settings(max_examples=400, deadline=None)
+def test_core_and_python_model_checks_agree(case):
+    formula, model = case
+    assert model_check(formula, model, core=True) == model_check(formula, model, core=False)
 
 
 def test_wrong_sat_model_loses_the_race(tmp_path, monkeypatch):
