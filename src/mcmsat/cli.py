@@ -56,11 +56,11 @@ def _config(ops, encoding, right_shifts, no_improvements, improvement, annotate=
     return cfg
 
 
-def _common_encoding_options(fn):
-    fn = click.option(
-        "--encoding", type=click.IntRange(1, 3), default=3, show_default=True,
-        help="Constraint encoding variant.",
-    )(fn)
+_encoding_option = click.option("--encoding", type=click.IntRange(1, 3), default=3,
+                                show_default=True, help="Constraint encoding variant.")
+
+
+def _reduction_options(fn):
     fn = click.option("--right-shifts", is_flag=True, help="Model right shifts too.")(fn)
     fn = click.option(
         "--no-improvements", is_flag=True, help="Disable all encoding reductions."
@@ -91,7 +91,8 @@ def main():
 @main.command()
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
 @click.option("--ops", type=int, required=True, help="Operation budget to encode.")
-@_common_encoding_options
+@_reduction_options
+@_encoding_option
 @click.option("--annotate", is_flag=True, help="Comment constraints in the OPB file.")
 @click.option("--out", type=click.Path(dir_okay=False), help="Output OPB path.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable stats.")
@@ -151,7 +152,8 @@ def _report_json(inst, report):
 
 @main.command()
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
-@_common_encoding_options
+@_reduction_options
+@_encoding_option
 @click.option("--upper-bound", type=int, help="Override the recoding upper bound.")
 @click.option("--backend", multiple=True, help="Backend; repeat to race several (default internal).")
 @click.option("--timeout", type=float, default=300.0, show_default=True,
@@ -206,9 +208,9 @@ def verify(instance, graph):
 @main.command()
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
 @click.option("--ops", type=int, required=True)
-@_common_encoding_options
+@_reduction_options
 @click.option("--json", "as_json", is_flag=True)
-def stats(instance, ops, encoding, right_shifts, no_improvements, improvement, as_json):
+def stats(instance, ops, right_shifts, no_improvements, improvement, as_json):
     """Measured and predicted formula sizes for every variant."""
     inst, _ = _load_instance(instance)
     bounds = recoding_upper_bounds(inst)
@@ -326,7 +328,7 @@ def _mean_elapsed(outcomes):
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
 @click.option("--backend", multiple=True, help="Backend; repeat to run several in turn (default internal).")
 @click.option("--timeout", type=float, default=300.0, show_default=True)
-@click.option("--encoding", type=click.IntRange(1, 3), default=3, show_default=True)
+@_encoding_option
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Instances solved concurrently.")
 @click.option("--out", type=click.Path(dir_okay=False), help="Report JSON path.")

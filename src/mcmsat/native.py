@@ -15,22 +15,20 @@ between.  It writes and reads OPB text too (mcm_emit, mcm_parse) for
 PbFormula.emit_opb and parse_opb: the writer writes the Python writer's
 bytes into a new str, and the reader reads the str's own buffer in place
 but takes only a strict subset of what the Python reader takes, which
-stays the reference and decides every text the core refuses.  On the
-4-tap build-wide formula (426,681 rows) writing takes about 0.2 s where
-the Python writer takes 1.0-1.3 s, and reading about 0.2 s where the
-Python reader takes 1.9-3.3 s.  Two checks of the arena run on it as
-one pass each, with Python's checks as the reference, the fallback and
-the source of every error message: mcm_check_block checks a block that
-PbFormula.add_rows has just appended (the arrays' appends have checked
-each value's type and range), and mcm_check_model finds the first row a
-SAT model violates for solve._check_model, summing in 128 bits and
-reading the arena, never the search's own row store.  Encoding the five
-build-wide formulas takes 0.9-1.0 s where it took 1.6 s, and the model
-check of the solved 4-tap formula 0.009 s where it took 0.27 s.  It is
-compiled on first use with
-whatever C compiler is around and cached under `$XDG_CACHE_HOME/mcmsat`
-(by default `~/.cache/mcmsat`); when that fails the Python
-implementation simply runs instead.
+stays the reference and decides every text the core refuses.  Two
+checks of the arena run on it as one pass each, with Python's checks as
+the reference, the fallback and the source of every error message:
+mcm_check_block checks a block that PbFormula.add_rows has just appended
+(the arrays' appends have checked each value's type and range), and
+mcm_check_model finds the first row a SAT model violates for
+solve._check_model, summing in 128 bits and reading the arena, never the
+search's own row store.
+
+`load` decides once per process, on its first call, whether the core
+runs: it is compiled then with whatever C compiler is around and cached
+under `$XDG_CACHE_HOME/mcmsat` (by default `~/.cache/mcmsat`).  When
+MCMSAT_NO_NATIVE is set at that call, or the compile fails, every later
+call returns None and the Python implementation runs instead.
 """
 
 from __future__ import annotations
@@ -681,8 +679,8 @@ int mcm_parse(const char *p, int64_t len, int64_t *sizes, void **out) {
 """
 
 
-_core = None
-_core_failed = False
+_UNDECIDED = object()
+_core = _UNDECIDED  # the handle or None, once load has decided
 
 
 def _cache_dir() -> Path:
@@ -721,16 +719,17 @@ def _compile() -> Path | None:
 
 
 def load():
-    """Compiled core handle, or None when unavailable or MCMSAT_NO_NATIVE is set."""
-    global _core, _core_failed
-    if _core_failed or os.environ.get("MCMSAT_NO_NATIVE"):
-        return None
-    if _core is not None:
-        return _core
+    """The compiled core's handle, or None for the Python paths."""
+    global _core
+    if _core is _UNDECIDED:  # assigned once decided: concurrent first calls each compile
+        _core = None if os.environ.get("MCMSAT_NO_NATIVE") else _open()
+    return _core
+
+
+def _open():
     try:
         so_path = _compile()
         if so_path is None:
-            _core_failed = True
             log.info("no C compiler found; using the Python solver")
             return None
         lib = ctypes.CDLL(str(so_path))
@@ -751,10 +750,8 @@ def load():
         lib.mcm_check_block.restype = lib.mcm_check_model.restype = ctypes.c_int64
         lib.mcm_check_block.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2 + [ctypes.c_int64]
         lib.mcm_check_model.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 6
-        _core = lib
-        return _core
+        return lib
     except Exception as exc:  # pragma: no cover - environment specific
-        _core_failed = True
         log.info("compiled solver core unavailable (%s); using Python", exc)
         return None
 

@@ -10,11 +10,11 @@ takes a block of rows of one length as flat lists (`add` is its one-row
 case); the Python OPB reader appends through it too.  A coefficient or
 bound beyond int64, or a value that is no integer, is refused with
 PbError, never truncated, and a refused block leaves the arena as it
-was.  On the compiled core the block is appended first, the arrays'
-own appends checking each value's type and range, and one core pass
-(native.check_block) checks its rows; a refused block is then cut off
-again.  `_refusal` is the reference and the fallback: it checks a block
-where no core loads, and words every refusal on both paths.  Appending
+was.  A block is appended first, the arrays' own appends checking
+each value's type and range, and then its rows are checked: in one core
+pass (native.check_block), or by `_refusal` where no core loads; a
+refused block is cut off again.  `_refusal` is the reference and the
+fallback, and words every refusal on both paths.  Appending
 keeps counts and OPB output reproducible byte for byte.
 """
 
@@ -154,25 +154,24 @@ class PbFormula:
         return idx
 
     def _append(self, k: int, coefs: list, vs: list, bounds: list, relation) -> bool:
-        """Append the block's terms and bounds if the block is sound; else
-        append nothing and return False.
+        """Append the block's terms and bounds, then check them; cut them
+        off again and return False if the block is refused.
 
         The arrays' own appends check each value's type and range (int64
-        coefficients and bounds, int32 variables), and native.check_block
-        the rest; where no core loads, or for rows longer than
-        PAIRWISE_MAX terms, `_refusal` checks the block first.
+        coefficients and bounds, int32 variables); native.check_block
+        checks the rest, or `_refusal` where no core loads and for rows
+        longer than PAIRWISE_MAX terms.
         """
         from . import native  # native imports this module
 
-        lib = native.load() if k <= PAIRWISE_MAX else None
-        if lib is None and self._refusal(k, coefs, vs, bounds, relation):
-            return False
         m, end, nrows = len(bounds), len(self.coefs), len(self.bounds)
         try:
             self.coefs.fromlist(coefs)
             self.vars.fromlist(vs)
             self.bounds.fromlist(bounds)
-            if lib is None or relation in RELATIONS and native.check_block(lib, self, k, m, end) == m:
+            lib = native.load() if k <= PAIRWISE_MAX else None
+            if (relation in RELATIONS and native.check_block(lib, self, k, m, end) == m if lib
+                    else not self._refusal(k, coefs, vs, bounds, relation)):
                 return True
         except (TypeError, OverflowError):
             pass  # a value that is no integer or beyond its array's range

@@ -41,10 +41,9 @@ from collections import Counter
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, repeat
 
-from .pb import GE, SAT, UNKNOWN, UNSAT, Model, PbError, PbFormula
+from .pb import GE, INT32_MAX, SAT, UNKNOWN, UNSAT, Model, PbError, PbFormula
 
 UNASSIGNED = -1
-INT32_MAX = 2**31 - 1
 
 DECAY = 0.95  # the activity increment grows by 1/DECAY per conflict
 RESCALE = 1e100  # activities are scaled by 1e-100 once one exceeds this
@@ -53,7 +52,7 @@ REDUCE_FIRST, REDUCE_STEP = 2000, 300  # conflicts before reduction k: first + s
 
 
 class RefSolver:
-    def __init__(self, formula: PbFormula, phases=None, use_native: bool = True):
+    def __init__(self, formula: PbFormula, phases=None):
         self.nvars = nv = formula.var_count
         # Preferred first value per variable; affects search order only.
         phases = phases or {}
@@ -62,14 +61,12 @@ class RefSolver:
         # over literals (+v / -v) and a >= bound, its terms ordered by
         # coefficient descending, then literal.  Clauses go to clause_ptr /
         # clause_lit; the counter rows to flat int32 arrays with the
-        # occurrences of each literal.  The compiled core, when asked for
-        # and it loads, builds it from the formula's arena, else _build
-        # does; the core's search reads it in place, so it is never resized.
-        self.core = None
-        if use_native:
-            from . import native
+        # occurrences of each literal.  The compiled core, when it loads,
+        # builds it from the formula's arena, else _build does; the core's
+        # search reads it in place, so it is never resized.
+        from . import native  # native imports this module
 
-            self.core = native.load()
+        self.core = native.load()
         if self.core is not None:
             native.build(self.core, self, formula)
         else:

@@ -17,6 +17,7 @@ import signal
 import subprocess
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
@@ -114,9 +115,9 @@ def solve(
             return True
         return poll()
 
-    with tempfile.TemporaryDirectory(prefix="mcmsat_") as tmp:
+    externals = [b for b in backends if b != INTERNAL]
+    with tempfile.TemporaryDirectory(prefix="mcmsat_") if externals else nullcontext() as tmp:
         try:
-            externals = [b for b in backends if b != INTERNAL]
             if externals:
                 opb = os.path.join(tmp, "formula.opb")
                 Path(opb).write_text(formula.emit_opb())

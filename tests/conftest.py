@@ -1,12 +1,31 @@
 import os
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from mcmsat import native
 
 # Child processes that a test starts, such as a fake external solver,
 # import this package from the same tree as the tests do.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+@contextmanager
+def python_path():
+    """Run the block on the Python paths: every caller's `native.load()`
+    finds no compiled core."""
+    with mock.patch.object(native, "load", lambda: None):
+        yield
+
+
+@pytest.fixture
+def python_only():
+    """Run the test on the Python paths."""
+    with python_path():
+        yield
 
 
 def child_pids() -> set[int]:

@@ -106,8 +106,7 @@ def test_optimize_trivial_single_op(runner, tmp_path):
     assert report["optimal_ops"] == 1 and report["proven"] is True
 
 
-def test_optimize_unproven_exit_code(runner, instance_file, monkeypatch):
-    monkeypatch.setenv("MCMSAT_NO_NATIVE", "1")
+def test_optimize_unproven_exit_code(runner, instance_file, python_only):
     result = runner.invoke(
         main, ["optimize", instance_file, "--upper-bound", "6", "--timeout", "0.004", "--json"]
     )
@@ -176,6 +175,13 @@ def test_stats_reports_all_variants(runner, instance_file):
     for row in info["encodings"]:
         assert row["variables"] == row["predicted_variables"]
         assert row["constraints"] == row["predicted_constraints"]
+
+
+def test_stats_takes_no_encoding(runner, instance_file):
+    # stats reports every variant; an --encoding it would ignore is refused.
+    result = runner.invoke(main, ["stats", instance_file, "--ops", "3", "--encoding", "2"])
+    assert result.exit_code == 2
+    assert "--encoding" in result.output
 
 
 def test_gen_fir_deterministic(runner, tmp_path):

@@ -10,25 +10,22 @@ core's block check; they word every refusal on both paths.
 
 import os
 import shutil
-from unittest import mock
+from contextlib import nullcontext
 
 import pytest
 import test_encoder
 import test_pb
+from conftest import python_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_pb import COEFS, INT64_MAX, INT64_MIN
 
 from mcmsat import native
-from mcmsat.pb import GE, PbError, PbFormula, parse_opb
+from mcmsat.pb import GE, SAT, PbError, PbFormula, parse_opb
+from mcmsat.solve import solve
 
 NO_CORE = bool(os.environ.get("MCMSAT_NO_NATIVE")) or not any(map(shutil.which, ("cc", "gcc", "clang")))
 needs_core = pytest.mark.skipif(NO_CORE, reason="no C compiler, or the core is switched off")
-
-
-@pytest.fixture
-def python_only(monkeypatch):
-    monkeypatch.setenv("MCMSAT_NO_NATIVE", "1")
 
 
 @pytest.mark.parametrize("targets,variant", test_encoder.GOLDEN_OPB)
@@ -78,19 +75,28 @@ def test_long_rows_on_the_python_path(python_only):
 
 
 @needs_core
-def test_no_native_after_the_core_loaded_sends_opb_text_to_python(monkeypatch):
-    assert native.load() is not None
+def test_a_substituted_load_sends_all_five_sites_to_python(monkeypatch):
     calls = []
-    for name in ("emit", "parse"):
+    for name in ("check_block", "emit", "parse", "build", "run", "check_model"):
         real = getattr(native, name)
         monkeypatch.setattr(native, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
-    f = PbFormula()
-    f.add(((3, f.new_var()),), GE, 1)
-    text = f.emit_opb()
-    assert arena(parse_opb(text)) == arena(f) and calls == ["emit", "parse"]
-    monkeypatch.setenv("MCMSAT_NO_NATIVE", "1")
-    assert f.emit_opb() == text
-    assert arena(parse_opb(text)) == arena(f) and calls == ["emit", "parse"]
+
+    def five_sites():
+        """Append a block, write and read OPB text, make and run a
+        solver, and check its model."""
+        f = PbFormula()
+        f.add(((3, f.new_var()),), GE, 1)
+        text = f.emit_opb()
+        assert arena(parse_opb(text)) == arena(f)
+        assert solve(f).status == SAT
+        return text
+
+    text = five_sites()
+    assert calls == ["check_block", "emit", "parse", "build", "run", "check_model"]
+    calls.clear()
+    with python_path():
+        assert five_sites() == text
+    assert calls == []
 
 
 def arena(f):
@@ -99,7 +105,7 @@ def arena(f):
 
 def read(text, core):
     """parse_opb's arena, or the text of its PbError, on one path."""
-    with mock.patch.dict(os.environ, {"MCMSAT_NO_NATIVE": "" if core else "1"}):
+    with nullcontext() if core else python_path():
         try:
             return arena(parse_opb(text))
         except PbError as e:
@@ -195,7 +201,7 @@ def append(block, core):
     nv, k, coefs, vs, bounds, relation, note = block
     f = PbFormula()
     f.new_bitvec(nv)
-    with mock.patch.dict(os.environ, {"MCMSAT_NO_NATIVE": "" if core else "1"}):
+    with nullcontext() if core else python_path():
         return test_pb.outcome(lambda: f.add_rows(k, coefs, vs, bounds, relation, note)) or test_pb.arena(f)
 
 

@@ -3,10 +3,13 @@ import os
 import random
 import shutil
 import subprocess
+import sys
 import time
+from contextlib import nullcontext
 from itertools import product
 
 import pytest
+from conftest import python_path
 
 from mcmsat import native
 from mcmsat.encoder import EncodingConfig, encode_mcm
@@ -58,6 +61,12 @@ def random_formula(rng: random.Random) -> PbFormula:
     return f
 
 
+def make_solver(f, on_core, phases=None):
+    """A RefSolver on the compiled core, where one loads, or in Python."""
+    with nullcontext() if on_core else python_path():
+        return RefSolver(f, phases=phases)
+
+
 def test_toy_unsat():
     f = PbFormula()
     x = f.new_var()
@@ -79,12 +88,12 @@ def test_empty_formula_is_sat():
     assert RefSolver(PbFormula()).solve()[0] == "SAT"
 
 
-@pytest.mark.parametrize("use_native", [False, True])
-def test_completeness_against_enumeration(use_native):
+@pytest.mark.parametrize("on_core", [False, True])
+def test_completeness_against_enumeration(on_core):
     rng = random.Random(1234)
     for _ in range(200):
         f = random_formula(rng)
-        status, model = RefSolver(f, use_native=use_native).solve()
+        status, model = make_solver(f, on_core).solve()
         assert status == brute_status(f)
         if model is not None:
             for c in f.constraints:
@@ -99,8 +108,8 @@ def counters(solver):
 def solve_both(f, phases=None):
     """Verdict, model and counters of the Python and the native path."""
     out = []
-    for use_native in (False, True):
-        solver = RefSolver(f, phases=phases, use_native=use_native)
+    for on_core in (False, True):
+        solver = make_solver(f, on_core, phases)
         status, model = solver.solve()
         out.append((status, model and model.values, counters(solver)))
     return out
@@ -168,15 +177,15 @@ def test_a_bound_one_row_is_a_clause_whatever_its_coefficients():
     f.add(((1, x), (1, z)), EQ, 1)  # x + z >= 1 and -x - z >= -1
     f.add(((1, y),), GE, 1)  # one literal: a counter row
     f.add(((1, x), (1, y), (1, z)), GE, 2)  # a counter row
-    for use_native in (False, True):
-        solver = RefSolver(f, use_native=use_native)
+    for on_core in (False, True):
+        solver = make_solver(f, on_core)
         assert list(solver.clause_ptr) == [0, 2, 4, 6]
         assert list(solver.clause_lit) == [1, 2, 1, 3, -3, -1]
         assert solver.nrows == 2 and list(solver.bounds) == [1, 2]
 
 
-@pytest.mark.parametrize("use_native", [False, True])
-def test_solving_twice_repeats_verdict_model_and_counters(use_native):
+@pytest.mark.parametrize("on_core", [False, True])
+def test_solving_twice_repeats_verdict_model_and_counters(on_core):
     # The search copies what it writes, so the row and clause store that
     # a second solve starts from is the one the first solve started from.
     rng = random.Random(11)
@@ -185,7 +194,7 @@ def test_solving_twice_repeats_verdict_model_and_counters(use_native):
         formulas.append(encode_mcm(normalize_targets(targets), EncodingConfig(ops=ops)).formula)
     verdicts = set()
     for f in formulas:
-        solver = RefSolver(f, use_native=use_native)
+        solver = make_solver(f, on_core)
         store = {name: copy.copy(getattr(solver, name)) for name in STORE}
         first = solver.solve()
         once = counters(solver)
@@ -195,22 +204,22 @@ def test_solving_twice_repeats_verdict_model_and_counters(use_native):
     assert verdicts == {"SAT", "UNSAT"}
 
 
-@pytest.mark.parametrize("use_native", [False, True])
-def test_rows_beyond_int32_are_refused(use_native):
+@pytest.mark.parametrize("on_core", [False, True])
+def test_rows_beyond_int32_are_refused(on_core):
     # Truncated to int32, the first row would read 0*x1 + x2 >= 0: SAT.
     f = PbFormula()
     x1, x2 = f.new_var(), f.new_var()
     f.add(((2**32, x1), (1, x2)), GE, 2**32)
     f.add(((-1, x1),), GE, 0)
     with pytest.raises(PbError, match="int32"):
-        RefSolver(f, use_native=use_native).solve()
+        make_solver(f, on_core).solve()
     # |2^62| + |-2^62| is beyond int64: wrapped to -2^63, the row would
     # read as a root conflict, and this formula is SAT.
     f = PbFormula()
     x1, x2 = f.new_var(), f.new_var()
     f.add(((2**62, x1), (-(2**62), x2)), GE, 0)
     with pytest.raises(PbError, match="int32"):
-        RefSolver(f, use_native=use_native).solve()
+        make_solver(f, on_core).solve()
 
 
 def huge_clause_formula():
@@ -228,10 +237,10 @@ def huge_clause_formula():
     return f
 
 
-@pytest.mark.parametrize("use_native", [False, True])
-def test_clauses_beyond_int32_are_taken(use_native):
+@pytest.mark.parametrize("on_core", [False, True])
+def test_clauses_beyond_int32_are_taken(on_core):
     f = huge_clause_formula()
-    solver = RefSolver(f, use_native=use_native)
+    solver = make_solver(f, on_core)
     assert list(solver.clause_ptr) == [0, 2, 6]
     assert list(solver.clause_lit) == [1, 2, -1, 3, 4, 2]
     assert solver.nrows == 3
@@ -241,22 +250,22 @@ def test_clauses_beyond_int32_are_taken(use_native):
     # The = row's <= half is a counter row of bound 2^40: still refused.
     f.add(((2**40, f.new_var()), (1, f.new_var())), EQ, 1)
     with pytest.raises(PbError, match="int32"):
-        RefSolver(f, use_native=use_native)
+        make_solver(f, on_core)
 
 
-@pytest.mark.parametrize("use_native", [False, True])
-def test_int64_edge_rows_that_need_no_int32_store(use_native):
+@pytest.mark.parametrize("on_core", [False, True])
+def test_int64_edge_rows_that_need_no_int32_store(on_core):
     # -2^63 x1 >= -2^63 holds for either value: its >= bound is 0, so
     # the row is dropped before its total (2^63) is checked.
     f = PbFormula()
     x1 = f.new_var()
     f.add(((-(2**63), x1),), GE, -(2**63))
-    solver = RefSolver(f, use_native=use_native)
+    solver = make_solver(f, on_core)
     assert (solver.nrows, solver.root_conflict) == (0, False)
     assert solver.solve()[0] == "SAT"
     # x1 >= 2^62 cannot hold: its bound exceeds its total, a root conflict.
     f.add(((1, x1),), GE, 2**62)
-    solver = RefSolver(f, use_native=use_native)
+    solver = make_solver(f, on_core)
     assert (solver.nrows, solver.root_conflict) == (0, True)
     assert solver.solve() == ("UNSAT", None)
 
@@ -267,7 +276,7 @@ STORE = ("row_ptr", "row_coef", "row_lit", "bounds", "maxposs", "pos_ptr", "pos_
 
 
 def assert_same_store(f):
-    py, nat = (RefSolver(f, use_native=n) for n in (False, True))
+    py, nat = (make_solver(f, n) for n in (False, True))
     for name in STORE:
         assert getattr(py, name) == getattr(nat, name), name
         assert type(getattr(py, name)) is type(getattr(nat, name)), name
@@ -312,15 +321,14 @@ def test_compiled_core_loads_where_a_compiler_exists():
     assert native.load() is not None
 
 
-def test_no_native_is_read_on_every_load(monkeypatch):
-    core = native.load()
-    if core is None:
-        pytest.skip("no compiled core (no C compiler, or the core is switched off)")
-    monkeypatch.setenv("MCMSAT_NO_NATIVE", "1")
-    assert native.load() is None
-    assert RefSolver(PbFormula()).core is None
-    monkeypatch.delenv("MCMSAT_NO_NATIVE")
-    assert native.load() is core
+def test_no_native_is_read_once_per_process():
+    # A process started with it set runs every site in Python.
+    code = ("from mcmsat import native\nfrom mcmsat.pb import PbFormula\n"
+            "from mcmsat.refsolver import RefSolver\n"
+            "assert native.load() is None and RefSolver(PbFormula()).core is None\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, MCMSAT_NO_NATIVE="1"),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_the_core_refuses_a_row_beyond_int32_itself(monkeypatch):
@@ -376,11 +384,11 @@ def test_int32_max_coefficient_solves_on_both_paths():
     x1, x2 = f.new_var(), f.new_var()
     f.add(((big, x1),), GE, big)
     f.add(((-big, x2),), GE, 0)
-    results = [RefSolver(f, use_native=n).solve() for n in (False, True)]
+    results = [make_solver(f, n).solve() for n in (False, True)]
     assert results[0] == results[1]
     assert results[0][0] == "SAT" and results[0][1].values == (0, 1, 0)
     f.add(((big, x2),), GE, 1)
-    assert [RefSolver(f, use_native=n).solve()[0] for n in (False, True)] == ["UNSAT"] * 2
+    assert [make_solver(f, n).solve()[0] for n in (False, True)] == ["UNSAT"] * 2
 
 
 def test_enumerate_models_is_exhaustive():
@@ -407,7 +415,7 @@ def test_budget_exhaustion_returns_unknown():
     for i in range(0, 28):
         f.add(((1, vs[i]), (1, vs[i + 1]), (-1, vs[(i + 2) % 30])), GE, 0)
     f.add(tuple((1, v) for v in vs), EQ, 15)
-    status, model = RefSolver(f, use_native=False).solve(stop=lambda: True)
+    status, model = make_solver(f, False).solve(stop=lambda: True)
     assert status in ("UNKNOWN", "SAT", "UNSAT")  # must not hang or crash
 
 
@@ -422,7 +430,7 @@ def test_timeout_returns_unknown():
         f.add(((1, vs[i]), (1, vs[i + 1])), EQ, 1)
     start = time.monotonic()
     deadline = start + 0.2
-    status, _ = RefSolver(f, use_native=False).solve(
+    status, _ = make_solver(f, False).solve(
         stop=lambda: time.monotonic() > deadline
     )
     assert time.monotonic() - start < 30

@@ -3,11 +3,14 @@ import importlib
 import os
 import stat
 import sys
+import tempfile
 import textwrap
 import time
-from unittest import mock
+from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
+from conftest import python_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_opb_paths import needs_core
@@ -55,6 +58,17 @@ def test_solve_internal_toy_unsat():
     assert outcome.status == "UNSAT"
     assert outcome.model is None
     assert outcome.backend == "internal"
+
+
+def test_only_a_race_with_an_external_backend_makes_a_temporary_directory(tmp_path, monkeypatch):
+    made = []
+    mkdtemp = tempfile.mkdtemp
+    monkeypatch.setattr(tempfile, "mkdtemp", lambda *a, **k: made.append(mkdtemp(*a, **k)) or made[-1])
+    assert solve(toy_unsat_formula()).status == "UNSAT"
+    assert not any(Path(d).name.startswith("mcmsat_") for d in made)
+    script = fake_solver_script(tmp_path, "print('s UNSATISFIABLE')\n")
+    assert solve(toy_unsat_formula(), backend=[script, "internal"]).status == "UNSAT"
+    assert any(Path(d).name.startswith("mcmsat_") for d in made)
 
 
 def test_solve_worked_example_levels():
@@ -212,8 +226,7 @@ def test_wrong_sat_model_is_refused(tmp_path):
         solve(toy_unsat_formula(), backend=script)
 
 
-def test_wrong_sat_model_is_refused_on_the_python_path(tmp_path, monkeypatch):
-    monkeypatch.setenv("MCMSAT_NO_NATIVE", "1")
+def test_wrong_sat_model_is_refused_on_the_python_path(tmp_path, python_only):
     test_wrong_sat_model_is_refused(tmp_path)
 
 
@@ -243,7 +256,7 @@ def checked_models(draw):
 
 def model_check(formula, model, core):
     """_check_model's SolverError text, or None, on one path."""
-    with mock.patch.dict(os.environ, {"MCMSAT_NO_NATIVE": "" if core else "1"}):
+    with nullcontext() if core else python_path():
         try:
             _check_model(formula, model, "b")
         except SolverError as e:
@@ -448,10 +461,9 @@ def test_optimal_upper_bound_zero_rejected():
         optimal_mcm(normalize_targets([29]), upper_bound=0)
 
 
-def test_optimal_timeout_keeps_best_verified(monkeypatch):
+def test_optimal_timeout_keeps_best_verified(python_only):
     # Tight budget: the result may come back unproven, but whatever comes
     # back must verify.  The pure-Python path makes the timeout certain.
-    monkeypatch.setenv("MCMSAT_NO_NATIVE", "1")
     inst = normalize_targets([29, 43])
     report = optimal_mcm(inst, upper_bound=6, per_level_timeout=5e-3)
     assert verify_solution(inst, report.graph)
