@@ -6,29 +6,27 @@ by two literals and counters kept for the other rows, the same decision
 order, restarts and clause deletion, so verdicts, models and counters
 are identical to the Python path (cross-checked in the test suite).  It
 also builds RefSolver's int32 row store (mcm_build, the port of
-RefSolver._build), reading the PbFormula arena in place and filling
-arrays that Python allocates at the sizes of a counting pass.  Its
-search reads the counter rows in place, through the addresses of their
-arrays, and copies the clauses into its own clause store, in time
-slices of about SLICE seconds, asking the caller's stop predicate in
-between.  It writes and reads OPB text too (mcm_emit, mcm_parse) for
-PbFormula.emit_opb and parse_opb: the writer writes the Python writer's
-bytes into a new str, and the reader reads the str's own buffer in place
-but takes only a strict subset of what the Python reader takes, which
-stays the reference and decides every text the core refuses.  Two
-checks of the arena run on it as one pass each, with Python's checks as
-the reference, the fallback and the source of every error message:
-mcm_check_block checks a block that PbFormula.add_rows has just appended
-(the arrays' appends have checked each value's type and range), and
-mcm_check_model finds the first row a SAT model violates for
-solve._check_model, summing in 128 bits and reading the arena, never the
-search's own row store.
+RefSolver._build) from the PbFormula arena, into arrays that Python
+allocates at the lengths of a counting pass; one struct, Store, names
+them on both sides.  Its search reads the counter rows in place and
+copies the clauses, in time slices of about SLICE seconds, asking the
+caller's stop predicate in between.  It writes and reads OPB text for
+PbFormula.emit_opb and parse_opb (mcm_emit, mcm_parse): the writer
+writes the Python writer's bytes into a new str, and the reader reads
+the str's own buffer in one pass but takes only a strict subset of what
+the Python reader takes.  mcm_check_block checks a block that
+PbFormula.add_rows has just appended, and mcm_check_model finds the
+first row a SAT model violates for solve._check_model, summing in 128
+bits over the arena.  The Python code stays the reference and the
+fallback of each, and words every error.
 
-`load` decides once per process, on its first call, whether the core
-runs: it is compiled then with whatever C compiler is around and cached
-under `$XDG_CACHE_HOME/mcmsat` (by default `~/.cache/mcmsat`).  When
-MCMSAT_NO_NATIVE is set at that call, or the compile fails, every later
-call returns None and the Python implementation runs instead.
+This module imports nothing from the package.  Each entry point calls
+`load` itself and returns None when no core loads, for its caller's
+Python path to run.  `load` decides once per process, on its first
+call: the core is compiled then with whatever C compiler is around and
+cached under `$XDG_CACHE_HOME/mcmsat` (by default `~/.cache/mcmsat`);
+when MCMSAT_NO_NATIVE is set at that call, or the compile fails, every
+later call returns None.
 """
 
 from __future__ import annotations
@@ -43,12 +41,10 @@ import time
 from array import array
 from pathlib import Path
 
-from .pb import SAT, UNKNOWN, UNSAT, Model, PbError, PbFormula
-from .refsolver import UNASSIGNED
-
 log = logging.getLogger(__name__)
 
-RUNNING, C_SAT, C_UNSAT, C_NOMEM = 0, 1, 2, 3
+RUNNING, C_SAT, C_UNSAT, C_NOMEM = 0, 1, 2, 3  # mcm_run's returns
+C_WIDE = 1  # mcm_build's return for a counter row beyond int32
 SLICE = 0.05  # seconds per mcm_run call: the stop predicate is asked in between
 
 C_SOURCE = r"""
@@ -68,6 +64,15 @@ C_SOURCE = r"""
 #define IS_FALSE(s, l) ((s)->assigned[VAR(l)] == ((l) < 0))
 
 typedef struct { const int32_t *ptr, *row, *coef; } Occ;
+
+/* RefSolver's row store, after MiniSat+: the counter rows (row_ptr,
+   row_coef, row_lit, bounds, maxposs), the occurrences of +v and -v in
+   them (pos_* and neg_*, by variable) and the clauses (clause_*). */
+typedef struct {
+    int32_t *row_ptr, *row_coef, *row_lit, *bounds, *maxposs;
+    int32_t *pos_ptr, *pos_row, *pos_coef, *neg_ptr, *neg_row, *neg_coef;
+    int32_t *clause_ptr, *clause_lit;
+} Store;
 
 typedef struct {
     int32_t nvars, nrows;
@@ -326,24 +331,18 @@ void mcm_free(Ctx *s) {
 /* Runs once per search: left unoptimized, like mcm_build, for a shorter
    compile. */
 __attribute__((optimize("O0")))
-Ctx *mcm_new(int32_t nvars, int32_t nrows, int32_t nclauses,
-             const int32_t *row_ptr, const int32_t *row_coef,
-             const int32_t *row_lit, const int32_t *bounds,
-             const int32_t *pos_ptr, const int32_t *pos_row, const int32_t *pos_coef,
-             const int32_t *neg_ptr, const int32_t *neg_row, const int32_t *neg_coef,
-             const int32_t *clause_ptr, const int32_t *clause_lit,
-             const uint8_t *phases,
-             int32_t *maxposs, int32_t *satsum, int8_t *assigned) {
+Ctx *mcm_new(int32_t nvars, int32_t nrows, int32_t nclauses, const Store *st,
+             const uint8_t *phases, int32_t *maxposs, int32_t *satsum, int8_t *assigned) {
     Ctx *s = (Ctx *)calloc(1, sizeof(Ctx));
     if (!s) return 0;
     int64_t nv = nvars + 2;
     s->nvars = nvars; s->nrows = nrows;
-    s->nclauses = nclauses; s->nlits = clause_ptr[nclauses];
+    s->nclauses = nclauses; s->nlits = st->clause_ptr[nclauses];
     s->lcap = s->nlits + 1024; s->ccap = nclauses + 64;
-    s->row_ptr = row_ptr; s->row_coef = row_coef; s->row_lit = row_lit;
-    s->bounds = bounds;
-    s->occ[1] = (Occ){pos_ptr, pos_row, pos_coef};
-    s->occ[0] = (Occ){neg_ptr, neg_row, neg_coef};
+    s->row_ptr = st->row_ptr; s->row_coef = st->row_coef; s->row_lit = st->row_lit;
+    s->bounds = st->bounds;
+    s->occ[1] = (Occ){st->pos_ptr, st->pos_row, st->pos_coef};
+    s->occ[0] = (Occ){st->neg_ptr, st->neg_row, st->neg_coef};
     s->maxposs = maxposs; s->satsum = satsum; s->assigned = assigned;
     s->queued = (uint8_t *)malloc(nrows + 1);
     s->phase = (uint8_t *)malloc(nv);
@@ -361,8 +360,8 @@ Ctx *mcm_new(int32_t nvars, int32_t nrows, int32_t nclauses,
     memcpy(s->phase, phases, nvars + 1);
     for (int32_t w = 0; w < 2 * nv; w++) s->whead[w] = -1;
     /* the original clauses, copied: permanent (LBD 0) and watched */
-    if (s->nlits) memcpy(s->clits, clause_lit, sizeof(int32_t) * s->nlits);
-    memcpy(s->cstart, clause_ptr, sizeof(int32_t) * (nclauses + 1));
+    if (s->nlits) memcpy(s->clits, st->clause_lit, sizeof(int32_t) * s->nlits);
+    memcpy(s->cstart, st->clause_ptr, sizeof(int32_t) * (nclauses + 1));
     memset(s->clbd, 0, sizeof(int32_t) * nclauses);
     for (int32_t slot = 0; slot < 2 * nclauses; slot++) add_watch(s, slot);
     s->inc = 1.0;
@@ -421,22 +420,19 @@ int mcm_run(Ctx *s, int64_t budget) {
 
 /* RefSolver._build on the arena of n rows.  A kept row of bound 1 and
    two or more literals is a clause; the others are counter rows.
-   Counting pass (out == 0): sizes = counter rows, their terms, longest
-   row, root conflict, clauses, their literals, and pos_ptr[v] /
-   neg_ptr[v] count +v / -v in counter rows.  Filling pass: out =
-   row_ptr, row_coef, row_lit, bounds, maxposs, pos_row, pos_coef,
-   neg_row, neg_coef, clause_ptr, clause_lit at the counted sizes.
+   Counting pass (st == 0): sizes = the length of each Store array, in
+   field order, then the longest row and the root conflict.  Filling
+   pass: st's arrays at those lengths, pos_ptr and neg_ptr zeroed.
    Returns 1 when a kept counter row sums beyond int32, -1 out of
    memory, else 0.
    Left unoptimized: -O1 would add about a fifth to the core's compile,
    which a first use pays, to save 0.05 s on a 400k-row formula. */
 __attribute__((optimize("O0")))
 int mcm_build(int64_t n, const int64_t *coefs, const int32_t *vars, const int64_t *ptr,
-              const int64_t *rhs, const uint8_t *rel, int32_t nvars, int64_t *sizes,
-              int32_t *pos_ptr, int32_t *neg_ptr, int32_t **out) {
-    int64_t *key = out ? (int64_t *)malloc(sizeof(int64_t) * (sizes[2] + 1)) : 0;
-    int32_t nr = 0, at = 0, nc = 0, cat = 0;
-    if (out && !key) return -1;
+              const int64_t *rhs, const uint8_t *rel, int32_t nvars, int64_t *sizes, Store *st) {
+    int64_t *key = st ? (int64_t *)malloc(sizeof(int64_t) * (sizes[13] + 1)) : 0;
+    int32_t nr = 0, at = 0, nc = 0, cat = 0, npos = 0, longest = 0, conflict = 0;
+    if (st && !key) return -1;
     for (int64_t i = 0; i < n; i++) {
         __int128 total = 0, net = 0;
         int32_t len = (int32_t)(ptr[i + 1] - ptr[i]);
@@ -444,7 +440,7 @@ int mcm_build(int64_t n, const int64_t *coefs, const int32_t *vars, const int64_
         for (int32_t k = 0; k < len; k++) { total += c[k] < 0 ? -(__int128)c[k] : c[k]; net += c[k]; }
         for (int half = 0; half <= rel[i]; half++) {  /* half 1: the <= half, negated */
             __int128 bound = half ? (total + net) / 2 - rhs[i] : rhs[i] + (total - net) / 2;
-            if (total < bound) sizes[3] = 1;
+            if (total < bound) conflict = 1;
             if (total < bound || bound <= 0) continue;
             int clause = bound == 1 && len > 1;
             if (!clause && total > INT32_MAX) { free(key); return 1; }
@@ -453,43 +449,45 @@ int mcm_build(int64_t n, const int64_t *coefs, const int32_t *vars, const int64_
                 /* -|c|, which cannot overflow, clamped at -INT32_MAX: a
                    clause's coefficients only order its literals */
                 int64_t neg = c[k] < 0 ? c[k] : -c[k];
-                if (!out) { if (!clause) (lit > 0 ? pos_ptr : neg_ptr)[VAR(lit)]++; }
-                else key[k] = ((int64_t)(INT32_MAX + (neg < -INT32_MAX ? -INT32_MAX : neg)) << 32)
-                              | ((uint32_t)lit ^ 0x80000000u);
+                npos += !clause && lit > 0;
+                if (st) key[k] = ((int64_t)(INT32_MAX + (neg < -INT32_MAX ? -INT32_MAX : neg)) << 32)
+                                 | ((uint32_t)lit ^ 0x80000000u);
             }
-            if (out) {  /* coefficient descending, then literal */
-                int32_t *lits = clause ? out[10] + cat : out[2] + at;
+            if (st) {  /* coefficient descending, then literal */
+                int32_t *lits = clause ? st->clause_lit + cat : st->row_lit + at;
                 qsort(key, len, sizeof *key, by_key);
                 for (int32_t k = 0; k < len; k++) {
                     lits[k] = (int32_t)((uint32_t)key[k] ^ 0x80000000u);
-                    if (!clause) out[1][at + k] = INT32_MAX - (int32_t)(key[k] >> 32);
+                    if (!clause) st->row_coef[at + k] = INT32_MAX - (int32_t)(key[k] >> 32);
                 }
-                if (clause) out[9][nc + 1] = cat + len;
+                if (clause) st->clause_ptr[nc + 1] = cat + len;
                 else {
-                    out[0][nr + 1] = at + len;
-                    out[3][nr] = (int32_t)bound;
-                    out[4][nr] = (int32_t)total;
+                    st->row_ptr[nr + 1] = at + len;
+                    st->bounds[nr] = (int32_t)bound;
+                    st->maxposs[nr] = (int32_t)total;
                 }
-            } else if (len > sizes[2]) sizes[2] = len;
+            } else if (len > longest) longest = len;
             if (clause) { nc++; cat += len; }
             else { nr++; at += len; }
         }
     }
-    sizes[0] = nr;
-    sizes[1] = at;
-    sizes[4] = nc;
-    sizes[5] = cat;
-    if (!out) return 0;
+    if (!st) {
+        int64_t lengths[15] = {nr + 1, at, at, nr, nr, nvars + 2, npos, npos,
+                               nvars + 2, at - npos, at - npos, nc + 1, cat, longest, conflict};
+        memcpy(sizes, lengths, sizeof lengths);
+        return 0;
+    }
     free(key);
     /* Counting sort, rows ascending within a literal: each count becomes
        its end, and rows last to first take the slot before it. */
-    for (int32_t v = 1; v <= nvars + 1; v++) { pos_ptr[v] += pos_ptr[v - 1]; neg_ptr[v] += neg_ptr[v - 1]; }
+    for (int32_t k = 0; k < at; k++) (st->row_lit[k] > 0 ? st->pos_ptr : st->neg_ptr)[VAR(st->row_lit[k])]++;
+    for (int32_t v = 1; v <= nvars + 1; v++) { st->pos_ptr[v] += st->pos_ptr[v - 1]; st->neg_ptr[v] += st->neg_ptr[v - 1]; }
     for (int32_t r = nr - 1; r >= 0; r--)
-        for (int32_t k = out[0][r]; k < out[0][r + 1]; k++) {
-            int32_t lit = out[2][k], o = lit > 0 ? 5 : 7;
-            int32_t slot = --(lit > 0 ? pos_ptr : neg_ptr)[VAR(lit)];
-            out[o][slot] = r;
-            out[o + 1][slot] = out[1][k];
+        for (int32_t k = st->row_ptr[r]; k < st->row_ptr[r + 1]; k++) {
+            int32_t lit = st->row_lit[k], pos = lit > 0;
+            int32_t slot = --(pos ? st->pos_ptr : st->neg_ptr)[VAR(lit)];
+            (pos ? st->pos_row : st->neg_row)[slot] = r;
+            (pos ? st->pos_coef : st->neg_coef)[slot] = st->row_coef[k];
         }
     return 0;
 }
@@ -608,11 +606,12 @@ static int read_int(const char **p, const char *end, int64_t *value) {
     return 1;
 }
 
-/* The lines after the header: rows, comment lines and blank lines.
+/* The lines after the header: rows, comment lines and blank lines, into
+   the arena's arrays, of room for sizes[1] rows and sizes[2] terms.
    stamp[v] is 1 + the last row that holds v. */
 __attribute__((optimize("O0")))
-static int read_rows(const char *p, const char *end, uint64_t nvars, int64_t *stamp,
-                     int64_t *sizes, void **out) {
+static int read_rows(const char *p, const char *end, uint64_t nvars, int64_t *stamp, int64_t *sizes,
+                     int64_t *coefs, int32_t *vars, int64_t *row_ptr, int64_t *bounds, uint8_t *rel) {
     int64_t row = 0, at = 0;
     while (p < end) {  /* p at a newline: read the line after it */
         p = blanks(p + 1, end);
@@ -627,40 +626,39 @@ static int read_rows(const char *p, const char *end, uint64_t nvars, int64_t *st
         while (p == end || (*p != '>' && *p != '=')) {  /* "[+-]coef xvar", then a blank */
             if (!read_int(&p, end, &coef) || !coef || !word(&p, end, "x")
                 || !read_digits(&p, end, nvars, &var) || !var || stamp[var] == row + 1
-                || p == end || (*p != ' ' && *p != '\t')) return 1;
+                || p == end || (*p != ' ' && *p != '\t') || at == sizes[2]) return 1;
             p = blanks(p, end);
             stamp[var] = row + 1;
-            if (out) { ((int64_t *)out[0])[at] = coef; ((int32_t *)out[1])[at] = (int32_t)var; }
-            at++;
+            coefs[at] = coef;
+            vars[at++] = (int32_t)var;
         }
         int eq = *p == '=';
         if (!word(&p, end, eq ? "=" : ">=")) return 1;
         p = blanks(p, end);
         if (!read_int(&p, end, &bound) || !word(&p, end, ";")) return 1;
         p = blanks(p, end);
-        if (p < end && *p != '\n') return 1;
-        if (out) {
-            ((int64_t *)out[2])[row + 1] = at;
-            ((int64_t *)out[3])[row] = bound;
-            ((uint8_t *)out[4])[row] = (uint8_t)eq;
-        }
-        row++;
+        if ((p < end && *p != '\n') || row == sizes[1]) return 1;
+        row_ptr[row + 1] = at;
+        bounds[row] = bound;
+        rel[row++] = (uint8_t)eq;
     }
     sizes[1] = row;
     sizes[2] = at;
     return 0;
 }
 
-/* parse_opb on a text of len bytes, or a refusal (nonzero) of any text
-   outside a strict subset of what the Python reader takes: printable
-   ASCII, tabs and "\n" line ends; spaces or tabs between tokens; no
-   "<=", no value beyond int64, no zero coefficient, no repeated or
-   out-of-range variable, and as many rows as the header declares.
-   Counting pass (out == 0): sizes = variables, rows, terms.  Filling
-   pass: out = coefs, vars, row_ptr, bounds, relations at those sizes.
-   Returns 0 read, 1 refused, -1 out of memory. */
+/* parse_opb on a text of len bytes, in one pass, or a refusal (nonzero)
+   of any text outside a strict subset of what the Python reader takes:
+   printable ASCII, tabs and "\n" line ends; spaces or tabs between
+   tokens; no "<=", no value beyond int64, no zero coefficient, no
+   repeated or out-of-range variable, and as many rows as the header
+   declares.  The arena's arrays have room for sizes[1] rows and
+   sizes[2] terms; a text that holds more is refused.  Then sizes =
+   variables, rows, terms read.  Returns 0 read, 1 refused, -1 out of
+   memory. */
 __attribute__((optimize("O0")))
-int mcm_parse(const char *p, int64_t len, int64_t *sizes, void **out) {
+int mcm_parse(const char *p, int64_t len, int64_t *sizes, int64_t *coefs, int32_t *vars,
+              int64_t *row_ptr, int64_t *bounds, uint8_t *rel) {
     const char *end = p + len;
     uint64_t nvars, declared;
     if (p == end || *p++ != '*' || !word(&p, end, "#variable=")
@@ -671,9 +669,9 @@ int mcm_parse(const char *p, int64_t len, int64_t *sizes, void **out) {
     if (p < end && *p != '\n') return 1;
     int64_t *stamp = (int64_t *)calloc(nvars + 1, sizeof(int64_t));
     if (!stamp) return -1;
-    sizes[0] = (int64_t)nvars;
-    int rc = read_rows(p, end, nvars, stamp, sizes, out);
+    int rc = read_rows(p, end, nvars, stamp, sizes, coefs, vars, row_ptr, bounds, rel);
     free(stamp);
+    sizes[0] = (int64_t)nvars;
     return rc ? rc : (uint64_t)sizes[1] != declared;
 }
 """
@@ -726,6 +724,14 @@ def load():
     return _core
 
 
+class Store(ctypes.Structure):
+    """The C Store: RefSolver's row-store arrays, by attribute name."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "row_ptr", "row_coef", "row_lit", "bounds", "maxposs", "pos_ptr", "pos_row",
+        "pos_coef", "neg_ptr", "neg_row", "neg_coef", "clause_ptr", "clause_lit")]
+
+
 def _open():
     try:
         so_path = _compile()
@@ -733,20 +739,20 @@ def _open():
             log.info("no C compiler found; using the Python solver")
             return None
         lib = ctypes.CDLL(str(so_path))
+        store = ctypes.POINTER(Store)
         lib.mcm_new.restype = ctypes.c_void_p
-        lib.mcm_new.argtypes = [ctypes.c_int32] * 3 + [ctypes.c_void_p] * 16
+        lib.mcm_new.argtypes = [ctypes.c_int32] * 3 + [store] + [ctypes.c_void_p] * 4
         lib.mcm_run.restype = ctypes.c_int
         lib.mcm_run.argtypes = [ctypes.c_void_p, ctypes.c_int64]
         lib.mcm_free.argtypes = [ctypes.c_void_p]
         lib.mcm_stats.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
         lib.mcm_build.restype = ctypes.c_int
-        lib.mcm_build.argtypes = (
-            [ctypes.c_int64] + [ctypes.c_void_p] * 5 + [ctypes.c_int32] + [ctypes.c_void_p] * 4
-        )
+        lib.mcm_build.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 5
+                                  + [ctypes.c_int32, ctypes.c_void_p, store])
         lib.mcm_emit.restype = ctypes.c_int64
         lib.mcm_emit.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6
         lib.mcm_parse.restype = ctypes.c_int
-        lib.mcm_parse.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+        lib.mcm_parse.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 6
         lib.mcm_check_block.restype = lib.mcm_check_model.restype = ctypes.c_int64
         lib.mcm_check_block.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2 + [ctypes.c_int64]
         lib.mcm_check_model.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 6
@@ -765,6 +771,11 @@ def _arena(formula) -> list[int]:
     return arena
 
 
+def _store(arrays) -> Store:
+    """A Store of the named arrays; an empty one's address is 0, never read."""
+    return Store(*(arrays[name].buffer_info()[0] for name, _ in Store._fields_))
+
+
 # A new ASCII str of a given length, and the address of a str's
 # characters: for an ASCII str, its own buffer, read and filled in place.
 _new_str = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_ssize_t, ctypes.c_uint32)(
@@ -773,18 +784,18 @@ _chars = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_void_p)(
     ("PyUnicode_AsUTF8AndSize", ctypes.pythonapi))
 
 
-def emit(lib, formula, notes) -> str | None:
+def emit(formula, notes) -> str | None:
     """PbFormula.emit_opb's text, written on the core into the new str.
 
     The core writes the runs of rows between the noted rows; Python
-    writes the header and the `* note` lines.  None when a note is not
-    ASCII, for the Python writer to write.
+    writes the header and the `* note` lines.  None when no core loads
+    or a note is not ASCII, for the Python writer to write.
     """
     n = len(formula.bounds)
     cuts = sorted(i for i in notes if 0 <= i < n)
     heads = [f"* #variable= {formula.var_count} #constraint= {n}\n",
              *(f"* {notes[i]}\n" for i in cuts)]
-    if not all(map(str.isascii, heads)):
+    if (lib := load()) is None or not all(map(str.isascii, heads)):
         return None
     arena = _arena(formula)
     text = _new_str(sum(map(len, heads)) + lib.mcm_emit(0, n, *arena, None), 127)
@@ -796,99 +807,96 @@ def emit(lib, formula, notes) -> str | None:
     return text
 
 
-def parse(lib, text: str):
-    """parse_opb's formula, read on the core from the str's own buffer.
+def parse(text: str, f):
+    """parse_opb's formula, read on the core into the empty PbFormula f
+    from the str's own buffer, in one pass.
 
-    Python allocates the arena at the sizes a counting pass reports and
-    the core fills it.  None when the core refuses the text, which the
-    Python reader then decides.
+    Every row ends in ";" and every term holds "x", so Python allocates
+    the arena for as many rows and terms as the text holds of each, and
+    cuts it to what the core read.  None when no core loads or the core
+    refuses the text, which the Python reader then decides.
     """
-    if not text.isascii():
+    if (lib := load()) is None or not text.isascii():
         return None
-    sizes = array("q", [0]) * 3  # variables, rows, terms
-    args = (_chars(text, None), len(text), sizes.buffer_info()[0])
-    if lib.mcm_parse(*args, None):
-        return None
-    f = PbFormula()
-    f.var_count, nrows, nterms = sizes
+    nrows, nterms = text.count(";"), text.count("x")
+    sizes = array("q", [0, nrows, nterms])  # variables, rows, terms
     f.coefs, f.vars = array("q", [0]) * nterms, array("i", [0]) * nterms
     f.row_ptr, f.bounds, f.relations = array("q", [0]) * (nrows + 1), array("q", [0]) * nrows, bytearray(nrows)
-    return None if lib.mcm_parse(*args, (ctypes.c_void_p * 5)(*_arena(f))) else f
+    if lib.mcm_parse(_chars(text, None), len(text), sizes.buffer_info()[0], *_arena(f)):
+        return None
+    f.var_count, nrows, nterms = sizes
+    del f.coefs[nterms:], f.vars[nterms:], f.row_ptr[nrows + 1:], f.bounds[nrows:], f.relations[nrows:]
+    return f
 
 
-def check_block(lib, formula, k: int, m: int, end: int) -> int:
+def check_block(formula, k: int, m: int, end: int) -> int | None:
     """The first of the m rows of k terms appended to the arena at term
     `end` that has a zero coefficient, an unallocated variable or a
-    repeated one; m when none.
+    repeated one; m when none; None when no core loads.
 
     The arrays' own appends have checked each value's type and range;
     PbFormula._refusal words the error.
     """
+    if (lib := load()) is None:
+        return None
     return lib.mcm_check_block(k, m, formula.coefs.buffer_info()[0] + 8 * end,
                                formula.vars.buffer_info()[0] + 4 * end, formula.var_count)
 
 
-def check_model(lib, formula, values) -> int:
+def check_model(formula, values) -> int | None:
     """The first row of the formula that the model's values violate; the
-    row count when none.  0, for Python to decide from the first row,
-    when the values do not fit int8 or do not cover every variable."""
+    row count when none.  None, for Python to decide from the first row,
+    when no core loads or the values do not fit int8 or do not cover
+    every variable."""
     try:
         vals = array("b", values)
     except (OverflowError, TypeError):
-        return 0
-    if len(vals) <= formula.var_count:
-        return 0
+        return None
+    if (lib := load()) is None or len(vals) <= formula.var_count:
+        return None
     return lib.mcm_check_model(len(formula.bounds), *_arena(formula), vals.buffer_info()[0])
 
 
-def build(lib, solver, formula) -> None:
-    """Build the solver's row store from the formula's arena on the core.
+def build(formula):
+    """RefSolver's row store, built on the core from the formula's arena:
+    its arrays by Store field name, and root_conflict.  C_WIDE when a
+    counter row sums beyond int32; None when no core loads.
 
-    Python allocates every array at the size a counting pass reports and
-    the core fills them.  A counter row that does not fit int32 is
-    refused with PbError, as RefSolver._build refuses it.
+    Python allocates every array at the length a counting pass reports
+    and the core fills them.
     """
-    arena = _arena(formula)
-    # counter rows, their terms, longest row, root conflict, clauses, their literals
-    sizes = array("q", [0]) * 6
-    pos_ptr, neg_ptr = array("i", [0]) * (solver.nvars + 2), array("i", [0]) * (solver.nvars + 2)
-    args = (len(formula.bounds), *arena, solver.nvars,
-            *(a.buffer_info()[0] for a in (sizes, pos_ptr, neg_ptr)))
+    if (lib := load()) is None:
+        return None
+    # the length of each Store array, then the longest row and the root conflict
+    sizes = array("q", [0]) * (len(Store._fields_) + 2)
+    args = (len(formula.bounds), *_arena(formula), formula.var_count, sizes.buffer_info()[0])
     if lib.mcm_build(*args, None):
-        raise PbError("a counter row's coefficients sum beyond the bundled solver's int32 range")
-    nrows, nterms, _, conflict, nclauses, nlits = sizes
-    npos = sum(pos_ptr)
-    store = [array("i", [0]) * n for n in (nrows + 1, nterms, nterms, nrows, nrows,
-                                           npos, npos, nterms - npos, nterms - npos,
-                                           nclauses + 1, nlits)]
-    if lib.mcm_build(*args, (ctypes.c_void_p * 11)(*(a.buffer_info()[0] for a in store))):
+        return C_WIDE
+    store = {name: array("i", [0]) * n for (name, _), n in zip(Store._fields_, sizes)}
+    if lib.mcm_build(*args, _store(store)):
         raise MemoryError("the compiled solver core ran out of memory")
-    (solver.row_ptr, solver.row_coef, solver.row_lit, solver.bounds, solver.maxposs,
-     solver.pos_row, solver.pos_coef, solver.neg_row, solver.neg_coef,
-     solver.clause_ptr, solver.clause_lit) = store
-    solver.pos_ptr, solver.neg_ptr, solver.root_conflict = pos_ptr, neg_ptr, bool(conflict)
+    store["root_conflict"] = bool(sizes[-1])
+    return store
 
 
-def run(lib, solver, stop):
-    """Search the solver's row store on the compiled core, in time slices.
+def run(solver, stop):
+    """Search the solver's row store on the compiled core, in time slices,
+    and leave the search's counters on the solver.
 
-    Returns UNKNOWN once `stop()` (asked after each slice) is True.
+    Returns the model's values (index 0 unused) on SAT, C_UNSAT, or
+    RUNNING once `stop()` (asked after each slice) is True; None when no
+    core loads.
     """
+    if (lib := load()) is None:
+        return None
     nv, nr = solver.nvars, solver.nrows
     # The search state is copied, the clauses by the core; the row store
-    # is read in place.
+    # is read in place.  -1 marks an unassigned variable, as UNASSIGNED does.
     maxposs = array("i", solver.maxposs)
     satsum = array("i", [0]) * nr
-    assigned = array("b", [UNASSIGNED]) * (nv + 1)
-    store = (
-        solver.row_ptr, solver.row_coef, solver.row_lit, solver.bounds,
-        solver.pos_ptr, solver.pos_row, solver.pos_coef,
-        solver.neg_ptr, solver.neg_row, solver.neg_coef,
-        solver.clause_ptr, solver.clause_lit,
-        solver.phases, maxposs, satsum, assigned,
-    )
-    # An empty array's address is 0, which the core never reads.
-    ctx = lib.mcm_new(nv, nr, len(solver.clause_ptr) - 1, *(a.buffer_info()[0] for a in store))
+    assigned = array("b", [-1]) * (nv + 1)
+    ctx = lib.mcm_new(nv, nr, len(solver.clause_ptr) - 1, _store(vars(solver)),
+                      *(a.buffer_info()[0] for a in (solver.phases, maxposs, satsum, assigned)))
     if not ctx:
         raise MemoryError("the compiled solver core ran out of memory")
     stats = (ctypes.c_int64 * 3)()
@@ -901,13 +909,11 @@ def run(lib, solver, stop):
             lib.mcm_stats(ctx, stats)
             solver.decisions, solver.propagations, solver.conflicts = stats
             if rc == C_SAT:
-                return SAT, Model((0,) + tuple(assigned[1:]))
-            if rc == C_UNSAT:
-                return UNSAT, None
+                return (0,) + tuple(assigned[1:])
             if rc == C_NOMEM:
                 raise MemoryError("the compiled solver core ran out of memory")
-            if stop is not None and stop():
-                return UNKNOWN, None
+            if rc == C_UNSAT or stop is not None and stop():
+                return rc
             # Aim the next call at SLICE seconds from this call's step rate,
             # growing at most tenfold since step costs drift during a search.
             budget = max(1, int(budget * min(10.0, SLICE / max(elapsed, 1e-9))))

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from operator import eq
 
+from . import native
 from .model import McmError
 
 log = logging.getLogger(__name__)
@@ -159,19 +160,17 @@ class PbFormula:
 
         The arrays' own appends check each value's type and range (int64
         coefficients and bounds, int32 variables); native.check_block
-        checks the rest, or `_refusal` where no core loads and for rows
-        longer than PAIRWISE_MAX terms.
+        checks the rest, or `_refusal` where no core loads, for rows longer
+        than PAIRWISE_MAX terms and for a relation not in RELATIONS.
         """
-        from . import native  # native imports this module
-
         m, end, nrows = len(bounds), len(self.coefs), len(self.bounds)
         try:
             self.coefs.fromlist(coefs)
             self.vars.fromlist(vs)
             self.bounds.fromlist(bounds)
-            lib = native.load() if k <= PAIRWISE_MAX else None
-            if (relation in RELATIONS and native.check_block(lib, self, k, m, end) == m if lib
-                    else not self._refusal(k, coefs, vs, bounds, relation)):
+            first = (native.check_block(self, k, m, end)
+                     if k <= PAIRWISE_MAX and relation in RELATIONS else None)
+            if first == m or first is None and not self._refusal(k, coefs, vs, bounds, relation):
                 return True
         except (TypeError, OverflowError):
             pass  # a value that is no integer or beyond its array's range
@@ -205,11 +204,8 @@ class PbFormula:
         Written on the compiled core when one loads; the Python writer
         below is the reference and the fallback.
         """
-        from . import native  # native imports this module
-
         notes = self.annotations if include_annotations else {}
-        lib = native.load()
-        if lib is not None and (text := native.emit(lib, self, notes)) is not None:
+        if (text := native.emit(self, notes)) is not None:
             return text
         coefs, vs, ptr, rels = self.coefs, self.vars, self.row_ptr, self.relations
         blocks = [f"* #variable= {self.var_count} #constraint= {len(self.bounds)}"]
@@ -278,10 +274,7 @@ def parse_opb(text: str) -> PbFormula:
     read here; the Python reader below is the reference and decides every
     text the core refuses.
     """
-    from . import native  # native imports this module
-
-    lib = native.load()
-    if lib is not None and (f := native.parse(lib, text)) is not None:
+    if (f := native.parse(text, PbFormula())) is not None:
         return f
     lines = _lines(text)
     header = next(lines, "")

@@ -41,6 +41,7 @@ from collections import Counter
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, repeat
 
+from . import native
 from .pb import GE, INT32_MAX, SAT, UNKNOWN, UNSAT, Model, PbError, PbFormula
 
 UNASSIGNED = -1
@@ -64,13 +65,13 @@ class RefSolver:
         # occurrences of each literal.  The compiled core, when it loads,
         # builds it from the formula's arena, else _build does; the core's
         # search reads it in place, so it is never resized.
-        from . import native  # native imports this module
-
-        self.core = native.load()
-        if self.core is not None:
-            native.build(self.core, self, formula)
-        else:
+        store = native.build(formula)
+        if store == native.C_WIDE:
+            raise PbError("a counter row's coefficients sum beyond the bundled solver's int32 range")
+        if store is None:
             self._build(formula)
+        else:
+            vars(self).update(store)
         self.nrows = len(self.bounds)
         pos = (self.pos_ptr, self.pos_row, self.pos_coef)
         neg = (self.neg_ptr, self.neg_row, self.neg_coef)
@@ -395,11 +396,11 @@ class RefSolver:
         """
         if self.root_conflict:
             return UNSAT, None
-        if self.core is not None:
-            from . import native
-
-            return native.run(self.core, self, stop)
-        return self._solve_python(stop)
+        if (found := native.run(self, stop)) is None:
+            return self._solve_python(stop)
+        if isinstance(found, tuple):
+            return SAT, Model(found)
+        return (UNSAT if found == native.C_UNSAT else UNKNOWN), None
 
     def _solve_python(self, stop=None):
         nv = self.nvars

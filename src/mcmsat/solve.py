@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
 
+from . import native
 from .encoder import EXACTLY2, KINDS, EncodeResult, EncodingConfig, encode_mcm
 from .model import (
     AdderGraph,
@@ -168,10 +169,7 @@ def _check_model(formula: PbFormula, model: Model, backend: str) -> None:
     row; the Python loop below is the reference and the fallback: it runs
     from that row, or from row 0 without the core, and words the error.
     """
-    from . import native  # imported on first use, as pb and refsolver import it
-
-    lib = native.load()
-    first = 0 if lib is None else native.check_model(lib, formula, model.values)
+    first = native.check_model(formula, model.values) or 0
     if first == len(formula.bounds):
         return
     values, ptr = model.values, formula.row_ptr

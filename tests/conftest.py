@@ -13,6 +13,13 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
+# For a test that calls the core itself, or compares it with Python.
+# test_compiled_core_loads_where_a_compiler_exists fails where a compiler
+# is found and the core still does not load, so a skip is never silent.
+needs_core = pytest.mark.skipif(native.load() is None,
+                                reason="no compiled core: no C compiler, or MCMSAT_NO_NATIVE is set")
+
+
 @contextmanager
 def python_path():
     """Run the block on the Python paths: every caller's `native.load()`

@@ -95,3 +95,28 @@ def test_module_uses_every_import(path):
         if (path.name, name) not in REEXPORTED
     ]
     assert unused == []
+
+
+
+def imported(tree: ast.AST):
+    """(line, dotted name) of everything an import in the tree brings in;
+    a name imported from within the package starts with "."."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module + "." if node.module else "")
+            yield from ((node.lineno, base + alias.name) for alias in node.names)
+
+
+def test_native_imports_nothing_from_the_package():
+    # It is the leaf that the other modules import at their top.
+    tree = ast.parse((PACKAGE_DIR / "native.py").read_text())
+    assert [(line, name) for line, name in imported(tree) if name.startswith((".", "mcmsat"))] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_imports_native(path):
+    functions = [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert [line for f in functions for line, name in imported(f) if "native" in name.split(".")] == []

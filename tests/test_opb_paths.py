@@ -8,14 +8,12 @@ The Python row checks of `PbFormula.add_rows` are the reference for the
 core's block check; they word every refusal on both paths.
 """
 
-import os
-import shutil
 from contextlib import nullcontext
 
 import pytest
 import test_encoder
 import test_pb
-from conftest import python_path
+from conftest import needs_core, python_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_pb import COEFS, INT64_MAX, INT64_MIN
@@ -23,10 +21,6 @@ from test_pb import COEFS, INT64_MAX, INT64_MIN
 from mcmsat import native
 from mcmsat.pb import GE, SAT, PbError, PbFormula, parse_opb
 from mcmsat.solve import solve
-
-NO_CORE = bool(os.environ.get("MCMSAT_NO_NATIVE")) or not any(map(shutil.which, ("cc", "gcc", "clang")))
-needs_core = pytest.mark.skipif(NO_CORE, reason="no C compiler, or the core is switched off")
-
 
 @pytest.mark.parametrize("targets,variant", test_encoder.GOLDEN_OPB)
 def test_pinned_bytes_from_the_python_writer(python_only, targets, variant):
@@ -74,12 +68,16 @@ def test_long_rows_on_the_python_path(python_only):
     test_pb.test_long_rows_are_checked_for_repeats()
 
 
+CORE_CALLS = ("mcm_check_block", "mcm_emit", "mcm_parse", "mcm_build", "mcm_new", "mcm_run",
+              "mcm_stats", "mcm_free", "mcm_check_model")
+
+
 @needs_core
 def test_a_substituted_load_sends_all_five_sites_to_python(monkeypatch):
-    calls = []
-    for name in ("check_block", "emit", "parse", "build", "run", "check_model"):
-        real = getattr(native, name)
-        monkeypatch.setattr(native, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    core, calls = native.load(), []
+    for name in CORE_CALLS:
+        real = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
 
     def five_sites():
         """Append a block, write and read OPB text, make and run a
@@ -92,7 +90,8 @@ def test_a_substituted_load_sends_all_five_sites_to_python(monkeypatch):
         return text
 
     text = five_sites()
-    assert calls == ["check_block", "emit", "parse", "build", "run", "check_model"]
+    assert list(dict.fromkeys(calls)) == list(CORE_CALLS)
+    assert calls.count("mcm_parse") == 1  # one pass over the text
     calls.clear()
     with python_path():
         assert five_sites() == text
@@ -159,7 +158,8 @@ def opb_texts(draw):
         specs.insert(draw(st.integers(0, len(specs))), bad[fault])
     lines, row_lines = [], []
     for spec in specs:
-        lines += draw(st.lists(st.sampled_from(["", " ", "\t", "* a comment", " *\tnote", "*"]), max_size=2))
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t", "* a comment", " *\tnote", "*",
+                                                "* +1 x1 >= 1 ;", "*x;x"]), max_size=2))
         row_lines.append(len(lines))
         lines.append(draw(rows(*spec)))
     count = len(specs) + (draw(st.sampled_from([-1, 1])) if fault == "wrong count" else 0)
@@ -191,7 +191,7 @@ def test_core_and_python_readers_agree(text):
     python = read(text, core=False)
     assert read(text, core=True) == python
     # What the core's own reader accepts, the Python reader accepts alike.
-    read_on_core = native.parse(native.load(), text)
+    read_on_core = native.parse(text, PbFormula())
     if read_on_core is not None:
         assert arena(read_on_core) == python
 
@@ -218,8 +218,18 @@ def test_core_and_python_block_checks_agree(block):
     "*#variable=3\t#constraint=002  \n\n  * a comment\n\t3x1  -02\tx03 >=+1;\t\n = -0 ;",
     "* #variable= 0 #constraint= 0",
     f"* #variable= 1 #constraint= 2\n{INT64_MIN} x1 >= {INT64_MAX} ;\n{INT64_MAX} x1 = {INT64_MIN} ;\n",
+    "* #variable= 2 #constraint= 1\n* x1 x2 ; x ;;\n+1 x1 +1 x2 >= 1 ;\n*x\n",
 ])
 def test_the_core_reads_the_texts_it_should(text):
     # The core reads these itself rather than handing them to Python.
-    read_on_core = native.parse(native.load(), text)
+    read_on_core = native.parse(text, PbFormula())
     assert read_on_core is not None and arena(read_on_core) == read(text, core=False)
+
+
+@needs_core
+@pytest.mark.parametrize("declared", [0, 2])
+def test_a_header_count_that_misses_the_rows_is_refused_on_both_paths(declared):
+    # One row, and a comment whose ";" would make room for a second.
+    text = f"* #variable= 1 #constraint= {declared}\n* x1 >= 1 ;\n+1 x1 >= 1 ;\n"
+    assert native.parse(text, PbFormula()) is None
+    assert read(text, core=True) == read(text, core=False) == f"header declares {declared} constraints, found 1"

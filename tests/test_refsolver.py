@@ -9,7 +9,7 @@ from contextlib import nullcontext
 from itertools import product
 
 import pytest
-from conftest import python_path
+from conftest import needs_core, python_path
 
 from mcmsat import native
 from mcmsat.encoder import EncodingConfig, encode_mcm
@@ -62,9 +62,13 @@ def random_formula(rng: random.Random) -> PbFormula:
 
 
 def make_solver(f, on_core, phases=None):
-    """A RefSolver on the compiled core, where one loads, or in Python."""
+    """A RefSolver that builds and searches on the compiled core, where
+    one loads, or in Python."""
     with nullcontext() if on_core else python_path():
-        return RefSolver(f, phases=phases)
+        solver = RefSolver(f, phases=phases)
+    if not on_core:  # solve() picks its search when it is called
+        solver.solve = python_path()(solver.solve)
+    return solver
 
 
 def test_toy_unsat():
@@ -289,9 +293,8 @@ def assert_same_store(f):
     assert all(hi - lo > 1 for lo, hi in zip(py.clause_ptr, py.clause_ptr[1:]))
 
 
+@needs_core
 def test_native_and_python_build_the_same_row_store():
-    if native.load() is None:
-        pytest.skip("no compiled core (no C compiler)")
     rng = random.Random(7)
     for _ in range(150):
         assert_same_store(random_formula(rng))
@@ -324,16 +327,14 @@ def test_compiled_core_loads_where_a_compiler_exists():
 def test_no_native_is_read_once_per_process():
     # A process started with it set runs every site in Python.
     code = ("from mcmsat import native\nfrom mcmsat.pb import PbFormula\n"
-            "from mcmsat.refsolver import RefSolver\n"
-            "assert native.load() is None and RefSolver(PbFormula()).core is None\n")
+            "assert native.load() is None and native.build(PbFormula()) is None\n")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, MCMSAT_NO_NATIVE="1"),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
+@needs_core
 def test_the_core_refuses_a_row_beyond_int32_itself(monkeypatch):
-    if native.load() is None:
-        pytest.skip("no compiled core (no C compiler, or the core is switched off)")
     monkeypatch.setattr(RefSolver, "_build", lambda *_: pytest.fail("the Python build ran"))
     f = PbFormula()
     x1, x2 = f.new_var(), f.new_var()
@@ -342,11 +343,10 @@ def test_the_core_refuses_a_row_beyond_int32_itself(monkeypatch):
         RefSolver(f)
 
 
-def test_a_core_that_cannot_start_a_search_raises():
+@needs_core
+def test_a_core_that_cannot_start_a_search_raises(monkeypatch):
     # Rather than run the far slower Python search in its place.
     core = native.load()
-    if core is None:
-        pytest.skip("no compiled core (no C compiler, or the core is switched off)")
 
     class NoContext:
         def __getattr__(self, name):
@@ -359,7 +359,7 @@ def test_a_core_that_cannot_start_a_search_raises():
     x, y = f.new_var(), f.new_var()
     f.add(((1, x), (1, y)), GE, 2)
     solver = RefSolver(f)
-    solver.core = NoContext()
+    monkeypatch.setattr(native, "load", lambda: NoContext())
     with pytest.raises(MemoryError):
         solver.solve()
 
@@ -483,11 +483,10 @@ def test_python_and_native_agree_past_restarts_and_reduction():
     assert py[0] == "UNSAT" and REDUCE_FIRST < py[2][2] < 5000
 
 
+@needs_core
 def test_ten_bit_constants_refuted_at_three_ops():
     # Each has optimum 4; chronological backtracking took 4.65M decisions
     # to refute any of them at 3 ops.
-    if native.load() is None:
-        pytest.skip("no compiled core (no C compiler)")
     for constant in (683, 691, 731, 811, 821, 843, 851, 853):
         enc = encode_mcm(normalize_targets([constant]), EncodingConfig(ops=3))
         start = time.monotonic()
