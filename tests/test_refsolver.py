@@ -492,3 +492,14 @@ def test_ten_bit_constants_refuted_at_three_ops():
         start = time.monotonic()
         assert RefSolver(enc.formula, phases=enc.phase_hints).solve()[0] == "UNSAT"
         assert time.monotonic() - start < 5, constant
+
+
+@needs_core
+def test_core_search_counters_are_pinned():
+    # About 10,000 conflicts each, so the activities pass a rescale
+    # (after about 4,500 conflicts), which the agreement tests never reach.
+    for constant, counters in ((821, (16570, 342395, 9672)), (683, (17420, 362196, 10412))):
+        enc = encode_mcm(normalize_targets([constant]), EncodingConfig(ops=3))
+        solver = RefSolver(enc.formula, phases=enc.phase_hints)
+        assert solver.solve()[0] == "UNSAT"
+        assert (solver.decisions, solver.propagations, solver.conflicts) == counters, constant
