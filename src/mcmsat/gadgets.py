@@ -7,9 +7,16 @@ most significant bit first.  Chains have length N-1; chain[i] feeds
 result bit i and is defined from the operands at position i+1.  Emission
 order within each gadget is fixed so formulas are reproducible.  Rows
 are written per gadget in blocks, in that order: a per-bit loop of rows
-of one length is one checked `PbFormula.add_rows` call, and the one-bit
-gadgets (`encode_xor2`, `encode_xor3`, `encode_cond_copy`) are the
-one-bit case of the same row tables.
+of one length is one block, and the one-bit gadgets (`encode_xor2`,
+`encode_xor3`, `encode_cond_copy`) are the one-bit case of the same row
+tables.
+
+The adders, subtractors and shifts, which write nearly every row of an
+encoding, are written from a template per shape (see `_templated`): the
+gadget's body runs once per shape against a recording formula, and every
+call appends the recorded rows, its own variables substituted, as one
+checked `PbFormula.add_rows` call per run of one relation.  A refused
+gadget leaves the formula as it was.
 
 A conditional gadget writes the same rows as the plain one, each behind
 a guard: "this row holds only while cond is true" is the prefix term
@@ -21,11 +28,12 @@ only a shared chain is guarded.
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import chain, repeat
-from operator import mul
+import inspect
+from functools import cache, wraps
+from itertools import chain, groupby, repeat
+from operator import itemgetter, mul, sub
 
-from .pb import EQ, BitVec, PbError, PbFormula, bits_of
+from .pb import EQ, RELATIONS, BitVec, PbError, PbFormula, bits_of
 
 
 # Row tables: one row per (coefficients, bound), over one bit of each
@@ -56,6 +64,97 @@ def _shape(table: tuple, w: int | None) -> tuple[list, list]:
     if w is not None:
         table = [((-w, *coefs), bound - w) for coefs, bound in table]
     return [c for coefs, _ in table for c in coefs], [bound for _, bound in table]
+
+
+def _picker(indices):
+    """The tuple of a sequence's items at `indices`, in one C-level call."""
+    if len(indices) == 1:
+        return lambda seq, i=indices[0]: (seq[i],)
+    return itemgetter(*indices) if indices else lambda seq: ()
+
+
+class _Template:
+    """A gadget's rows for one shape, recorded over placeholder variables:
+    1 to p for the inputs, in argument order, then p + 1 on for the fresh
+    variables, in allocation order."""
+
+    def __init__(self, body, key, variable):
+        rec, held = PbFormula(), []
+        for k, var in zip(key, variable):  # the placeholders of an argument
+            if var and k is not None:
+                k = rec.new_var() if k < 0 else tuple(rec.new_var() for _ in range(k))
+            held.append(k)
+        inputs = rec.var_count
+        returned = body(rec, *held)
+        self.fresh = rec.var_count - inputs
+        self.returned = None if returned is None else _picker(returned)
+        self.runs = []  # per run of rows of one relation: lengths, terms, bounds
+        ptr, lo = rec.row_ptr, 0
+        for code, rows in groupby(rec.relations):
+            hi = lo + len(list(rows))
+            terms = slice(ptr[lo], ptr[hi])
+            self.runs.append((list(map(sub, ptr[lo + 1:hi + 1], ptr[lo:hi])), rec.coefs[terms],
+                              _picker(rec.vars[terms]), rec.bounds[lo:hi], RELATIONS[code]))
+            lo = hi
+
+    def replay(self, f: PbFormula, vals: list):
+        """Append the rows to f, placeholder v standing for vals[v] for an
+        input and for a fresh variable of f for the rest; what the gadget
+        returns."""
+        base, nrows = f.var_count, len(f.bounds)
+        vals.extend(range(base + 1, base + self.fresh + 1))
+        f.var_count += self.fresh
+        try:
+            for lengths, coefs, pick, bounds, relation in self.runs:
+                f.add_rows(lengths, coefs, pick(vals), bounds, relation)
+        except PbError:
+            f.cut(nrows)
+            f.var_count = base
+            raise
+        return None if self.returned is None else self.returned(vals)
+
+
+def _templated(*static: str):
+    """Write the gadget from a template per shape.
+
+    The shape is the values of the parameters named in `static` (a
+    shift's direction and amount) and, for each other parameter, whether
+    it is None (-> None), one variable (-> -1) or a vector (-> its
+    length).  The first call of a shape records the body (`_Template`).
+    """
+
+    def wrap(body):
+        sig = inspect.signature(body)
+        params = list(sig.parameters.values())[1:]
+        variable = [p.name not in static for p in params]
+        defaults = tuple(p.default for p in params)
+        required = defaults.count(inspect.Parameter.empty)
+        templates: dict = {}
+
+        @wraps(body)
+        def gadget(f, *args, **kwargs):
+            if kwargs or not required <= len(args) <= len(params):
+                bound = sig.bind(f, *args, **kwargs)
+                bound.apply_defaults()
+                args = bound.args[1:]
+            key, vals = [], [0]
+            for a, var in zip(args + defaults[len(args):], variable):
+                if not var or a is None:
+                    key.append(a)
+                elif isinstance(a, int):
+                    key.append(-1)
+                    vals.append(a)
+                else:
+                    key.append(len(a))
+                    vals.extend(a)
+            key = tuple(key)
+            if (template := templates.get(key)) is None:
+                template = templates[key] = _Template(body, key, variable)
+            return template.replay(f, vals)
+
+        return gadget
+
+    return wrap
 
 
 def encode_xor2(f: PbFormula, a: int, b: int, c: int, cond: int | None = None) -> None:
@@ -104,6 +203,7 @@ def _sum_bits(f, out: BitVec, b: BitVec, c: BitVec, d: BitVec, cond) -> None:
     _rows(f, (out[-1:], b[-1:], c[-1:]), cond, 1, *_XOR2)
 
 
+@_templated()
 def encode_adder(
     f: PbFormula,
     out: BitVec,
@@ -138,6 +238,7 @@ def encode_adder(
     return d
 
 
+@_templated()
 def encode_subtractor(
     f: PbFormula,
     out: BitVec,
@@ -199,6 +300,7 @@ def _shift_rows(f: PbFormula, out: BitVec, src: BitVec, shifts, direction: str) 
     encode_not_both(f, conds, zeros)
 
 
+@_templated("amount", "direction")
 def encode_cond_shift(
     f: PbFormula,
     cond: int,
@@ -211,6 +313,7 @@ def encode_cond_shift(
     _shift_rows(f, out, src, [(amount, cond)], direction)
 
 
+@_templated("direction")
 def encode_shift(
     f: PbFormula, out: BitVec, src: BitVec, direction: str = "left"
 ) -> BitVec:

@@ -32,12 +32,12 @@ later call returns None.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import logging
 import os
 import subprocess
 import tempfile
 import time
+import zlib
 from array import array
 from pathlib import Path
 
@@ -85,6 +85,9 @@ typedef struct {
     int32_t *trail, trail_len, qhead, *trail_lim, nlevels;
     int32_t *level, *tpos, *reason, *learnt, nlearnt, *expl;
     double *act, inc;
+    /* the decision heap: every unassigned variable and some assigned ones
+       not yet popped, heap[0] first; hpos[v] is v's slot, -1 outside */
+    int32_t *heap, *hpos, nheap;
     /* clause c is clits[cstart[c]:cstart[c + 1]], the original clauses
        first; watch slot 2c + j watches its literal j, linked from
        whead[WIDX] via wnext */
@@ -117,6 +120,28 @@ static void assign(Ctx *s, int32_t var, int32_t value, int32_t reason) {
     }
 }
 
+/* VSIDS order: the higher activity first, ties to the lower index. */
+static int before(const Ctx *s, int32_t a, int32_t b) {
+    return s->act[a] > s->act[b] || (s->act[a] == s->act[b] && a < b);
+}
+
+static void sift_up(Ctx *s, int32_t i) {
+    int32_t v = s->heap[i];
+    for (; i > 0 && before(s, v, s->heap[(i - 1) / 2]); i = (i - 1) / 2)
+        s->hpos[s->heap[i] = s->heap[(i - 1) / 2]] = i;
+    s->hpos[s->heap[i] = v] = i;
+}
+
+static void sift_down(Ctx *s, int32_t i) {
+    int32_t v = s->heap[i];
+    for (int32_t c; (c = 2 * i + 1) < s->nheap; i = c) {
+        if (c + 1 < s->nheap && before(s, s->heap[c + 1], s->heap[c])) c++;
+        if (!before(s, s->heap[c], v)) break;
+        s->hpos[s->heap[i] = s->heap[c]] = i;
+    }
+    s->hpos[s->heap[i] = v] = i;
+}
+
 static void backjump(Ctx *s, int32_t lvl) {
     if (s->nlevels > lvl) {
         int32_t height = s->trail_lim[lvl];
@@ -128,6 +153,10 @@ static void backjump(Ctx *s, int32_t lvl) {
             for (int32_t i = l->ptr[var]; i < l->ptr[var + 1]; i++) s->maxposs[l->row[i]] += l->coef[i];
             s->assigned[var] = UNASSIGNED;
             s->phase[var] = (uint8_t)value;
+            if (s->hpos[var] < 0) {
+                s->heap[s->nheap] = var;
+                sift_up(s, s->nheap++);
+            }
         }
     }
     s->qhead = s->trail_len;
@@ -215,10 +244,11 @@ static int32_t analyze(Ctx *s, int32_t confl) {
             int32_t v = VAR(s->expl[i]);
             if (s->seen[v] || s->level[v] == 0) continue;
             s->seen[v] = 1;
-            if ((s->act[v] += s->inc) > RESCALE) {
+            if ((s->act[v] += s->inc) > RESCALE) {  /* rescaling may tie: rebuild the heap */
                 for (int32_t u = 1; u <= s->nvars; u++) s->act[u] *= 1e-100;
                 s->inc *= 1e-100;
-            }
+                for (int32_t i = s->nheap / 2 - 1; i >= 0; i--) sift_down(s, i);
+            } else if (s->hpos[v] >= 0) sift_up(s, s->hpos[v]);
             if (s->level[v] >= s->nlevels) pathc++;
             else s->learnt[s->nlearnt++] = s->expl[i];
         }
@@ -323,7 +353,7 @@ void mcm_free(Ctx *s) {
     if (!s) return;
     free(s->queued); free(s->phase); free(s->seen); free(s->mark); free(s->queue);
     free(s->trail); free(s->trail_lim); free(s->level); free(s->tpos); free(s->reason);
-    free(s->learnt); free(s->expl); free(s->act);
+    free(s->learnt); free(s->expl); free(s->act); free(s->heap); free(s->hpos);
     free(s->clits); free(s->cstart); free(s->clbd); free(s->wnext); free(s->whead);
     free(s);
 }
@@ -350,14 +380,17 @@ Ctx *mcm_new(int32_t nvars, int32_t nrows, int32_t nclauses, const Store *st,
     s->mark = (uint8_t *)calloc(nv, 1);
     s->act = (double *)calloc(nv, sizeof(double));
     int32_t **ints[] = {&s->trail, &s->trail_lim, &s->level, &s->tpos, &s->reason,
-                        &s->learnt, &s->expl};
+                        &s->learnt, &s->expl, &s->heap, &s->hpos};
     int ok = s->queued && s->phase && s->seen && s->mark && s->act;
-    for (int i = 0; i < 7; i++) ok = grow(ints[i], nv) && ok;
+    for (int i = 0; i < 9; i++) ok = grow(ints[i], nv) && ok;
     ok = grow(&s->queue, nrows + 1) && grow(&s->whead, 2 * nv) && grow(&s->clits, s->lcap)
          && grow(&s->cstart, s->ccap + 1) && grow(&s->clbd, s->ccap)
          && grow(&s->wnext, 2 * s->ccap) && ok;
     if (!ok) { mcm_free(s); return 0; }
     memcpy(s->phase, phases, nvars + 1);
+    /* every variable, of activity 0: in index order, already a heap */
+    for (int32_t v = 1; v <= nvars; v++) s->hpos[s->heap[v - 1] = v] = v - 1;
+    s->nheap = nvars;
     for (int32_t w = 0; w < 2 * nv; w++) s->whead[w] = -1;
     /* the original clauses, copied: permanent (LBD 0) and watched */
     if (s->nlits) memcpy(s->clits, st->clause_lit, sizeof(int32_t) * s->nlits);
@@ -406,10 +439,17 @@ int mcm_run(Ctx *s, int64_t budget) {
             if (!reduce(s)) return 3;
             s->next_reduce = s->conflicts + REDUCE_FIRST + REDUCE_STEP * ++s->reductions;
         }
-        /* VSIDS: the highest activity, ties to the lowest index */
+        /* VSIDS: the first unassigned variable off the heap */
         int32_t var = 0;
-        for (int32_t v = 1; v <= s->nvars; v++)
-            if (s->assigned[v] == UNASSIGNED && (!var || s->act[v] > s->act[var])) var = v;
+        while (!var && s->nheap > 0) {
+            int32_t v = s->heap[0];
+            s->hpos[v] = -1;
+            if (--s->nheap > 0) {
+                s->heap[0] = s->heap[s->nheap];
+                sift_down(s, 0);
+            }
+            if (s->assigned[v] == UNASSIGNED) var = v;
+        }
         if (!var) return 1;
         s->decisions++;
         s->trail_lim[s->nlevels++] = s->trail_len;
@@ -493,17 +533,18 @@ int mcm_build(int64_t n, const int64_t *coefs, const int32_t *vars, const int64_
 }
 
 /* The checks of the PbFormula arena that stay outside the search; like
-   mcm_build, left unoptimized.  mcm_check_block: the first of m rows of
-   k terms, from coefs and vars, with a zero coefficient, a variable
-   outside 1..nvars or a variable twice; m when there is none.  Repeats
-   are found pairwise, so Python checks rows of more than PAIRWISE_MAX
-   terms itself. */
+   mcm_build, left unoptimized.  mcm_check_block: the first of m rows,
+   row r being terms start[r] to start[r + 1] - 1 of coefs and vars, with
+   a zero coefficient, a variable outside 1..nvars or a variable twice; m
+   when there is none.  Repeats are found pairwise, so Python checks a
+   block with a row of more than PAIRWISE_MAX terms itself. */
 __attribute__((optimize("O0")))
-int64_t mcm_check_block(int64_t k, int64_t m, const int64_t *coefs, const int32_t *vars, int64_t nvars) {
+int64_t mcm_check_block(int64_t m, const int64_t *coefs, const int32_t *vars, const int64_t *start,
+                        int64_t nvars) {
     for (int64_t r = 0; r < m; r++)
-        for (int64_t p = k * r; p < k * r + k; p++) {
+        for (int64_t p = start[r]; p < start[r + 1]; p++) {
             if (!coefs[p] || vars[p] < 1 || vars[p] > nvars) return r;
-            for (int64_t q = k * r; q < p; q++) if (vars[q] == vars[p]) return r;
+            for (int64_t q = start[r]; q < p; q++) if (vars[q] == vars[p]) return r;
         }
     return m;
 }
@@ -691,8 +732,10 @@ def _cache_dir() -> Path:
 
 
 def _compile() -> Path | None:
-    digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
-    so_path = _cache_dir() / f"mcmcore_{digest}.so"
+    # Named by a checksum and the length of the source: hashlib would load
+    # OpenSSL, several MB of resident memory in every process.
+    source = C_SOURCE.encode()
+    so_path = _cache_dir() / f"mcmcore_{zlib.crc32(source):08x}_{len(source)}.so"
     if so_path.exists():
         return so_path
     for compiler in ("cc", "gcc", "clang"):
@@ -754,7 +797,7 @@ def _open():
         lib.mcm_parse.restype = ctypes.c_int
         lib.mcm_parse.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 6
         lib.mcm_check_block.restype = lib.mcm_check_model.restype = ctypes.c_int64
-        lib.mcm_check_block.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2 + [ctypes.c_int64]
+        lib.mcm_check_block.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 3 + [ctypes.c_int64]
         lib.mcm_check_model.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 6
         return lib
     except Exception as exc:  # pragma: no cover - environment specific
@@ -829,18 +872,21 @@ def parse(text: str, f):
     return f
 
 
-def check_block(formula, k: int, m: int, end: int) -> int | None:
-    """The first of the m rows of k terms appended to the arena at term
-    `end` that has a zero coefficient, an unallocated variable or a
-    repeated one; m when none; None when no core loads.
+def check_block(formula, first: int) -> int | None:
+    """The first of the rows appended to the arena from row `first` on
+    that has a zero coefficient, an unallocated variable or a repeated
+    one, counted from `first`; the number of those rows when none; None
+    when no core loads.
 
-    The arrays' own appends have checked each value's type and range;
+    The rows' starts are read from the arena's row_ptr, and the arrays'
+    own appends have checked each value's type and range;
     PbFormula._refusal words the error.
     """
     if (lib := load()) is None:
         return None
-    return lib.mcm_check_block(k, m, formula.coefs.buffer_info()[0] + 8 * end,
-                               formula.vars.buffer_info()[0] + 4 * end, formula.var_count)
+    return lib.mcm_check_block(len(formula.bounds) - first, formula.coefs.buffer_info()[0],
+                               formula.vars.buffer_info()[0],
+                               formula.row_ptr.buffer_info()[0] + 8 * first, formula.var_count)
 
 
 def check_model(formula, values) -> int | None:

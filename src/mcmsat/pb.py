@@ -6,16 +6,17 @@ bound.  A formula keeps all rows in one append-only arena of flat arrays
 (after MiniSat+ and RoundingSat): row i is coefs[j], vars[j] for j in
 row_ptr[i]:row_ptr[i + 1], bound bounds[i], relation RELATIONS[relations[i]].
 Every row enters the arena through one checked append, `add_rows`, which
-takes a block of rows of one length as flat lists (`add` is its one-row
-case); the Python OPB reader appends through it too.  A coefficient or
-bound beyond int64, or a value that is no integer, is refused with
-PbError, never truncated, and a refused block leaves the arena as it
-was.  A block is appended first, the arrays' own appends checking
-each value's type and range, and then its rows are checked: in one core
-pass (native.check_block), or by `_refusal` where no core loads; a
-refused block is cut off again.  `_refusal` is the reference and the
-fallback, and words every refusal on both paths.  Appending
-keeps counts and OPB output reproducible byte for byte.
+takes a block of rows of one length or of a list of lengths, as flat
+lists or typed arrays (`add` is its one-row case); the gadget templates
+and the Python OPB reader append through it too.  A coefficient or bound
+beyond int64, or a value that is no integer, is refused with PbError,
+never truncated, and a refused block leaves the arena as it was.  A
+block is appended first, its row starts included, the arrays' own
+appends checking each value's type and range, and then its rows are
+checked: in one core pass (native.check_block), or by `_refusal` where
+no core loads; a refused block is cut off again (`cut`).  `_refusal` is
+the reference and the fallback, and words every refusal on both paths.
+Appending keeps counts and OPB output reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
-from operator import eq
+from itertools import accumulate, chain, islice, repeat
 
 from . import native
 from .model import McmError
@@ -129,56 +129,73 @@ class PbFormula:
         coefs, vs = tuple(zip(*terms)) or ((), ())
         return self.add_rows(len(vs), list(coefs), list(vs), [bound], relation, note)
 
-    def add_rows(self, k: int, coefs: list, vs: list, bounds: list, relation=GE, note=None) -> int:
-        """Append a block of rows of k terms each; the index of the first.
+    def add_rows(self, k, coefs, vs, bounds, relation=GE, note=None) -> int:
+        """Append a block of rows; the index of the first.
 
-        Row r is coefs[k*r:k*r+k], vs[k*r:k*r+k], bounds[r].  The block is
-        checked whole and appended whole; a refused block leaves nothing
-        behind, and its PbError, worded by `_refusal`, names the first bad
-        row.
+        k is every row's length, or a list of each row's length, and row
+        r is the next k or k[r] terms of coefs and vs, bound bounds[r].
+        coefs, vs and bounds are lists, tuples or arrays; an array of the
+        arena's typecode ('q' for coefs and bounds, 'i' for vs) is appended
+        by copying its memory.  The block is checked whole and appended
+        whole; a refused block leaves nothing behind, and its PbError,
+        worded by `_refusal`, names the first bad row.
         """
         idx, m = len(self.bounds), len(bounds)
-        if len(coefs) != k * m or len(vs) != k * m:
-            raise PbError(f"{m} rows of {k} terms need {k * m} coefficients and variables")
-        if m and not self._append(k, coefs, vs, bounds, relation):
-            for r, lo in enumerate(range(0, k * m, k)):
-                row = slice(lo, lo + k)
-                if why := self._refusal(k, coefs[row], vs[row], bounds[r:r + 1], relation):
-                    raise PbError(f"row {idx + r} {list(zip(coefs[row], vs[row]))} "
+        if isinstance(k, int):
+            lengths, terms = [k] * m, k * m
+        elif len(k) != m or min(k, default=0) < 0:
+            raise PbError(f"{m} bounds for lengths {list(k)}: one length of at least 0 per row")
+        else:
+            lengths, terms = k, sum(k)
+        if len(coefs) != terms or len(vs) != terms:
+            shape = f"{m} rows of {k} terms" if isinstance(k, int) else f"rows of lengths {k}"
+            raise PbError(f"{shape} need {terms} coefficients and variables")
+        if m and not self._append(lengths, coefs, vs, bounds, relation):
+            starts = list(accumulate(lengths, initial=0))
+            for r, lo, hi in zip(range(m), starts, starts[1:]):
+                if why := self._refusal(lengths[r:r + 1], coefs[lo:hi], vs[lo:hi], bounds[r:r + 1],
+                                        relation):
+                    raise PbError(f"row {idx + r} {list(zip(coefs[lo:hi], vs[lo:hi]))} "
                                   f"{relation!r} {bounds[r]}: {why}")
             raise AssertionError("a block was refused that _refusal takes row by row")
-        end = self.row_ptr[-1]
-        self.row_ptr.extend(range(end + k, end + k * m + 1, k) if k else [end] * m)
         self.relations += bytes([relation == EQ]) * m
         if note is not None and m:  # the note of the block's first row
             self.annotations[idx] = note
         return idx
 
-    def _append(self, k: int, coefs: list, vs: list, bounds: list, relation) -> bool:
-        """Append the block's terms and bounds, then check them; cut them
-        off again and return False if the block is refused.
+    def _append(self, lengths, coefs, vs, bounds, relation) -> bool:
+        """Append the block's terms, bounds and row starts, then check
+        them; cut them off again and return False if the block is refused.
 
         The arrays' own appends check each value's type and range (int64
         coefficients and bounds, int32 variables); native.check_block
         checks the rest, or `_refusal` where no core loads, for rows longer
         than PAIRWISE_MAX terms and for a relation not in RELATIONS.
         """
-        m, end, nrows = len(bounds), len(self.coefs), len(self.bounds)
+        nrows = len(self.bounds)
         try:
-            self.coefs.fromlist(coefs)
-            self.vars.fromlist(vs)
-            self.bounds.fromlist(bounds)
-            first = (native.check_block(self, k, m, end)
-                     if k <= PAIRWISE_MAX and relation in RELATIONS else None)
-            if first == m or first is None and not self._refusal(k, coefs, vs, bounds, relation):
+            for arena, values in (self.coefs, coefs), (self.vars, vs), (self.bounds, bounds):
+                same = isinstance(values, array) and values.typecode == arena.typecode
+                arena.extend(values if same else array(arena.typecode, values))
+            self.row_ptr[-1:] = array("q", accumulate(lengths, initial=self.row_ptr[-1]))
+            first = (native.check_block(self, nrows)
+                     if max(lengths) <= PAIRWISE_MAX and relation in RELATIONS else None)
+            if first == len(bounds) or first is None and not self._refusal(
+                    lengths, coefs, vs, bounds, relation):
                 return True
         except (TypeError, OverflowError):
             pass  # a value that is no integer or beyond its array's range
-        del self.coefs[end:], self.vars[end:], self.bounds[nrows:]
+        self.cut(nrows)
         return False
 
-    def _refusal(self, k: int, coefs: list, vs: list, bounds: list, relation) -> str | None:
-        """Why the rows of k terms cannot enter the arena, or None."""
+    def cut(self, nrows: int) -> None:
+        """Drop every row from index nrows on; the annotations stay."""
+        end = self.row_ptr[nrows]
+        del self.coefs[end:], self.vars[end:], self.row_ptr[nrows + 1:]
+        del self.bounds[nrows:], self.relations[nrows:]
+
+    def _refusal(self, lengths, coefs, vs, bounds, relation) -> str | None:
+        """Why the rows of the given lengths cannot enter the arena, or None."""
         if relation not in RELATIONS:
             return "a relation not '>=' or '='"
         if not all(hasattr(t, "__index__") for t in set(map(type, chain(coefs, vs, bounds)))):
@@ -187,9 +204,9 @@ class PbFormula:
             return "a zero coefficient"
         if vs and not (min(vs) >= 1 and max(vs) <= min(self.var_count, INT32_MAX)):
             return "a variable not allocated"
-        if len(set(vs)) < k if len(vs) == k else any(
-                any(map(eq, vs[p::k], vs[q::k])) for p, q in combinations(range(k), 2)):
-            return "a repeated variable"  # within one row: columns p and q agree
+        row_of = chain.from_iterable(map(repeat, range(len(lengths)), lengths))
+        if len(set(zip(row_of, vs))) < len(vs):
+            return "a repeated variable"  # within one row
         if not (INT64_MIN <= min(bounds) and max(bounds) <= INT64_MAX
                 and (not coefs or INT64_MIN <= min(coefs) and max(coefs) <= INT64_MAX)):
             return "a coefficient or bound beyond int64"

@@ -15,8 +15,9 @@ Nordstrom 2018) do:
   a clause by its other literals, so first-UIP analysis learns clauses,
   which are minimized locally and join the original clauses in flat
   int32 arrays;
-* backjumping, VSIDS decisions (ties to the lowest index, so the first
-  descent runs in index order) with phases saved from `phases` on,
+* backjumping, VSIDS decisions off a heap of the variables by activity
+  (ties to the lowest index, so the first descent runs in index order)
+  with phases saved from `phases` on,
   Luby restarts, and periodic deletion of the learned clauses of high
   LBD (literal block distance: the decision levels a clause spans).
 

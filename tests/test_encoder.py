@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -10,9 +11,9 @@ from mcmsat.encoder import (
     predict_size,
     preprocess_trivial,
 )
-from mcmsat.model import McmError, normalize_targets
+from mcmsat.model import McmError, csd_upper_bound, normalize_targets
 from mcmsat.oracle import brute_force_optimal
-from mcmsat.pb import parse_opb
+from mcmsat.pb import PbFormula, parse_opb
 from mcmsat.refsolver import enumerate_models
 from mcmsat.solve import solve
 
@@ -344,3 +345,21 @@ def test_annotations_optional_and_off_by_default():
     assert any(line.startswith("* slot") for line in text.splitlines())
     # Annotations never change the constraint stream itself.
     assert noted.formula.emit_opb() == plain.formula.emit_opb()
+
+
+def test_wide_encodings_append_gadgets_whole(monkeypatch):
+    # The five formulas of the benchmark's build-wide workload: 912,022
+    # rows, which gadget templates write in 5,235 appends, where a block
+    # per per-bit loop took 55,826.
+    appends = Counter()
+    add_rows = PbFormula.add_rows
+    monkeypatch.setattr(PbFormula, "add_rows",
+                        lambda f, *args: appends.update([id(f)]) or add_rows(f, *args))
+    total = rows = 0
+    for targets, ops, variant in (((1701, 709, 1015, 1269), None, 3), ((731951,), None, 3),
+                                  ((731951,), 5, 1), ((731951,), 5, 2), ((731951,), 5, 3)):
+        inst = normalize_targets(targets)
+        appends.clear()  # and count the appends of this formula alone, no template's recording
+        f = encode_mcm(inst, EncodingConfig(ops=ops or csd_upper_bound(inst), variant=variant)).formula
+        total, rows = total + appends[id(f)], rows + len(f.bounds)
+    assert rows == 912_022 and total <= 6_000

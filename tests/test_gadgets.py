@@ -469,3 +469,61 @@ def test_every_constraint_uses_allocated_vars():
     for cons in f.constraints:
         for _, var in cons.terms:
             assert 1 <= var <= f.var_count
+
+
+# -- templates --------------------------------------------------------------------
+
+
+def arena(f: PbFormula):
+    return (f.var_count, f.coefs.tolist(), f.vars.tolist(), f.row_ptr.tolist(), f.bounds.tolist(),
+            bytes(f.relations), dict(f.annotations))
+
+
+def outcome(write):
+    try:
+        return write()
+    except PbError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("write", [
+    lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, (c[0], c[1], x)),
+    lambda f, a, b, c, x: gadgets.encode_subtractor(f, a, b, c, x, (a[0], x)),
+    lambda f, a, b, c, x: gadgets.encode_subtractor(f, a, b, c, x, (a[0], a[0])),
+    lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, c, shared_carries=(a[0], b[0])),
+    lambda f, a, b, c, x: gadgets.encode_shift(f, a, (b[0], b[1], x)),  # fails past its '=' row
+    lambda f, a, b, c, x: gadgets.encode_shift(f, a, b, "up"),
+    lambda f, a, b, c, x: gadgets.encode_cond_shift(f, c[0], a, b, 3),
+    lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, c[:2]),
+])
+def test_a_refused_gadget_leaves_the_formula_as_it_was(write):
+    f = PbFormula()
+    a, b, c = f.new_bitvec(3), f.new_bitvec(3), f.new_bitvec(3)
+    gadgets.encode_adder(f, a, b, c)
+    f.annotations[len(f.bounds)] = "the next gadget"  # as the encoder notes a candidate
+    before = arena(f)
+    with pytest.raises(PbError):
+        write(f, a, b, c, 99)  # a variable not allocated, or a shape refused
+    assert arena(f) == before
+
+
+@pytest.mark.parametrize("gadget, args", [
+    (gadgets.encode_adder, ((1, 2, 3), (2, 3, 4), (3, 4, 5))),
+    (gadgets.encode_subtractor, ((5, 4, 3), (1, 2, 3), (2, 3, 4), 6)),
+    (gadgets.encode_adder, ((1, 2, 3), (2, 3, 4), (3, 4, 5), 6, (1, 7))),
+    (gadgets.encode_subtractor, ((1, 2, 3), (2, 3, 4), (3, 4, 5), 6, (7, 8))),
+    (gadgets.encode_subtractor, ((1, 2, 3), (3, 4, 5), (5, 6, 7), 2, (4, 8))),
+    (gadgets.encode_adder, ((1, 2, 3), (1, 4, 5), (6, 7, 8))),  # a repeat in a row: refused
+    (gadgets.encode_shift, ((1, 2, 3), (2, 3, 4))),
+    (gadgets.encode_shift, ((1, 2, 3), (4, 5, 6), "right")),
+    (gadgets.encode_cond_shift, (4, (1, 2, 3), (3, 2, 5), 1, "left")),
+    (gadgets.encode_cond_shift, (4, (1, 2, 3), (3, 2, 1), 0, "right")),
+])
+def test_a_replay_writes_what_the_body_writes_on_the_same_variables(gadget, args):
+    # Inputs that overlap one another, so that placeholders that are distinct
+    # in the recording stand for one variable in the replay.
+    replayed, recorded = PbFormula(), PbFormula()
+    for f in (replayed, recorded):
+        f.new_bitvec(9)
+    assert outcome(lambda: gadget(replayed, *args)) == outcome(lambda: gadget.__wrapped__(recorded, *args))
+    assert arena(replayed) == arena(recorded) or len(replayed.bounds) < len(recorded.bounds)

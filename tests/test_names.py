@@ -11,6 +11,8 @@ its last use goes.  The package's __init__ imports only to re-export.
 
 import ast
 import builtins
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +122,10 @@ def test_no_function_imports_native(path):
     functions = [node for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     assert [line for f in functions for line, name in imported(f) if "native" in name.split(".")] == []
+
+
+def test_loading_the_core_imports_no_hashlib():
+    # hashlib loads OpenSSL, several MB of resident memory in every process.
+    code = "import sys, mcmsat; mcmsat.native.load(); print('hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

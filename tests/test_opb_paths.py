@@ -54,6 +54,10 @@ def test_add_rows_agrees_with_one_row_add_on_the_python_path(python_only):
     test_pb.test_add_rows_agrees_with_one_row_add()
 
 
+def test_ragged_add_rows_agrees_with_one_row_add_on_the_python_path(python_only):
+    test_pb.test_ragged_add_rows_agrees_with_one_row_add()
+
+
 def test_add_rows_names_the_first_bad_row_on_the_python_path(python_only):
     test_pb.test_add_rows_names_the_first_bad_row()
 

@@ -4,6 +4,9 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
+from contextlib import suppress
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -408,6 +411,78 @@ def test_add_rows_agrees_with_one_row_add(block):
     assert outcome(lambda: many.add_rows(k, coefs, vs, bounds, relation, note)) == refused
     # A refused block leaves nothing behind; an accepted one is the rows one by one.
     assert arena(many) == (before if refused else arena(one))
+
+
+@st.composite
+def ragged_blocks(draw):
+    """A block of rows of 0 to 6 terms each over nv variables, valid or
+    with one defect; each of coefs, vs and bounds a list, or an array of
+    the arena's typecode where its values fit one."""
+    lengths = draw(st.lists(st.integers(0, 6), max_size=40))
+    nv = max([1, *lengths]) + draw(st.integers(0, 3))
+    starts = list(accumulate(lengths, initial=0))
+    coefs = [draw(COEFS) for _ in range(starts[-1])]
+    vs = [v for k in lengths for v in draw(st.permutations(range(1, nv + 1)))[:k]]
+    bounds = [draw(st.integers(INT64_MIN, INT64_MAX)) for _ in lengths]
+    relation = draw(st.sampled_from([GE, EQ]))
+    defect = draw(st.sampled_from([None] * 3 + DEFECTS)) if starts[-1] else None
+    if defect:
+        r = draw(st.sampled_from([r for r, k in enumerate(lengths) if k]))  # a row with terms
+        at = draw(st.integers(starts[r], starts[r + 1] - 1))
+    if defect == "zero coefficient":
+        coefs[at] = 0
+    elif defect == "repeated variable" and lengths[r] > 1:
+        vs[at] = vs[draw(st.sampled_from([p for p in range(starts[r], starts[r + 1]) if p != at]))]
+    elif defect == "variable 0":
+        vs[at] = 0
+    elif defect == "variable beyond var_count":
+        vs[at] = nv + 1
+    elif defect == "coefficient at 2^63":
+        coefs[at] = draw(st.sampled_from([2**63, -(2**63), INT64_MIN - 1]))
+    elif defect == "bound at 2^63":
+        bounds[r] = draw(st.sampled_from([2**63, -(2**63), INT64_MIN - 1]))
+    elif defect == "bad relation":
+        relation = draw(st.sampled_from(["<=", ">", "=="]))
+    columns = []
+    for values, typecode in (coefs, "q"), (vs, "i"), (bounds, "q"):
+        if draw(st.booleans()):
+            with suppress(OverflowError):
+                values = array(typecode, values)
+        columns.append(values)
+    return nv, lengths, *columns, relation, draw(st.sampled_from([None, "a note"]))
+
+
+@given(ragged_blocks())
+@settings(max_examples=300, deadline=None)
+def test_ragged_add_rows_agrees_with_one_row_add(block):
+    nv, lengths, coefs, vs, bounds, relation, note = block
+    one, many = PbFormula(), PbFormula()
+    for f in (one, many):
+        f.new_bitvec(nv)
+        f.add(((1, 1),), EQ, 1, note="first")  # so the named row index counts from 1
+    starts = list(accumulate(lengths, initial=0))
+
+    def row_by_row():
+        for r, lo, hi in zip(range(len(lengths)), starts, starts[1:]):
+            one.add(zip(coefs[lo:hi], vs[lo:hi]), relation, bounds[r], note if r == 0 else None)
+
+    before = arena(many)
+    refused = outcome(row_by_row)
+    assert outcome(lambda: many.add_rows(lengths, coefs, vs, bounds, relation, note)) == refused
+    assert arena(many) == (before if refused else arena(one))
+
+
+def test_add_rows_refuses_lengths_that_do_not_fit_the_block():
+    f = PbFormula()
+    a, b = f.new_var(), f.new_var()
+    with pytest.raises(PbError, match="one length of at least 0 per row"):
+        f.add_rows([2], [1, 1], [a, b], [0, 0])
+    with pytest.raises(PbError, match="one length of at least 0 per row"):
+        f.add_rows([3, -1], [1, 1], [a, b], [0, 0])
+    with pytest.raises(PbError, match="need 3 coefficients and variables"):
+        f.add_rows([1, 2], [1, 1], [a, b], [0, 0])
+    assert f.stats() == (2, 0) and f.add_rows([0, 2], [1, -1], [a, b], [-1, 0]) == 0
+    assert list(f.constraints) == [((), GE, -1), (((1, a), (-1, b)), GE, 0)]
 
 
 def test_add_rows_names_the_first_bad_row():
