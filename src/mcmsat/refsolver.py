@@ -22,7 +22,7 @@ Nordstrom 2018) do:
   LBD (literal block distance: the decision levels a clause spans).
 
 A compiled core with the identical algorithm is used when a C compiler
-is available (see native.py); the Python paths below are the reference
+is available (core.c, via native.py); the Python paths below are the reference
 and the fallback.  Both read one store of flat int32 arrays, the counter
 rows and the clauses apart, which the core builds from the formula's
 arena when it loads and RefSolver._build builds otherwise; a search

@@ -1,12 +1,15 @@
 import copy
+import logging
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 import time
 from contextlib import nullcontext
 from itertools import product
+from pathlib import Path
 
 import pytest
 from conftest import needs_core, python_path
@@ -16,6 +19,10 @@ from mcmsat.encoder import EncodingConfig, encode_mcm
 from mcmsat.model import normalize_targets
 from mcmsat.pb import EQ, GE, PbError, PbFormula
 from mcmsat.refsolver import REDUCE_FIRST, RefSolver, enumerate_models
+
+ROOT = Path(__file__).resolve().parent.parent
+COMPILER = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
+needs_compiler = pytest.mark.skipif(COMPILER is None, reason="no C compiler")
 
 
 def brute_status(f: PbFormula) -> str:
@@ -319,7 +326,7 @@ def test_native_and_python_build_the_same_row_store():
 def test_compiled_core_loads_where_a_compiler_exists():
     # A failed compile falls back to Python silently, which would send
     # both sides of every Python/native agreement test through Python.
-    if os.environ.get("MCMSAT_NO_NATIVE") or not any(map(shutil.which, ("cc", "gcc", "clang"))):
+    if os.environ.get("MCMSAT_NO_NATIVE") or COMPILER is None:
         pytest.skip("no C compiler, or the core is switched off")
     assert native.load() is not None
 
@@ -364,18 +371,76 @@ def test_a_core_that_cannot_start_a_search_raises(monkeypatch):
         solver.solve()
 
 
+@needs_compiler
 def test_compiled_core_has_no_warnings(tmp_path):
-    compiler = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
-    if compiler is None:
-        pytest.skip("no C compiler")
-    src = tmp_path / "mcmcore.c"
-    src.write_text(native.C_SOURCE)
     proc = subprocess.run(
-        [compiler, "-Wall", "-Wextra", "-Werror", "-O1", "-shared", "-fPIC", str(src),
+        [COMPILER, "-Wall", "-Wextra", "-Werror", "-O1", "-shared", "-fPIC", str(native.SOURCE),
          "-o", str(tmp_path / "mcmcore.so")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_optimization_boundary_follows_the_search():
+    # What runs per search step or per appended block is compiled at -O1,
+    # what runs once per formula or search after the one O0 pragma.
+    text = native.SOURCE.read_text()
+    assert text.count("#pragma GCC optimize") == 1
+    boundary = text.index("#pragma GCC optimize")
+    defined = {name: re.search(rf"^\w.*\b{name}\(", text, re.M).start()
+               for name in ("mcm_run", "propagate", "watch", "analyze", "reduce", "by_key",
+                            "mcm_check_block", "mcm_new", "mcm_build", "mcm_emit", "mcm_parse",
+                            "mcm_check_model")}
+    assert [name for name, at in defined.items() if at < boundary] == [
+        "mcm_run", "propagate", "watch", "analyze", "reduce", "by_key", "mcm_check_block"]
+
+
+@needs_compiler
+def test_the_cache_is_named_by_the_compiled_bytes(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    source = tmp_path / "core.c"
+    source.write_bytes(native.SOURCE.read_bytes())
+    monkeypatch.setattr(native, "SOURCE", source)
+    first = native._compile()
+    source.write_bytes(source.read_bytes().replace(b"/* The", b"/* the", 1))
+    second = native._compile()
+    assert first and second and first.name != second.name
+    # Compiled in place: the cache holds the two libraries and nothing else.
+    assert {p.name for p in (tmp_path / "cache" / "mcmsat").iterdir()} == {first.name, second.name}
+
+
+@needs_compiler
+def test_a_failed_compile_logs_why(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    broken = tmp_path / "broken.c"
+    broken.write_text("int f(void) {\n    return undeclared_name;\n}\n")
+    monkeypatch.setattr(native, "SOURCE", broken)
+    with caplog.at_level(logging.INFO, logger=native.log.name):
+        assert native._compile() is None
+    assert "undeclared_name" in caplog.text
+    assert list((tmp_path / "mcmsat").iterdir()) == []  # no temporary library left
+
+
+def test_core_c_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "core.c" in config["tool"]["setuptools"]["package-data"]["mcmsat"]
+
+
+@needs_core
+def test_standalone_driver_repeats_the_core_search(tmp_path):
+    store = subprocess.run([sys.executable, str(ROOT / "tools" / "dump_store.py"), "3", "821"],
+                           capture_output=True, check=True, timeout=120).stdout
+    driver = tmp_path / "core_driver"
+    subprocess.run([COMPILER, "-O1", "-Wall", "-Wextra", "-Werror", str(ROOT / "tools" / "core_driver.c"),
+                    "-o", str(driver)], capture_output=True, check=True, timeout=120)
+    verdict, *counters = subprocess.run([str(driver)], input=store, capture_output=True,
+                                        check=True, timeout=120).stdout.decode().split()
+    enc = encode_mcm(normalize_targets([821]), EncodingConfig(ops=3))
+    solver = RefSolver(enc.formula, phases=enc.phase_hints)
+    assert solver.solve()[0] == verdict == "UNSAT"
+    assert counters[:3] == [f"decisions={solver.decisions}", f"propagations={solver.propagations}",
+                            f"conflicts={solver.conflicts}"]
 
 
 def test_int32_max_coefficient_solves_on_both_paths():
