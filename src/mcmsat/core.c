@@ -11,13 +11,15 @@
    copies the clauses, in time slices of about native.SLICE seconds,
    asking the caller's stop predicate in between.  It writes and reads
    OPB text for PbFormula.emit_opb and parse_opb (mcm_emit, mcm_parse):
-   the writer writes the Python writer's bytes into a new str, and the
-   reader reads the str's own buffer in one pass but takes only a strict
-   subset of what the Python reader takes.  mcm_check_block checks a
-   block that PbFormula.add_rows has just appended, and mcm_check_model
-   finds the first row a SAT model violates for solve._check_model,
-   summing in 128 bits over the arena.  The Python code stays the
-   reference and the fallback of each, and words every error. */
+   the writer sizes a new str by the digit counts of the rows' numbers,
+   then writes the Python writer's bytes into it in one pass, and the
+   reader reads the str's own buffer in one pass, with no call per
+   token, but takes only a strict subset of what the Python reader
+   takes.  mcm_check_block checks a block that PbFormula.add_rows has
+   just appended, and mcm_check_model finds the first row a SAT model
+   violates for solve._check_model, summing in 128 bits over the arena.
+   The Python code stays the reference and the fallback of each, and
+   words every error. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -483,7 +485,13 @@ int mcm_build(int64_t n, const int64_t *coefs, const int32_t *vars, const int64_
             }
             if (st) {  /* coefficient descending, then literal */
                 int32_t *lits = clause ? st->clause_lit + cat : st->row_lit + at;
-                qsort(key, len, sizeof *key, by_key);
+                if (len > 16) qsort(key, len, sizeof *key, by_key);
+                else for (int32_t k = 1; k < len; k++) {  /* keys are distinct: a row repeats no variable */
+                    int64_t x = key[k];
+                    int32_t j = k;
+                    for (; j > 0 && key[j - 1] > x; j--) key[j] = key[j - 1];
+                    key[j] = x;
+                }
                 for (int32_t k = 0; k < len; k++) {
                     lits[k] = (int32_t)((uint32_t)key[k] ^ 0x80000000u);
                     if (!clause) st->row_coef[at + k] = INT32_MAX - (int32_t)(key[k] >> 32);
@@ -534,114 +542,130 @@ int64_t mcm_check_model(int64_t n, const int64_t *coefs, const int32_t *vars, co
 
 /* OPB text: mcm_emit writes it as PbFormula.emit_opb's Python writer
    does, and mcm_parse reads a strict subset of what parse_opb's Python
-   reader reads.  The put_ helpers write at out + at, or with out == 0
-   only count, and return the end. */
-static int64_t put_str(char *out, int64_t at, const char *s) {
-    for (; *s; s++, at++) if (out) out[at] = *s;
-    return at;
+   reader reads.  MAG is |x| as unsigned, INT64_MIN included. */
+#define MAG(x) ((x) < 0 ? 0 - (uint64_t)(x) : (uint64_t)(x))
+
+/* The number of decimal digits of m. */
+static int ndigits(uint64_t m) {
+    int n = 1;
+    for (uint64_t p = 10; n < 20 && m >= p; p *= 10) n++;
+    return n;
 }
 
-/* x in decimal, '+' before a nonnegative x when plus is set. */
-static int64_t put_int(char *out, int64_t at, int64_t x, int plus) {
-    char digit[20];
-    int n = 0;
-    uint64_t m = x < 0 ? 0 - (uint64_t)x : (uint64_t)x;
-    do { digit[n++] = (char)('0' + m % 10); m /= 10; } while (m);
-    if (x < 0 || plus) { if (out) out[at] = x < 0 ? '-' : '+'; at++; }
-    while (n--) { if (out) out[at] = digit[n]; at++; }
-    return at;
+/* m in decimal at o, in uint32 division once it fits; the end. */
+static char *put_dec(char *o, uint64_t m) {
+    char digit[20], *d = digit;
+    for (; m > UINT32_MAX; m /= 10) *d++ = (char)('0' + m % 10);
+    uint32_t u = (uint32_t)m;
+    do *d++ = (char)('0' + u % 10); while (u /= 10);
+    while (d > digit) *o++ = *--d;
+    return o;
 }
 
 /* Rows lo to hi - 1 of the arena, each line ended by a newline; the
-   number of bytes. */
+   number of bytes.  With out == 0 it only counts them, from the digits
+   of each number: "+c xv " is 4 bytes and the digits of |c| and v, and
+   ">= b ;\n" or "= b ;\n" is 6 or 5, a '-' for b < 0 and b's digits. */
 int64_t mcm_emit(int64_t lo, int64_t hi, const int64_t *coefs, const int32_t *vars,
                  const int64_t *ptr, const int64_t *rhs, const uint8_t *rel, char *out) {
-    int64_t at = 0;
+    if (!out) {
+        int64_t n = 0;
+        for (int64_t i = lo; i < hi; i++) {
+            for (int64_t k = ptr[i]; k < ptr[i + 1]; k++)
+                n += 4 + ndigits(MAG(coefs[k])) + ndigits((uint32_t)vars[k]);
+            n += (rel[i] ? 5 : 6) + (rhs[i] < 0) + ndigits(MAG(rhs[i]));
+        }
+        return n;
+    }
+    char *o = out;
     for (int64_t i = lo; i < hi; i++) {
         for (int64_t k = ptr[i]; k < ptr[i + 1]; k++) {
-            at = put_int(out, at, coefs[k], 1);
-            at = put_str(out, at, " x");
-            at = put_int(out, at, vars[k], 0);
-            at = put_str(out, at, " ");
+            *o++ = coefs[k] < 0 ? '-' : '+';
+            o = put_dec(o, MAG(coefs[k]));
+            *o++ = ' ';
+            *o++ = 'x';
+            o = put_dec(o, (uint32_t)vars[k]);
+            *o++ = ' ';
         }
-        at = put_str(out, at, rel[i] ? "= " : ">= ");
-        at = put_int(out, at, rhs[i], 0);
-        at = put_str(out, at, " ;\n");
+        if (!rel[i]) *o++ = '>';
+        *o++ = '=';
+        *o++ = ' ';
+        if (rhs[i] < 0) *o++ = '-';
+        o = put_dec(o, MAG(rhs[i]));
+        *o++ = ' ';
+        *o++ = ';';
+        *o++ = '\n';
     }
-    return at;
+    return o - out;
 }
 
-static const char *blanks(const char *p, const char *end) {
-    while (p < end && (*p == ' ' || *p == '\t')) p++;
-    return p;
-}
-
-/* Blanks, then the word s. */
-static int word(const char **p, const char *end, const char *s) {
-    const char *q = blanks(*p, end);
-    for (; *s; s++, q++) if (q == end || *q != *s) return 0;
-    *p = q;
-    return 1;
-}
-
-/* One or more decimal digits, of a value of at most limit. */
-static int read_digits(const char **p, const char *end, uint64_t limit, uint64_t *value) {
-    const char *q = *p;
-    uint64_t m = 0;
-    for (; q < end && *q >= '0' && *q <= '9'; q++) {
-        uint64_t d = (uint64_t)(*q - '0');
-        if (d > limit || m > (limit - d) / 10) return 0;
-        m = 10 * m + d;
-    }
-    if (q == *p) return 0;
-    *p = q;
-    *value = m;
-    return 1;
-}
-
-/* An optional sign, then digits, of a value within int64. */
-static int read_int(const char **p, const char *end, int64_t *value) {
-    int neg = *p < end && **p == '-';
-    uint64_t m;
-    if (*p < end && (**p == '-' || **p == '+')) (*p)++;
-    if (!read_digits(p, end, neg ? (uint64_t)INT64_MAX + 1 : INT64_MAX, &m)) return 0;
-    *value = neg ? (int64_t)(0 - m) : (int64_t)m;
-    return 1;
-}
+/* The reader's tokens, at the local text pointer p before end: spaces
+   and tabs; one or more decimal digits, their value m at most 10 * top
+   + last, or else a refusal: the caller returns 1. */
+#define SKIP_BLANKS() while (p < end && (*p == ' ' || *p == '\t')) p++
+#define READ_DIGITS(m, top, last)                                      \
+    do {                                                               \
+        const char *first_ = p;                                        \
+        for (m = 0; p < end && *p >= '0' && *p <= '9'; p++) {          \
+            uint64_t d_ = (uint64_t)(*p - '0');                        \
+            if (m > (top) || (m == (top) && d_ > (last))) return 1;    \
+            m = 10 * m + d_;                                           \
+        }                                                              \
+        if (p == first_) return 1;                                     \
+    } while (0)
 
 /* The lines after the header: rows, comment lines and blank lines, into
    the arena's arrays, of room for sizes[1] rows and sizes[2] terms.
-   stamp[v] is 1 + the last row that holds v. */
+   stamp[v] is 1 + the last row that holds v.  A row is terms
+   "[+-]coef xvar", each followed by a blank, then ">=" or "=", a bound
+   and ";": the coefficients and the bound are read by one signed
+   reader, in one loop over the row's numbers. */
 static int read_rows(const char *p, const char *end, uint64_t nvars, int64_t *stamp, int64_t *sizes,
                      int64_t *coefs, int32_t *vars, int64_t *row_ptr, int64_t *bounds, uint8_t *rel) {
     int64_t row = 0, at = 0;
+    uint64_t var_top = nvars / 10, var_last = nvars % 10;
     while (p < end) {  /* p at a newline: read the line after it */
-        p = blanks(p + 1, end);
+        p++;
+        SKIP_BLANKS();
         if (p < end && *p == '*') {
             for (; p < end && *p != '\n'; p++)
                 if ((unsigned char)*p >= 127 || (*p < ' ' && *p != '\t')) return 1;
             continue;
         }
         if (p == end || *p == '\n') continue;
-        int64_t coef, bound;
-        uint64_t var;
-        while (p == end || (*p != '>' && *p != '=')) {  /* "[+-]coef xvar", then a blank */
-            if (!read_int(&p, end, &coef) || !coef || !word(&p, end, "x")
-                || !read_digits(&p, end, nvars, &var) || !var || stamp[var] == row + 1
-                || p == end || (*p != ' ' && *p != '\t') || at == sizes[2]) return 1;
-            p = blanks(p, end);
+        int eq = -1;  /* the relation: -1 until it is read */
+        int64_t value;
+        for (;;) {
+            if (p < end && (*p == '>' || *p == '=')) {
+                eq = *p == '=';
+                if (!eq && (++p == end || *p != '=')) return 1;
+                p++;
+                SKIP_BLANKS();
+            }
+            /* an optional sign, then digits, of a value within int64 */
+            int neg = p < end && *p == '-';
+            uint64_t m, var;
+            if (p < end && (*p == '-' || *p == '+')) p++;
+            READ_DIGITS(m, (uint64_t)INT64_MAX / 10, (uint64_t)INT64_MAX % 10 + neg);
+            value = neg ? (int64_t)(0 - m) : (int64_t)m;
+            if (eq >= 0) break;
+            if (!value) return 1;
+            SKIP_BLANKS();
+            if (p == end || *p++ != 'x') return 1;
+            READ_DIGITS(var, var_top, var_last);
+            if (!var || stamp[var] == row + 1 || p == end || (*p != ' ' && *p != '\t')
+                || at == sizes[2]) return 1;
+            SKIP_BLANKS();
             stamp[var] = row + 1;
-            coefs[at] = coef;
+            coefs[at] = value;
             vars[at++] = (int32_t)var;
         }
-        int eq = *p == '=';
-        if (!word(&p, end, eq ? "=" : ">=")) return 1;
-        p = blanks(p, end);
-        if (!read_int(&p, end, &bound) || !word(&p, end, ";")) return 1;
-        p = blanks(p, end);
+        SKIP_BLANKS();
+        if (p == end || *p++ != ';') return 1;
+        SKIP_BLANKS();
         if ((p < end && *p != '\n') || row == sizes[1]) return 1;
         row_ptr[row + 1] = at;
-        bounds[row] = bound;
+        bounds[row] = value;
         rel[row++] = (uint8_t)eq;
     }
     sizes[1] = row;
@@ -661,13 +685,19 @@ static int read_rows(const char *p, const char *end, uint64_t nvars, int64_t *st
 int mcm_parse(const char *p, int64_t len, int64_t *sizes, int64_t *coefs, int32_t *vars,
               int64_t *row_ptr, int64_t *bounds, uint8_t *rel) {
     const char *end = p + len;
-    uint64_t nvars, declared;
-    if (p == end || *p++ != '*' || !word(&p, end, "#variable=")
-        || !(p = blanks(p, end), read_digits(&p, end, INT32_MAX, &nvars))
-        || !word(&p, end, "#constraint=")
-        || !(p = blanks(p, end), read_digits(&p, end, INT64_MAX, &declared))) return 1;
-    p = blanks(p, end);
+    uint64_t header[2];  /* the variables, then the rows declared */
+    if (p == end || *p++ != '*') return 1;
+    for (int f = 0; f < 2; f++) {
+        uint64_t limit = f ? INT64_MAX : INT32_MAX;
+        SKIP_BLANKS();
+        for (const char *s = f ? "#constraint=" : "#variable="; *s; s++)
+            if (p == end || *p++ != *s) return 1;
+        SKIP_BLANKS();
+        READ_DIGITS(header[f], limit / 10, limit % 10);
+    }
+    SKIP_BLANKS();
     if (p < end && *p != '\n') return 1;
+    uint64_t nvars = header[0], declared = header[1];
     int64_t *stamp = (int64_t *)calloc(nvars + 1, sizeof(int64_t));
     if (!stamp) return -1;
     int rc = read_rows(p, end, nvars, stamp, sizes, coefs, vars, row_ptr, bounds, rel);

@@ -17,6 +17,7 @@ from __future__ import annotations
 import ctypes
 import logging
 import os
+import shutil
 import subprocess
 import tempfile
 import time
@@ -48,7 +49,13 @@ def _compile() -> Path | None:
     so_path = _cache_dir() / f"mcmcore_{zlib.crc32(source):08x}_{len(source)}.so"
     if so_path.exists():
         return so_path
+    tried = set()
     for compiler in ("cc", "gcc", "clang"):
+        # cc is often gcc or clang by another name: each executable once.
+        found = shutil.which(compiler)
+        if found is None or (found := os.path.realpath(found)) in tried:
+            continue
+        tried.add(found)
         # Built in a temporary directory beside the cached library, then
         # renamed, so no process opens a half-written one.
         with tempfile.TemporaryDirectory(dir=so_path.parent) as tmp:
@@ -143,9 +150,11 @@ _chars = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_void_p)(
 def emit(formula, notes) -> str | None:
     """PbFormula.emit_opb's text, written on the core into the new str.
 
-    The core writes the runs of rows between the noted rows; Python
-    writes the header and the `* note` lines.  None when no core loads
-    or a note is not ASCII, for the Python writer to write.
+    A first core call sums the digits of the rows' numbers to size the
+    str; then the core writes each run of rows between the noted rows
+    into it in one pass, and Python writes the header and the `* note`
+    lines.  None when no core loads or a note is not ASCII, for the
+    Python writer to write.
     """
     n = len(formula.bounds)
     cuts = sorted(i for i in notes if 0 <= i < n)

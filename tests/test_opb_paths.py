@@ -8,6 +8,7 @@ The Python row checks of `PbFormula.add_rows` are the reference for the
 core's block check; they word every refusal on both paths.
 """
 
+import ctypes
 from contextlib import nullcontext
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from test_pb import COEFS, INT64_MAX, INT64_MIN
 
 from mcmsat import native
-from mcmsat.pb import GE, SAT, PbError, PbFormula, parse_opb
+from mcmsat.pb import EQ, GE, INT32_MAX, SAT, PbError, PbFormula, parse_opb
 from mcmsat.solve import solve
 
 @pytest.mark.parametrize("targets,variant", test_encoder.GOLDEN_OPB)
@@ -113,6 +114,58 @@ def read(text, core):
             return arena(parse_opb(text))
         except PbError as e:
             return str(e)
+
+
+def edge_formulas():
+    """Numbers on each side of every digit count, of uint32 and of int64:
+    as coefficients and bounds, then as variable indices up to INT32_MAX
+    (var_count set directly, no variables allocated)."""
+    values = PbFormula()
+    a, b = values.new_var(), values.new_var()
+    for v in [m for k in range(1, 19) for m in (10**k - 1, 10**k)] + [2**32 - 1, 2**32, INT64_MAX]:
+        for x in (v, -v):
+            values.add(((x, a), (1, b)), GE, x)
+            values.add(((x, b),), EQ, -x)
+    values.add(((INT64_MIN, a), (INT64_MIN, b)), GE, INT64_MIN)
+    indices = PbFormula()
+    indices.var_count = INT32_MAX
+    for v in [m for k in range(1, 10) for m in (10**k - 1, 10**k)] + [INT32_MAX]:
+        indices.add(((1, 1), (-1, v)), EQ, 0)
+    return values, indices
+
+
+@needs_core
+@pytest.mark.parametrize("f", edge_formulas(), ids=["values", "indices"])
+def test_the_core_writes_numbers_of_every_length(f):
+    core, n = native.load(), len(f.bounds)
+    counted = core.mcm_emit(0, n, *native._arena(f), None)
+    out = ctypes.create_string_buffer(b"#" * (counted + 1))
+    assert core.mcm_emit(0, n, *native._arena(f), out) == counted
+    assert out.raw[counted:] == b"#\0"  # not a byte beyond the count
+    text = f.emit_opb()
+    with python_path():
+        assert f.emit_opb() == text
+    assert text.endswith(out.raw[:counted].decode())
+    assert read(text, core=True) == read(text, core=False) == arena(f)
+
+
+@needs_core
+def test_every_single_edit_reads_alike_on_both_paths():
+    f = PbFormula()
+    x = f.new_bitvec(12)
+    f.add(((1, x[0]), (-2, x[2])), GE, -1)
+    f.add(((1, x[1]),), EQ, 1)
+    f.add(((12, x[11]), (1, x[0]), (-1, x[9])), GE, -10)
+    f.add(((-7, x[3]), (30, x[4])), EQ, 23)
+    f.add(((5, x[10]), (1, x[5]), (1, x[6]), (1, x[7])), GE, 2)
+    f.add(((100, x[7]), (-3, x[8]), (1, x[11])), GE, 99)
+    f.add(((2, x[5]), (1, x[9])), EQ, 0)
+    f.annotations[3] = "note"
+    text = f.emit_opb(include_annotations=True)
+    for i in range(len(text) + 1):
+        for edited in [text[:i] + text[i + 1:]] + [text[:i] + c + text[j:] for c in " \t\n+-=>;x*0123456789<"
+                                                   for j in (i, i + 1)]:
+            assert read(edited, core=True) == read(edited, core=False), edited
 
 
 BLANK = st.sampled_from([" ", "\t", "  ", " \t "])
