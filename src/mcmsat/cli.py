@@ -23,7 +23,7 @@ from .model import (
     verify_solution,
 )
 from .pb import SAT, UNKNOWN, UNSAT
-from .solve import DecodeError, decode_solution, default_backend, optimal_mcm, solve
+from .solve import DecodeError, decode_solution, default_backend, optimal_mcm, solve_encoding
 
 IMPROVEMENT_STATES = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
 
@@ -304,7 +304,7 @@ def _bench_one(path: Path, backends, timeout, encoding):
     nvars, ncons = enc.formula.stats()
     outcomes = {}
     for b in backends:
-        oc = solve(enc.formula, b, timeout, enc.phase_hints)
+        oc = solve_encoding(enc, b, timeout)
         if oc.status == SAT and not verify_solution(inst, decode_solution(enc, oc.model)):
             raise DecodeError(f"{path.name}: backend {b} gave a graph that does not verify")
         outcomes[b] = {"status": oc.status, "elapsed": round(oc.elapsed, 3)}

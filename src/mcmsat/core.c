@@ -616,14 +616,16 @@ int64_t mcm_emit(int64_t lo, int64_t hi, const int64_t *coefs, const int32_t *va
 
 /* The lines after the header: rows, comment lines and blank lines, into
    the arena's arrays, of room for sizes[1] rows and sizes[2] terms.
-   stamp[v] is 1 + the last row that holds v.  A row is terms
-   "[+-]coef xvar", each followed by a blank, then ">=" or "=", a bound
-   and ";": the coefficients and the bound are read by one signed
-   reader, in one loop over the row's numbers. */
-static int read_rows(const char *p, const char *end, uint64_t nvars, int64_t *stamp, int64_t *sizes,
+   stamp[v] is 1 + the last row that holds v, for v below cap; the stamp
+   grows with the largest variable read, and *held keeps it for the
+   caller to free.  A row is terms "[+-]coef xvar", each followed by a
+   blank, then ">=" or "=", a bound and ";": the coefficients and the
+   bound are read by one signed reader, in one loop over the row's
+   numbers. */
+static int read_rows(const char *p, const char *end, uint64_t nvars, int64_t **held, int64_t *sizes,
                      int64_t *coefs, int32_t *vars, int64_t *row_ptr, int64_t *bounds, uint8_t *rel) {
-    int64_t row = 0, at = 0;
-    uint64_t var_top = nvars / 10, var_last = nvars % 10;
+    int64_t row = 0, at = 0, *stamp = 0;
+    uint64_t cap = 0, var_top = nvars / 10, var_last = nvars % 10;
     while (p < end) {  /* p at a newline: read the line after it */
         p++;
         SKIP_BLANKS();
@@ -653,6 +655,15 @@ static int read_rows(const char *p, const char *end, uint64_t nvars, int64_t *st
             SKIP_BLANKS();
             if (p == end || *p++ != 'x') return 1;
             READ_DIGITS(var, var_top, var_last);
+            if (var >= cap && var) {
+                /* A zeroed stamp of twice the entries, or var + 1, up to
+                   nvars + 1; only this row's stamps are read again. */
+                cap = 2 * cap > var ? 2 * cap : var + 1;
+                if (cap > nvars + 1) cap = nvars + 1;
+                free(*held);
+                if (!(stamp = *held = (int64_t *)calloc(cap, sizeof(int64_t)))) return -1;
+                for (int64_t k = row_ptr[row]; k < at; k++) stamp[vars[k]] = row + 1;
+            }
             if (!var || stamp[var] == row + 1 || p == end || (*p != ' ' && *p != '\t')
                 || at == sizes[2]) return 1;
             SKIP_BLANKS();
@@ -698,9 +709,8 @@ int mcm_parse(const char *p, int64_t len, int64_t *sizes, int64_t *coefs, int32_
     SKIP_BLANKS();
     if (p < end && *p != '\n') return 1;
     uint64_t nvars = header[0], declared = header[1];
-    int64_t *stamp = (int64_t *)calloc(nvars + 1, sizeof(int64_t));
-    if (!stamp) return -1;
-    int rc = read_rows(p, end, nvars, stamp, sizes, coefs, vars, row_ptr, bounds, rel);
+    int64_t *stamp = 0;
+    int rc = read_rows(p, end, nvars, &stamp, sizes, coefs, vars, row_ptr, bounds, rel);
     free(stamp);
     sizes[0] = (int64_t)nvars;
     return rc ? rc : (uint64_t)sizes[1] != declared;

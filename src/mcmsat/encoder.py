@@ -294,7 +294,7 @@ class _Session:
 
     def _finish_slot(self, pre, out, candidates, shifts, powers) -> None:
         if self.cfg.right_shifts:
-            self._mark_selectors(gadgets.encode_shift(self.f, out, pre, direction="right"))
+            self._mark_selectors(gadgets.encode_shift(self.f, out, pre, "right"))
         res = self.result
         res.op_values.append(out)
         res.pre_shift_values.append(pre)

@@ -1,22 +1,21 @@
-"""Constraint gadgets over bit vectors: XORs, ripple adders/subtractors
+"""Constraint gadgets over bit vectors: ripple adders/subtractors
 (plain, conditional, and conditional with a shared carry/borrow chain),
-constant and variable barrel shifts, constants and popcount pins.
+barrel shifts by a solver-chosen amount, constants and popcount pins.
 
 A vector and a carry/borrow chain are plain tuples of variables, the
 most significant bit first.  Chains have length N-1; chain[i] feeds
 result bit i and is defined from the operands at position i+1.  Emission
 order within each gadget is fixed so formulas are reproducible.  Rows
 are written per gadget in blocks, in that order: a per-bit loop of rows
-of one length is one block, and the one-bit gadgets (`encode_xor2`,
-`encode_xor3`, `encode_cond_copy`) are the one-bit case of the same row
-tables.
+of one length is one block.
 
 The adders, subtractors and shifts, which write nearly every row of an
 encoding, are written from a template per shape (see `_templated`): the
 gadget's body runs once per shape against a recording formula, and every
 call appends the recorded rows, its own variables substituted, as one
-checked `PbFormula.add_rows` call per run of one relation.  A refused
-gadget leaves the formula as it was.
+checked `PbFormula.add_rows` call per run of one relation.  A templated
+gadget takes its arguments by position only.  A refused gadget leaves
+the formula as it was.
 
 A conditional gadget writes the same rows as the plain one, each behind
 a guard: "this row holds only while cond is true" is the prefix term
@@ -28,7 +27,6 @@ only a shared chain is guarded.
 
 from __future__ import annotations
 
-import inspect
 from functools import cache, wraps
 from itertools import chain, groupby, repeat
 from operator import itemgetter, mul, sub
@@ -78,10 +76,10 @@ class _Template:
     1 to p for the inputs, in argument order, then p + 1 on for the fresh
     variables, in allocation order."""
 
-    def __init__(self, body, key, variable):
+    def __init__(self, body, key):
         rec, held = PbFormula(), []
-        for k, var in zip(key, variable):  # the placeholders of an argument
-            if var and k is not None:
+        for k in key:  # the placeholders of an argument
+            if isinstance(k, int):
                 k = rec.new_var() if k < 0 else tuple(rec.new_var() for _ in range(k))
             held.append(k)
         inputs = rec.var_count
@@ -114,69 +112,38 @@ class _Template:
         return None if self.returned is None else self.returned(vals)
 
 
-def _templated(*static: str):
+def _templated(body):
     """Write the gadget from a template per shape.
 
-    The shape is the values of the parameters named in `static` (a
-    shift's direction and amount) and, for each other parameter, whether
-    it is None (-> None), one variable (-> -1) or a vector (-> its
-    length).  The first call of a shape records the body (`_Template`).
+    The shape is, for each argument, None or a str (a shift's direction)
+    as it is, -1 for one variable and its length for a vector.  The first
+    call of a shape records the body (`_Template`).
     """
+    templates: dict = {}
 
-    def wrap(body):
-        sig = inspect.signature(body)
-        params = list(sig.parameters.values())[1:]
-        variable = [p.name not in static for p in params]
-        defaults = tuple(p.default for p in params)
-        required = defaults.count(inspect.Parameter.empty)
-        templates: dict = {}
+    @wraps(body)
+    def gadget(f, *args):
+        key, vals = [], [0]
+        for a in args:
+            if a is None or isinstance(a, str):
+                key.append(a)
+            elif isinstance(a, int):
+                key.append(-1)
+                vals.append(a)
+            else:
+                key.append(len(a))
+                vals.extend(a)
+        key = tuple(key)
+        if (template := templates.get(key)) is None:
+            template = templates[key] = _Template(body, key)
+        return template.replay(f, vals)
 
-        @wraps(body)
-        def gadget(f, *args, **kwargs):
-            if kwargs or not required <= len(args) <= len(params):
-                bound = sig.bind(f, *args, **kwargs)
-                bound.apply_defaults()
-                args = bound.args[1:]
-            key, vals = [], [0]
-            for a, var in zip(args + defaults[len(args):], variable):
-                if not var or a is None:
-                    key.append(a)
-                elif isinstance(a, int):
-                    key.append(-1)
-                    vals.append(a)
-                else:
-                    key.append(len(a))
-                    vals.extend(a)
-            key = tuple(key)
-            if (template := templates.get(key)) is None:
-                template = templates[key] = _Template(body, key, variable)
-            return template.replay(f, vals)
-
-        return gadget
-
-    return wrap
-
-
-def encode_xor2(f: PbFormula, a: int, b: int, c: int, cond: int | None = None) -> None:
-    """a <-> (b xor c), only while cond is true when cond is given."""
-    _rows(f, ((a,), (b,), (c,)), cond, 1, *_XOR2)
-
-
-def encode_xor3(
-    f: PbFormula, a: int, b: int, c: int, d: int, cond: int | None = None
-) -> None:
-    """a <-> (b xor c xor d), only while cond is true when cond is given."""
-    _rows(f, ((a,), (b,), (c,), (d,)), cond, 1, *_XOR3)
+    return gadget
 
 
 def encode_cond_copies(f: PbFormula, cond: int, b: BitVec, c: BitVec) -> None:
     """cond -> (b[i] <-> c[i]) for every bit i."""
     _rows(f, (b, c), cond, 1, *_EQUAL)
-
-
-def encode_cond_copy(f: PbFormula, cond: int, b: int, c: int) -> None:
-    """cond -> (b <-> c)."""
-    encode_cond_copies(f, cond, (b,), (c,))
 
 
 def _check_widths(*vecs: BitVec) -> int:
@@ -203,7 +170,7 @@ def _sum_bits(f, out: BitVec, b: BitVec, c: BitVec, d: BitVec, cond) -> None:
     _rows(f, (out[-1:], b[-1:], c[-1:]), cond, 1, *_XOR2)
 
 
-@_templated()
+@_templated
 def encode_adder(
     f: PbFormula,
     out: BitVec,
@@ -238,7 +205,7 @@ def encode_adder(
     return d
 
 
-@_templated()
+@_templated
 def encode_subtractor(
     f: PbFormula,
     out: BitVec,
@@ -283,8 +250,6 @@ def _shift_rows(f: PbFormula, out: BitVec, src: BitVec, shifts, direction: str) 
     n = _check_widths(out, src)
     conds, zeros = (), ()  # the zero rows not yet written: cond -> not zero
     for amount, cond in shifts:
-        if not 0 <= amount <= n - 1:
-            raise PbError("shift amount out of range")
         if direction == "left":
             # The low `amount` bits of out are zero, and no set bit of
             # src may leave through the top.
@@ -300,20 +265,7 @@ def _shift_rows(f: PbFormula, out: BitVec, src: BitVec, shifts, direction: str) 
     encode_not_both(f, conds, zeros)
 
 
-@_templated("amount", "direction")
-def encode_cond_shift(
-    f: PbFormula,
-    cond: int,
-    out: BitVec,
-    src: BitVec,
-    amount: int,
-    direction: str = "left",
-) -> None:
-    """cond -> (out = src << amount), or >> for direction "right"."""
-    _shift_rows(f, out, src, [(amount, cond)], direction)
-
-
-@_templated("direction")
+@_templated
 def encode_shift(
     f: PbFormula, out: BitVec, src: BitVec, direction: str = "left"
 ) -> BitVec:

@@ -288,13 +288,6 @@ def csd_digits(value: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def csd_value(digits) -> int:
-    out = 0
-    for d in digits:
-        out = (out << 1) + d
-    return out
-
-
 @dataclass(frozen=True)
 class RecodingBounds:
     csd: int

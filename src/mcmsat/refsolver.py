@@ -35,7 +35,6 @@ solver beyond ~10-bit constants.
 
 from __future__ import annotations
 
-import copy
 import operator
 from array import array
 from collections import Counter
@@ -43,7 +42,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, repeat
 
 from . import native
-from .pb import GE, INT32_MAX, SAT, UNKNOWN, UNSAT, Model, PbError, PbFormula
+from .pb import INT32_MAX, SAT, UNKNOWN, UNSAT, Model, PbError, PbFormula
 
 UNASSIGNED = -1
 
@@ -490,24 +489,3 @@ def _luby(i: int) -> int:
         seq -= 1
         i %= size
     return 1 << seq
-
-
-def enumerate_models(formula: PbFormula, limit=None):
-    """Every satisfying assignment, in deterministic order.
-
-    Each model found is excluded from the next search by one blocking
-    row on a copy of the formula.
-    """
-    work = copy.deepcopy(formula)
-    nv = formula.var_count
-    out = []
-    while limit is None or len(out) < limit:
-        status, model = RefSolver(work).solve()
-        if status != SAT:
-            break
-        out.append(model)
-        if nv == 0:
-            break
-        ones = sum(model.values)
-        work.add(tuple((-1 if model[v] else 1, v) for v in range(1, nv + 1)), GE, 1 - ones)
-    return out

@@ -1,3 +1,4 @@
+import copy
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -6,6 +7,8 @@ from unittest import mock
 import pytest
 
 from mcmsat import native
+from mcmsat.pb import GE, SAT, PbFormula
+from mcmsat.refsolver import RefSolver
 
 # Child processes that a test starts, such as a fake external solver,
 # import this package from the same tree as the tests do.
@@ -18,6 +21,27 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 # is found and the core still does not load, so a skip is never silent.
 needs_core = pytest.mark.skipif(native.load() is None,
                                 reason="no compiled core: no C compiler, or MCMSAT_NO_NATIVE is set")
+
+
+def enumerate_models(formula: PbFormula, limit=None):
+    """Every satisfying assignment, in deterministic order.
+
+    Each model found is excluded from the next search by one blocking
+    row on a copy of the formula.
+    """
+    work = copy.deepcopy(formula)
+    nv = formula.var_count
+    out = []
+    while limit is None or len(out) < limit:
+        status, model = RefSolver(work).solve()
+        if status != SAT:
+            break
+        out.append(model)
+        if nv == 0:
+            break
+        ones = sum(model.values)
+        work.add(tuple((-1 if model[v] else 1, v) for v in range(1, nv + 1)), GE, 1 - ones)
+    return out
 
 
 @contextmanager

@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from conftest import enumerate_models
 
 from mcmsat.encoder import (
     EncodingConfig,
@@ -14,7 +15,6 @@ from mcmsat.encoder import (
 from mcmsat.model import McmError, csd_upper_bound, normalize_targets
 from mcmsat.oracle import brute_force_optimal
 from mcmsat.pb import PbFormula, parse_opb
-from mcmsat.refsolver import enumerate_models
 from mcmsat.solve import solve
 
 # Published size table for the two single-constant regression rows, as

@@ -64,7 +64,7 @@ def ripple_borrows(b: int, c: int, n: int) -> tuple:
 def test_xor2_truth_table():
     f = PbFormula()
     a, b, c = f.new_var(), f.new_var(), f.new_var()
-    gadgets.encode_xor2(f, a, b, c)
+    gadgets._rows(f, ((a,), (b,), (c,)), None, 1, *gadgets._XOR2)
     assert len(f.constraints) == 4
     expected = {m for m in universe(f) if m[0] == m[1] ^ m[2]}
     assert all_models(f) == expected
@@ -74,7 +74,7 @@ def test_xor2_violation_example():
     # a=1, b=1, c=1 breaks the -a-b-c >= -2 row.
     f = PbFormula()
     a, b, c = f.new_var(), f.new_var(), f.new_var()
-    gadgets.encode_xor2(f, a, b, c)
+    gadgets._rows(f, ((a,), (b,), (c,)), None, 1, *gadgets._XOR2)
     assert (1, 1, 1) not in all_models(f)
     assert (1, 1, 0) in all_models(f)
 
@@ -82,7 +82,7 @@ def test_xor2_violation_example():
 def test_xor3_truth_table():
     f = PbFormula()
     a, b, c, d = (f.new_var() for _ in range(4))
-    gadgets.encode_xor3(f, a, b, c, d)
+    gadgets._rows(f, ((a,), (b,), (c,), (d,)), None, 1, *gadgets._XOR3)
     assert len(f.constraints) == 8
     expected = {m for m in universe(f) if m[0] == m[1] ^ m[2] ^ m[3]}
     assert all_models(f) == expected
@@ -91,7 +91,7 @@ def test_xor3_truth_table():
 def test_cond_xor2_truth_table():
     f = PbFormula()
     a, b, c, d = (f.new_var() for _ in range(4))
-    gadgets.encode_xor2(f, a, b, c, cond=d)
+    gadgets._rows(f, ((a,), (b,), (c,)), d, 1, *gadgets._XOR2)
     expected = {m for m in universe(f) if m[3] == 0 or m[0] == m[1] ^ m[2]}
     assert all_models(f) == expected
 
@@ -99,7 +99,7 @@ def test_cond_xor2_truth_table():
 def test_cond_xor3_truth_table():
     f = PbFormula()
     a, b, c, d, e = (f.new_var() for _ in range(5))
-    gadgets.encode_xor3(f, a, b, c, d, cond=e)
+    gadgets._rows(f, ((a,), (b,), (c,), (d,)), e, 1, *gadgets._XOR3)
     expected = {m for m in universe(f) if m[4] == 0 or m[0] == m[1] ^ m[2] ^ m[3]}
     assert all_models(f) == expected
 
@@ -107,7 +107,7 @@ def test_cond_xor3_truth_table():
 def test_cond_copy_truth_table():
     f = PbFormula()
     a, b, c = f.new_var(), f.new_var(), f.new_var()
-    gadgets.encode_cond_copy(f, a, b, c)
+    gadgets.encode_cond_copies(f, a, (b,), (c,))
     assert len(f.constraints) == 2
     expected = {m for m in universe(f) if m[0] == 0 or m[1] == m[2]}
     assert all_models(f) == expected
@@ -314,7 +314,7 @@ def test_cond_shift_left_truth_table(n, amount):
     f = PbFormula()
     out, src = f.new_bitvec(n), f.new_bitvec(n)
     cond = f.new_var()
-    gadgets.encode_cond_shift(f, cond, out, src, amount, "left")
+    gadgets._shift_rows(f, out, src, [(amount, cond)], "left")
     assert len(f.constraints) == 2 * n
     expected = set()
     for m in universe(f):
@@ -332,7 +332,7 @@ def test_cond_shift_right_truth_table(n, amount):
     f = PbFormula()
     out, src = f.new_bitvec(n), f.new_bitvec(n)
     cond = f.new_var()
-    gadgets.encode_cond_shift(f, cond, out, src, amount, "right")
+    gadgets._shift_rows(f, out, src, [(amount, cond)], "right")
     expected = set()
     for m in universe(f):
         if m[cond - 1] == 0:
@@ -342,14 +342,6 @@ def test_cond_shift_right_truth_table(n, amount):
         if sv % (1 << amount) == 0 and vec_val(m, out) == sv >> amount:
             expected.add(m)
     assert all_models(f) == expected
-
-
-def test_cond_shift_amount_range():
-    f = PbFormula()
-    out, src = f.new_bitvec(3), f.new_bitvec(3)
-    cond = f.new_var()
-    with pytest.raises(PbError):
-        gadgets.encode_cond_shift(f, cond, out, src, 3, "left")
 
 
 @pytest.mark.parametrize("direction", ["left", "right"])
@@ -490,10 +482,9 @@ def outcome(write):
     lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, (c[0], c[1], x)),
     lambda f, a, b, c, x: gadgets.encode_subtractor(f, a, b, c, x, (a[0], x)),
     lambda f, a, b, c, x: gadgets.encode_subtractor(f, a, b, c, x, (a[0], a[0])),
-    lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, c, shared_carries=(a[0], b[0])),
+    lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, c, None, (a[0], b[0])),
     lambda f, a, b, c, x: gadgets.encode_shift(f, a, (b[0], b[1], x)),  # fails past its '=' row
     lambda f, a, b, c, x: gadgets.encode_shift(f, a, b, "up"),
-    lambda f, a, b, c, x: gadgets.encode_cond_shift(f, c[0], a, b, 3),
     lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, c[:2]),
 ])
 def test_a_refused_gadget_leaves_the_formula_as_it_was(write):
@@ -516,8 +507,6 @@ def test_a_refused_gadget_leaves_the_formula_as_it_was(write):
     (gadgets.encode_adder, ((1, 2, 3), (1, 4, 5), (6, 7, 8))),  # a repeat in a row: refused
     (gadgets.encode_shift, ((1, 2, 3), (2, 3, 4))),
     (gadgets.encode_shift, ((1, 2, 3), (4, 5, 6), "right")),
-    (gadgets.encode_cond_shift, (4, (1, 2, 3), (3, 2, 5), 1, "left")),
-    (gadgets.encode_cond_shift, (4, (1, 2, 3), (3, 2, 1), 0, "right")),
 ])
 def test_a_replay_writes_what_the_body_writes_on_the_same_variables(gadget, args):
     # Inputs that overlap one another, so that placeholders that are distinct

@@ -11,7 +11,6 @@ from mcmsat.model import (
     check_solution,
     csd_digits,
     csd_upper_bound,
-    csd_value,
     heuristic_graph,
     normalize_targets,
     recoding_upper_bounds,
@@ -226,7 +225,7 @@ def test_csd_of_29_and_43():
 def test_csd_reconstruction_and_nonadjacency_exhaustive():
     for value in range(1, 1 << 16, 2):
         digits = csd_digits(value)
-        assert csd_value(digits) == value
+        assert sum(d << i for i, d in enumerate(reversed(digits))) == value  # most significant first
         assert all(
             not (digits[i] and digits[i + 1]) for i in range(len(digits) - 1)
         )

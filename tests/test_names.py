@@ -129,3 +129,68 @@ def test_loading_the_core_imports_no_hashlib():
     code = "import sys, mcmsat; mcmsat.native.load(); print('hashlib' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+REPO = PACKAGE_DIR.parent.parent
+# Outside the package, the code that runs it: the benchmark, whose
+# string constants count too (spans.install looks functions up by name),
+# and the tools.
+CALLERS = sorted((REPO / "benchmark").glob("*.py")) + sorted((REPO / "tools").glob("*.py"))
+
+
+def definitions(tree: ast.AST):
+    """(line, name) of each module-level function and class, and of each
+    method as Class.method; neither dunder methods, which Python calls,
+    nor the functions registered as click commands."""
+    def command(node):
+        return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                   and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not command(node):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.ClassDef):
+            yield node.lineno, node.name
+            yield from ((item.lineno, f"{node.name}.{item.name}") for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def references(tree: ast.AST, strings: bool) -> set[str]:
+    """The names, attributes and `from`-imported names in the tree, and
+    its string constants if `strings`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def unreferenced(defining: list[str], calling: list[str]) -> list[tuple[int, int, str]]:
+    """(source, line, name) of each definition in the `defining` sources
+    that no `defining` source references, nor any `calling` one, string
+    constants included."""
+    trees = [ast.parse(source) for source in defining]
+    found = set().union(*(references(tree, False) for tree in trees),
+                        *(references(ast.parse(source), True) for source in calling))
+    return [(i, line, name) for i, tree in enumerate(trees) for line, name in definitions(tree)
+            if name.rpartition(".")[2] not in found]
+
+
+def test_checker_flags_an_unreferenced_definition():
+    source = ("import click\n\n@click.command()\ndef run():\n    return used(), C().kept()\n\n"
+              "def used():\n    pass\n\ndef unused():\n    pass\n\n"
+              "class C:\n    def __init__(self):\n        pass\n\n    def kept(self):\n        pass\n\n"
+              "    def dropped(self):\n        pass\n\ndef named():\n    pass\n")
+    assert unreferenced([source], ["print('named')"]) == [(0, 10, "unused"), (0, 20, "C.dropped")]
+
+
+def test_the_package_defines_only_what_it_or_its_callers_reference():
+    found = unreferenced([path.read_text() for path in MODULES], [path.read_text() for path in CALLERS])
+    assert [(MODULES[i].name, line, name) for i, line, name in found] == []

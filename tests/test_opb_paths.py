@@ -276,6 +276,8 @@ def test_core_and_python_block_checks_agree(block):
     "* #variable= 0 #constraint= 0",
     f"* #variable= 1 #constraint= 2\n{INT64_MIN} x1 >= {INT64_MAX} ;\n{INT64_MAX} x1 = {INT64_MIN} ;\n",
     "* #variable= 2 #constraint= 1\n* x1 x2 ; x ;;\n+1 x1 +1 x2 >= 1 ;\n*x\n",
+    # The largest declared count, of which the text holds only two variables.
+    "* #variable= 2147483647 #constraint= 1\n+1 x1 +1 x2 >= 1 ;\n",
 ])
 def test_the_core_reads_the_texts_it_should(text):
     # The core reads these itself rather than handing them to Python.
@@ -290,3 +292,12 @@ def test_a_header_count_that_misses_the_rows_is_refused_on_both_paths(declared):
     text = f"* #variable= 1 #constraint= {declared}\n* x1 >= 1 ;\n+1 x1 >= 1 ;\n"
     assert native.parse(text, PbFormula()) is None
     assert read(text, core=True) == read(text, core=False) == f"header declares {declared} constraints, found 1"
+
+
+@needs_core
+def test_a_repeat_after_the_stamp_grows_is_refused_on_both_paths():
+    # x9 grows the core's stamp, which must still hold the row's x1.
+    text = "* #variable= 9 #constraint= 1\n+1 x1 +1 x9 +1 x1 >= 1 ;\n"
+    assert native.parse(text, PbFormula()) is None
+    assert read(text, core=True) == read(text, core=False)
+    assert "repeat" in read(text, core=False)

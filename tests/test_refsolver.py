@@ -12,13 +12,13 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from conftest import needs_core, python_path
+from conftest import enumerate_models, needs_core, python_path
 
 from mcmsat import native
 from mcmsat.encoder import EncodingConfig, encode_mcm
 from mcmsat.model import normalize_targets
 from mcmsat.pb import EQ, GE, PbError, PbFormula
-from mcmsat.refsolver import REDUCE_FIRST, RefSolver, enumerate_models
+from mcmsat.refsolver import REDUCE_FIRST, RefSolver
 
 ROOT = Path(__file__).resolve().parent.parent
 COMPILER = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
