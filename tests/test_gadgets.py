@@ -485,6 +485,7 @@ def outcome(write):
     lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, c, None, (a[0], b[0])),
     lambda f, a, b, c, x: gadgets.encode_shift(f, a, (b[0], b[1], x)),  # fails past its '=' row
     lambda f, a, b, c, x: gadgets.encode_shift(f, a, b, "up"),
+    lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, c, c[0], (a[0],)),  # chain one bit short
     lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, c[:2]),
 ])
 def test_a_refused_gadget_leaves_the_formula_as_it_was(write):
