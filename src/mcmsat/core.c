@@ -15,9 +15,12 @@
    then writes the Python writer's bytes into it in one pass, and the
    reader reads the str's own buffer in one pass, with no call per
    token, but takes only a strict subset of what the Python reader
-   takes.  mcm_check_block checks a block that PbFormula.add_rows has
-   just appended, and mcm_check_model finds the first row a SAT model
-   violates for solve._check_model, summing in 128 bits over the arena.
+   takes.  mcm_check_block checks a block that PbFormula._append has
+   just appended, in one pass that also sums its row lengths into row
+   starts and puts a gadget replay's variables in place of the
+   recording's placeholders, and mcm_check_model finds the first row a
+   SAT model violates for solve._check_model, summing in 128 bits over
+   the arena.
    The Python code stays the reference and the fallback of each, and
    words every error. */
 
@@ -31,6 +34,7 @@
 #define RESTART_UNIT 100
 #define REDUCE_FIRST 2000
 #define REDUCE_STEP 300
+#define PAIRWISE_MAX 64  /* pb.PAIRWISE_MAX */
 #define VAR(l) ((l) > 0 ? (l) : -(l))
 #define WIDX(l) (2 * VAR(l) + ((l) < 0))
 #define IS_TRUE(s, l) ((s)->assigned[VAR(l)] == ((l) > 0))
@@ -381,19 +385,34 @@ int mcm_run(Ctx *s, int64_t budget) {
     return 0;
 }
 
-/* mcm_check_block, run on each block that PbFormula.add_rows appends:
+/* 1 when one of the k variables at v repeats, found pairwise. */
+static int repeats_pairwise(const int32_t *v, int64_t k) {
+    for (int64_t p = 1; p < k; p++)
+        for (int64_t q = 0; q < p; q++) if (v[q] == v[p]) return 1;
+    return 0;
+}
+
+/* mcm_check_block, run on each block that PbFormula._append appends:
    the first of m rows, row r being terms start[r] to start[r + 1] - 1
    of coefs and vars, with a zero coefficient, a variable outside
-   1..nvars or a variable twice; m when there is none.  Repeats are
+   1..nvars or a variable twice; m when there is none.  start[r + 1]
+   arrives as row r's length and is summed here into its end, from
+   start[0], the block's first term.  Unless vals is 0, each variable v
+   of the block is a placeholder, replaced by vals[v] before its row is
+   checked, and a v outside 0..nvals - 1 refuses its row.  Repeats are
    found pairwise, so Python checks a block with a row of more than
    PAIRWISE_MAX terms itself. */
-int64_t mcm_check_block(int64_t m, const int64_t *coefs, const int32_t *vars, const int64_t *start,
-                        int64_t nvars) {
-    for (int64_t r = 0; r < m; r++)
+int64_t mcm_check_block(int64_t m, const int64_t *coefs, int32_t *vars, int64_t *start,
+                        int64_t nvars, const int32_t *vals, int64_t nvals) {
+    for (int64_t r = 0; r < m; r++) {
+        start[r + 1] += start[r];
         for (int64_t p = start[r]; p < start[r + 1]; p++) {
+            if (vals && (vars[p] < 0 || vars[p] >= nvals)) return r;
+            if (vals) vars[p] = vals[vars[p]];
             if (!coefs[p] || vars[p] < 1 || vars[p] > nvars) return r;
-            for (int64_t q = start[r]; q < p; q++) if (vars[q] == vars[p]) return r;
         }
+        if (repeats_pairwise(vars + start[r], start[r + 1] - start[r])) return r;
+    }
     return m;
 }
 
@@ -614,18 +633,39 @@ int64_t mcm_emit(int64_t lo, int64_t hi, const int64_t *coefs, const int32_t *va
         if (p == first_) return 1;                                     \
     } while (0)
 
+static int by_var(const void *a, const void *b) {
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* 1 when one of the k variables at v repeats: pairwise up to
+   PAIRWISE_MAX of them, as mcm_check_block finds them, else in a sorted
+   copy at *held, grown to the longest such row and kept for the caller
+   to free; -1 out of memory.  The memory is the row's, whatever the
+   variables' indices. */
+static int repeats(const int32_t *v, int64_t k, int32_t **held, int64_t *cap) {
+    if (k <= PAIRWISE_MAX) return repeats_pairwise(v, k);
+    if (k > *cap) {
+        free(*held);
+        if (!(*held = (int32_t *)malloc(sizeof(int32_t) * k))) return -1;
+        *cap = k;
+    }
+    memcpy(*held, v, sizeof(int32_t) * k);
+    qsort(*held, k, sizeof(int32_t), by_var);
+    for (int64_t i = 1; i < k; i++) if ((*held)[i] == (*held)[i - 1]) return 1;
+    return 0;
+}
+
 /* The lines after the header: rows, comment lines and blank lines, into
    the arena's arrays, of room for sizes[1] rows and sizes[2] terms.
-   stamp[v] is 1 + the last row that holds v, for v below cap; the stamp
-   grows with the largest variable read, and *held keeps it for the
-   caller to free.  A row is terms "[+-]coef xvar", each followed by a
-   blank, then ">=" or "=", a bound and ";": the coefficients and the
-   bound are read by one signed reader, in one loop over the row's
-   numbers. */
-static int read_rows(const char *p, const char *end, uint64_t nvars, int64_t **held, int64_t *sizes,
+   *held is repeats' sorted copy, for the caller to free.  A row is terms
+   "[+-]coef xvar", each followed by a blank, then ">=" or "=", a bound
+   and ";": the coefficients and the bound are read by one signed
+   reader, in one loop over the row's numbers. */
+static int read_rows(const char *p, const char *end, uint64_t nvars, int32_t **held, int64_t *sizes,
                      int64_t *coefs, int32_t *vars, int64_t *row_ptr, int64_t *bounds, uint8_t *rel) {
-    int64_t row = 0, at = 0, *stamp = 0;
-    uint64_t cap = 0, var_top = nvars / 10, var_last = nvars % 10;
+    int64_t row = 0, at = 0, cap = 0;
+    uint64_t var_top = nvars / 10, var_last = nvars % 10;
     while (p < end) {  /* p at a newline: read the line after it */
         p++;
         SKIP_BLANKS();
@@ -655,19 +695,8 @@ static int read_rows(const char *p, const char *end, uint64_t nvars, int64_t **h
             SKIP_BLANKS();
             if (p == end || *p++ != 'x') return 1;
             READ_DIGITS(var, var_top, var_last);
-            if (var >= cap && var) {
-                /* A zeroed stamp of twice the entries, or var + 1, up to
-                   nvars + 1; only this row's stamps are read again. */
-                cap = 2 * cap > var ? 2 * cap : var + 1;
-                if (cap > nvars + 1) cap = nvars + 1;
-                free(*held);
-                if (!(stamp = *held = (int64_t *)calloc(cap, sizeof(int64_t)))) return -1;
-                for (int64_t k = row_ptr[row]; k < at; k++) stamp[vars[k]] = row + 1;
-            }
-            if (!var || stamp[var] == row + 1 || p == end || (*p != ' ' && *p != '\t')
-                || at == sizes[2]) return 1;
+            if (!var || p == end || (*p != ' ' && *p != '\t') || at == sizes[2]) return 1;
             SKIP_BLANKS();
-            stamp[var] = row + 1;
             coefs[at] = value;
             vars[at++] = (int32_t)var;
         }
@@ -675,6 +704,8 @@ static int read_rows(const char *p, const char *end, uint64_t nvars, int64_t **h
         if (p == end || *p++ != ';') return 1;
         SKIP_BLANKS();
         if ((p < end && *p != '\n') || row == sizes[1]) return 1;
+        int rc = repeats(vars + row_ptr[row], at - row_ptr[row], held, &cap);
+        if (rc) return rc;
         row_ptr[row + 1] = at;
         bounds[row] = value;
         rel[row++] = (uint8_t)eq;
@@ -709,9 +740,9 @@ int mcm_parse(const char *p, int64_t len, int64_t *sizes, int64_t *coefs, int32_
     SKIP_BLANKS();
     if (p < end && *p != '\n') return 1;
     uint64_t nvars = header[0], declared = header[1];
-    int64_t *stamp = 0;
-    int rc = read_rows(p, end, nvars, &stamp, sizes, coefs, vars, row_ptr, bounds, rel);
-    free(stamp);
+    int32_t *held = 0;
+    int rc = read_rows(p, end, nvars, &held, sizes, coefs, vars, row_ptr, bounds, rel);
+    free(held);
     sizes[0] = (int64_t)nvars;
     return rc ? rc : (uint64_t)sizes[1] != declared;
 }

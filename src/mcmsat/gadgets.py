@@ -13,9 +13,12 @@ The adders, subtractors and shifts, which write nearly every row of an
 encoding, are written from a template per shape (see `_templated`): the
 gadget's body runs once per shape against a recording formula, and every
 call appends the recorded rows, its own variables substituted, as one
-checked `PbFormula.add_rows` call per run of one relation.  A templated
-gadget takes its arguments by position only.  A refused gadget leaves
-the formula as it was.
+checked block: the recording's typed arrays are copied into the arena,
+and one core pass substitutes and checks them (`PbFormula._append`).
+Where no core loads, or a row is too long for the core's check, each run
+of one relation is one `PbFormula.add_rows` call, its variables picked
+in Python.  A templated gadget takes its arguments by position only.  A
+refused gadget leaves the formula as it was.
 
 A conditional gadget writes the same rows as the plain one, each behind
 a guard: "this row holds only while cond is true" is the prefix term
@@ -27,11 +30,12 @@ only a shared chain is guarded.
 
 from __future__ import annotations
 
+from array import array
 from functools import cache, wraps
 from itertools import chain, groupby, repeat
 from operator import itemgetter, mul, sub
 
-from .pb import EQ, RELATIONS, BitVec, PbError, PbFormula, bits_of
+from .pb import EQ, PAIRWISE_MAX, RELATIONS, BitVec, PbError, PbFormula, bits_of
 
 
 # Row tables: one row per (coefficients, bound), over one bit of each
@@ -74,7 +78,12 @@ def _picker(indices):
 class _Template:
     """A gadget's rows for one shape, recorded over placeholder variables:
     1 to p for the inputs, in argument order, then p + 1 on for the fresh
-    variables, in allocation order."""
+    variables, in allocation order.
+
+    It keeps the recording's arrays, for the core to copy and substitute
+    in one pass, and per run of rows of one relation the rows and a
+    picker of their placeholders, for the Python path.
+    """
 
     def __init__(self, body, key):
         rec, held = PbFormula(), []
@@ -86,8 +95,12 @@ class _Template:
         returned = body(rec, *held)
         self.fresh = rec.var_count - inputs
         self.returned = None if returned is None else _picker(returned)
+        ptr = rec.row_ptr
+        lengths = array("q", map(sub, ptr[1:], ptr))
+        self.block = (lengths, rec.coefs, rec.vars, rec.bounds, bytes(rec.relations),
+                      max(lengths, default=0) <= PAIRWISE_MAX)
         self.runs = []  # per run of rows of one relation: lengths, terms, bounds
-        ptr, lo = rec.row_ptr, 0
+        lo = 0
         for code, rows in groupby(rec.relations):
             hi = lo + len(list(rows))
             terms = slice(ptr[lo], ptr[hi])
@@ -98,13 +111,21 @@ class _Template:
     def replay(self, f: PbFormula, vals: list):
         """Append the rows to f, placeholder v standing for vals[v] for an
         input and for a fresh variable of f for the rest; what the gadget
-        returns."""
+        returns.
+
+        The rows go in as one block, substituted and checked in one core
+        pass (`PbFormula._append`).  Where no core loads, a row is too
+        long for the core's check or the core refuses the block, each run
+        is appended by `add_rows`, its placeholders picked in Python, and
+        a refusal is worded there.
+        """
         base, nrows = f.var_count, len(f.bounds)
         vals.extend(range(base + 1, base + self.fresh + 1))
         f.var_count += self.fresh
         try:
-            for lengths, coefs, pick, bounds, relation in self.runs:
-                f.add_rows(lengths, coefs, pick(vals), bounds, relation)
+            if not f._append(*self.block, vals):
+                for lengths, coefs, pick, bounds, relation in self.runs:
+                    f.add_rows(lengths, coefs, pick(vals), bounds, relation)
         except PbError:
             f.cut(nrows)
             f.var_count = base

@@ -117,7 +117,8 @@ def _open():
         lib.mcm_parse.restype = ctypes.c_int
         lib.mcm_parse.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 6
         lib.mcm_check_block.restype = lib.mcm_check_model.restype = ctypes.c_int64
-        lib.mcm_check_block.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 3 + [ctypes.c_int64]
+        lib.mcm_check_block.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 3
+                                        + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64])
         lib.mcm_check_model.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 6
         return lib
     except Exception as exc:  # pragma: no cover - environment specific
@@ -194,21 +195,27 @@ def parse(text: str, f):
     return f
 
 
-def check_block(formula, first: int) -> int | None:
+def check_block(formula, first: int, vals=None) -> int | None:
     """The first of the rows appended to the arena from row `first` on
     that has a zero coefficient, an unallocated variable or a repeated
     one, counted from `first`; the number of those rows when none; None
     when no core loads.
 
-    The rows' starts are read from the arena's row_ptr, and the arrays'
-    own appends have checked each value's type and range;
+    One core pass reads the rows' lengths from the arena's row_ptr, after
+    row `first`'s start, and sums them there into the rows' ends.  With
+    vals, each variable v of the rows is a placeholder, which the pass
+    replaces by vals[v] before it checks the row; a v outside vals refuses
+    the row.
+    The arrays' own appends have checked each value's type and range;
     PbFormula._refusal words the error.
     """
     if (lib := load()) is None:
         return None
+    vals = None if vals is None else array("i", vals)  # held until the call returns
     return lib.mcm_check_block(len(formula.bounds) - first, formula.coefs.buffer_info()[0],
                                formula.vars.buffer_info()[0],
-                               formula.row_ptr.buffer_info()[0] + 8 * first, formula.var_count)
+                               formula.row_ptr.buffer_info()[0] + 8 * first, formula.var_count,
+                               *(vals.buffer_info() if vals is not None else (None, 0)))
 
 
 def check_model(formula, values) -> int | None:

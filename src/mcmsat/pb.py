@@ -7,16 +7,19 @@ bound.  A formula keeps all rows in one append-only arena of flat arrays
 row_ptr[i]:row_ptr[i + 1], bound bounds[i], relation RELATIONS[relations[i]].
 Every row enters the arena through one checked append, `add_rows`, which
 takes a block of rows of one length or of a list of lengths, as flat
-lists or typed arrays (`add` is its one-row case); the gadget templates
-and the Python OPB reader append through it too.  A coefficient or bound
+lists or typed arrays (`add` is its one-row case), and `_append` under
+it; the Python OPB reader appends through `add_rows`, and a gadget
+template's replay through `_append`, whole.  A coefficient or bound
 beyond int64, or a value that is no integer, is refused with PbError,
 never truncated, and a refused block leaves the arena as it was.  A
-block is appended first, its row starts included, the arrays' own
-appends checking each value's type and range, and then its rows are
-checked: in one core pass (native.check_block), or by `_refusal` where
-no core loads; a refused block is cut off again (`cut`).  `_refusal` is
-the reference and the fallback, and words every refusal on both paths.
-Appending keeps counts and OPB output reproducible byte for byte.
+block is appended first, its row lengths in place of its row starts,
+the arrays' own appends checking each value's type and range, and then
+its rows are checked: in one core pass (native.check_block), which sums
+the lengths into row starts and substitutes a replay's variables for
+its placeholders, or by `_refusal` where no core loads; a refused block
+is cut off again (`cut`).  `_refusal` is the reference and the
+fallback, and words every refusal on both paths.  Appending keeps counts
+and OPB output reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -150,7 +153,9 @@ class PbFormula:
         if len(coefs) != terms or len(vs) != terms:
             shape = f"{m} rows of {k} terms" if isinstance(k, int) else f"rows of lengths {k}"
             raise PbError(f"{shape} need {terms} coefficients and variables")
-        if m and not self._append(lengths, coefs, vs, bounds, relation):
+        if m and not (relation in RELATIONS and self._append(
+                lengths, coefs, vs, bounds, bytes([relation == EQ]) * m,
+                max(lengths) <= PAIRWISE_MAX)):
             starts = list(accumulate(lengths, initial=0))
             for r, lo, hi in zip(range(m), starts, starts[1:]):
                 if why := self._refusal(lengths[r:r + 1], coefs[lo:hi], vs[lo:hi], bounds[r:r + 1],
@@ -158,30 +163,40 @@ class PbFormula:
                     raise PbError(f"row {idx + r} {list(zip(coefs[lo:hi], vs[lo:hi]))} "
                                   f"{relation!r} {bounds[r]}: {why}")
             raise AssertionError("a block was refused that _refusal takes row by row")
-        self.relations += bytes([relation == EQ]) * m
         if note is not None and m:  # the note of the block's first row
             self.annotations[idx] = note
         return idx
 
-    def _append(self, lengths, coefs, vs, bounds, relation) -> bool:
-        """Append the block's terms, bounds and row starts, then check
-        them; cut them off again and return False if the block is refused.
+    def _append(self, lengths, coefs, vs, bounds, codes, pairwise, vals=None) -> bool:
+        """Append a block of rows, then check it; cut it off again and
+        return False if it is refused.
 
-        The arrays' own appends check each value's type and range (int64
-        coefficients and bounds, int32 variables); native.check_block
-        checks the rest, or `_refusal` where no core loads, for rows longer
-        than PAIRWISE_MAX terms and for a relation not in RELATIONS.
+        codes are the rows' relation codes, and pairwise says that no row
+        is longer than PAIRWISE_MAX terms.  The arrays' own appends check
+        each value's type and range (int64 coefficients and bounds, int32
+        variables).  The lengths are appended to row_ptr, and
+        native.check_block sums them into row starts and checks the rest
+        in one core pass.  With vals, vs holds placeholders, which that
+        pass replaces, v by vals[v]: such a block is taken on the core
+        only, and False is returned, nothing appended, where no core loads
+        or a row is too long for its check.  There, a block without vals
+        is appended with its row starts summed in Python, and `_refusal`
+        checks it.
         """
-        nrows = len(self.bounds)
+        core = pairwise and native.load() is not None
+        if vals is not None and not core:
+            return False
+        nrows, base = len(self.bounds), self.row_ptr[-1]
+        # row_ptr takes the lengths, for the core pass to sum, or the rows' ends
+        ptr = lengths if core else map(base.__add__, accumulate(lengths))
         try:
-            for arena, values in (self.coefs, coefs), (self.vars, vs), (self.bounds, bounds):
+            for arena, values in ((self.coefs, coefs), (self.vars, vs), (self.bounds, bounds),
+                                  (self.row_ptr, ptr)):
                 same = isinstance(values, array) and values.typecode == arena.typecode
                 arena.extend(values if same else array(arena.typecode, values))
-            self.row_ptr[-1:] = array("q", accumulate(lengths, initial=self.row_ptr[-1]))
-            first = (native.check_block(self, nrows)
-                     if max(lengths) <= PAIRWISE_MAX and relation in RELATIONS else None)
-            if first == len(bounds) or first is None and not self._refusal(
-                    lengths, coefs, vs, bounds, relation):
+            self.relations += codes
+            if (native.check_block(self, nrows, vals) == len(bounds) if core
+                    else not self._refusal(lengths, coefs, vs, bounds)):
                 return True
         except (TypeError, OverflowError):
             pass  # a value that is no integer or beyond its array's range
@@ -194,7 +209,7 @@ class PbFormula:
         del self.coefs[end:], self.vars[end:], self.row_ptr[nrows + 1:]
         del self.bounds[nrows:], self.relations[nrows:]
 
-    def _refusal(self, lengths, coefs, vs, bounds, relation) -> str | None:
+    def _refusal(self, lengths, coefs, vs, bounds, relation=GE) -> str | None:
         """Why the rows of the given lengths cannot enter the arena, or None."""
         if relation not in RELATIONS:
             return "a relation not '>=' or '='"

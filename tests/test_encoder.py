@@ -2,10 +2,12 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from conftest import enumerate_models
+from conftest import enumerate_models, needs_core
 
+from mcmsat import gadgets, native
 from mcmsat.encoder import (
     EncodingConfig,
     encode_mcm,
@@ -349,8 +351,10 @@ def test_annotations_optional_and_off_by_default():
 
 def test_wide_encodings_append_gadgets_whole(monkeypatch):
     # The five formulas of the benchmark's build-wide workload: 912,022
-    # rows, which gadget templates write in 5,235 appends, where a block
-    # per per-bit loop took 55,826.
+    # rows, which gadget templates write in 5,235 add_rows calls on the
+    # Python path, one per run of one relation, where a block per per-bit
+    # loop took 55,826.  On the core a gadget call is one append (4,204
+    # in all), and add_rows writes only the untemplated blocks.
     appends = Counter()
     add_rows = PbFormula.add_rows
     monkeypatch.setattr(PbFormula, "add_rows",
@@ -363,3 +367,23 @@ def test_wide_encodings_append_gadgets_whole(monkeypatch):
         f = encode_mcm(inst, EncodingConfig(ops=ops or csd_upper_bound(inst), variant=variant)).formula
         total, rows = total + appends[id(f)], rows + len(f.bounds)
     assert rows == 912_022 and total <= 6_000
+
+
+@needs_core
+@pytest.mark.parametrize("targets, ops, variant, calls, replays", [
+    ([29, 43], 3, 1, 100, 55),
+    ([45, 75, 105], 4, 2, 89, 65),
+])
+def test_one_core_check_per_gadget_call(targets, ops, variant, calls, replays):
+    # Each templated gadget call is one core pass, whatever its runs of one
+    # relation; every other block is one add_rows call and one pass.
+    inst, cfg = normalize_targets(targets), EncodingConfig(ops=ops, variant=variant)
+    encode_mcm(inst, cfg)  # records the templates of every shape
+    with mock.patch.object(native, "check_block", wraps=native.check_block) as checks, \
+            mock.patch.object(gadgets._Template, "replay", autospec=True,
+                              side_effect=gadgets._Template.replay) as replayed, \
+            mock.patch.object(PbFormula, "add_rows", autospec=True,
+                              side_effect=PbFormula.add_rows) as blocks:
+        encode_mcm(inst, cfg)
+    assert (checks.call_count, replayed.call_count) == (calls, replays)
+    assert calls == replays + blocks.call_count

@@ -4,11 +4,13 @@ semantics exactly.  The enumerator below is deliberately independent of
 the solver and of the gadget emitters."""
 
 from itertools import product
+from unittest import mock
 
 import pytest
+from conftest import needs_core, python_path
 
-from mcmsat import gadgets
-from mcmsat.pb import GE, PbError, PbFormula
+from mcmsat import gadgets, native
+from mcmsat.pb import GE, PAIRWISE_MAX, PbError, PbFormula
 
 
 def all_models(f: PbFormula) -> set:
@@ -478,7 +480,7 @@ def outcome(write):
         return str(e)
 
 
-@pytest.mark.parametrize("write", [
+REFUSED = [
     lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, (c[0], c[1], x)),
     lambda f, a, b, c, x: gadgets.encode_subtractor(f, a, b, c, x, (a[0], x)),
     lambda f, a, b, c, x: gadgets.encode_subtractor(f, a, b, c, x, (a[0], a[0])),
@@ -487,19 +489,40 @@ def outcome(write):
     lambda f, a, b, c, x: gadgets.encode_shift(f, a, b, "up"),
     lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, c, c[0], (a[0],)),  # chain one bit short
     lambda f, a, b, c, x: gadgets.encode_adder(f, a, b, c[:2]),
-])
-def test_a_refused_gadget_leaves_the_formula_as_it_was(write):
+    # Two placeholders of one row substituted by one variable: out and c.
+    lambda f, a, b, c, x: gadgets.encode_subtractor(f, a, b, a),
+    lambda f, a, b, c, x: gadgets.encode_shift(f, a, (x, b[1], b[2]), "right"),  # past its '=' row
+]
+
+
+def refused(write) -> str:
+    """The PbError text of a gadget written after an adder, checking that
+    it leaves the formula as it was."""
     f = PbFormula()
     a, b, c = f.new_bitvec(3), f.new_bitvec(3), f.new_bitvec(3)
     gadgets.encode_adder(f, a, b, c)
     f.annotations[len(f.bounds)] = "the next gadget"  # as the encoder notes a candidate
     before = arena(f)
-    with pytest.raises(PbError):
+    with pytest.raises(PbError) as refusal:
         write(f, a, b, c, 99)  # a variable not allocated, or a shape refused
     assert arena(f) == before
+    return str(refusal.value)
 
 
-@pytest.mark.parametrize("gadget, args", [
+@pytest.mark.parametrize("write", REFUSED)
+def test_a_refused_gadget_leaves_the_formula_as_it_was(write):
+    refused(write)
+
+
+@needs_core
+@pytest.mark.parametrize("write", REFUSED)
+def test_a_refused_gadget_is_refused_alike_on_both_paths(write):
+    on_core = refused(write)
+    with python_path():
+        assert refused(write) == on_core
+
+
+REPLAYED = [
     (gadgets.encode_adder, ((1, 2, 3), (2, 3, 4), (3, 4, 5))),
     (gadgets.encode_subtractor, ((5, 4, 3), (1, 2, 3), (2, 3, 4), 6)),
     (gadgets.encode_adder, ((1, 2, 3), (2, 3, 4), (3, 4, 5), 6, (1, 7))),
@@ -508,12 +531,62 @@ def test_a_refused_gadget_leaves_the_formula_as_it_was(write):
     (gadgets.encode_adder, ((1, 2, 3), (1, 4, 5), (6, 7, 8))),  # a repeat in a row: refused
     (gadgets.encode_shift, ((1, 2, 3), (2, 3, 4))),
     (gadgets.encode_shift, ((1, 2, 3), (4, 5, 6), "right")),
-])
+    (gadgets.encode_shift, ((1, 2, 3), (1, 2, 3))),  # out[i] and src[i] in one copy row: refused
+]
+
+
+def replay(gadget, args):
+    """A gadget's outcome (what it returns or its PbError text), and the
+    formula it leaves, written on the first nine variables."""
+    f = PbFormula()
+    f.new_bitvec(9)
+    return outcome(lambda: gadget(f, *args)), arena(f)
+
+
+@pytest.mark.parametrize("gadget, args", REPLAYED)
 def test_a_replay_writes_what_the_body_writes_on_the_same_variables(gadget, args):
     # Inputs that overlap one another, so that placeholders that are distinct
     # in the recording stand for one variable in the replay.
-    replayed, recorded = PbFormula(), PbFormula()
-    for f in (replayed, recorded):
-        f.new_bitvec(9)
-    assert outcome(lambda: gadget(replayed, *args)) == outcome(lambda: gadget.__wrapped__(recorded, *args))
-    assert arena(replayed) == arena(recorded) or len(replayed.bounds) < len(recorded.bounds)
+    (replayed, after), recorded = replay(gadget, args), PbFormula()
+    recorded.new_bitvec(9)
+    assert replayed == outcome(lambda: gadget.__wrapped__(recorded, *args))
+    assert after == arena(recorded) or len(after[4]) < len(recorded.bounds)
+
+
+@needs_core
+@pytest.mark.parametrize("gadget, args", REPLAYED)
+def test_a_replay_writes_alike_on_both_paths(gadget, args):
+    on_core = replay(gadget, args)
+    with python_path():
+        assert replay(gadget, args) == on_core
+
+
+@pytest.mark.parametrize("unallocated", [False, True])
+def test_a_shift_wider_than_the_core_check_goes_to_refusal(unallocated):
+    # The selector row of a shift of more than PAIRWISE_MAX bits is too
+    # long for the core's pairwise repeat check, so the replay appends
+    # each run through add_rows, and `_refusal` checks that row.
+    n = PAIRWISE_MAX + 1
+    out, src = tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n)) + (10**6 if unallocated else 2 * n,)
+    recorded = PbFormula()
+    recorded.new_bitvec(2 * n)
+    gadgets.encode_shift(recorded, out, tuple(range(n + 1, 2 * n + 1)))  # records the template
+
+    def shift():
+        f = PbFormula()
+        f.new_bitvec(2 * n)
+        with mock.patch.object(PbFormula, "_refusal", autospec=True,
+                               side_effect=PbFormula._refusal) as checked:
+            result = outcome(lambda: gadgets.encode_shift(f, out, src))
+        return result, arena(f), [list(call.args[1]) for call in checked.call_args_list]
+
+    result, after, checked = shift()
+    if unallocated:
+        assert "a variable not allocated" in result and after == (2 * n, [], [], [0], [], b"", {})
+    else:
+        assert after == arena(recorded)
+    if native.load() is not None:
+        # The selector row first; on a refusal, then the rows add_rows words.
+        assert checked[0] == [n] and (unallocated or checked == [[n]])
+        with python_path():
+            assert shift()[:2] == (result, after)

@@ -278,6 +278,10 @@ def test_core_and_python_block_checks_agree(block):
     "* #variable= 2 #constraint= 1\n* x1 x2 ; x ;;\n+1 x1 +1 x2 >= 1 ;\n*x\n",
     # The largest declared count, of which the text holds only two variables.
     "* #variable= 2147483647 #constraint= 1\n+1 x1 +1 x2 >= 1 ;\n",
+    # The largest variable, whose repeat check takes no memory by its index.
+    "* #variable= 2147483647 #constraint= 1\n+1 x2147483647 >= 1 ;\n",
+    # A row longer than PAIRWISE_MAX terms, checked for repeats in a sorted copy.
+    "* #variable= 200 #constraint= 1\n" + "".join(f"+1 x{v} " for v in range(200, 0, -2)) + ">= 1 ;\n",
 ])
 def test_the_core_reads_the_texts_it_should(text):
     # The core reads these itself rather than handing them to Python.
@@ -296,8 +300,19 @@ def test_a_header_count_that_misses_the_rows_is_refused_on_both_paths(declared):
 
 @needs_core
 def test_a_repeat_after_the_stamp_grows_is_refused_on_both_paths():
-    # x9 grows the core's stamp, which must still hold the row's x1.
+    # A repeat around a larger variable, in a short row.
     text = "* #variable= 9 #constraint= 1\n+1 x1 +1 x9 +1 x1 >= 1 ;\n"
+    assert native.parse(text, PbFormula()) is None
+    assert read(text, core=True) == read(text, core=False)
+    assert "repeat" in read(text, core=False)
+
+
+@needs_core
+@pytest.mark.parametrize("first", [1, 199])
+def test_a_repeat_in_a_row_longer_than_pairwise_max_is_refused_on_both_paths(first):
+    # 101 terms, found repeated in the core's sorted copy of the row.
+    row = "".join(f"+1 x{v} " for v in range(200, 0, -2))
+    text = f"* #variable= 200 #constraint= 1\n+1 x{first} {row}+1 x{first} >= 1 ;\n"
     assert native.parse(text, PbFormula()) is None
     assert read(text, core=True) == read(text, core=False)
     assert "repeat" in read(text, core=False)
