@@ -104,8 +104,8 @@ class _Template:
         for code, rows in groupby(rec.relations):
             hi = lo + len(list(rows))
             terms = slice(ptr[lo], ptr[hi])
-            self.runs.append((list(map(sub, ptr[lo + 1:hi + 1], ptr[lo:hi])), rec.coefs[terms],
-                              _picker(rec.vars[terms]), rec.bounds[lo:hi], RELATIONS[code]))
+            self.runs.append((lengths[lo:hi], rec.coefs[terms], _picker(rec.vars[terms]),
+                              rec.bounds[lo:hi], RELATIONS[code]))
             lo = hi
 
     def replay(self, f: PbFormula, vals: list):
