@@ -1,15 +1,17 @@
-"""Loader of the optional compiled core, core.c, and its ctypes callers.
+"""Loader of the optional compiled core and its ctypes callers.
 
-core.c holds the bundled solver's search and row-store build, the OPB
-writer and reader and the arena checks; the Python code stays the
-reference and the fallback of each.  This module imports nothing from
-the package.  Each entry point calls `load` itself and returns None
-when no core loads, for its caller's Python path to run.  `load`
-decides once per process, on its first call: core.c is compiled then,
-in place, with whatever C compiler is around, and cached under
-`$XDG_CACHE_HOME/mcmsat` (by default `~/.cache/mcmsat`); when
-MCMSAT_NO_NATIVE is set at that call, or the compile fails, every later
-call returns None.
+The core holds the bundled solver's search (core_search.c) and the
+passes over a formula's arena (core_arena.c): the row-store build, the
+OPB writer and reader and the arena checks; core.h holds what both
+share.  The Python code stays the reference and the fallback of each.
+This module imports nothing from the package.  Each entry point calls
+`load` itself and returns None when no core loads, for its caller's
+Python path to run.  `load` decides once per process, on its first
+call: the two units are compiled then, in place, at -O1 and at the same
+time, with whatever C compiler is around, and linked into one library
+cached under `$XDG_CACHE_HOME/mcmsat` (by default `~/.cache/mcmsat`);
+when MCMSAT_NO_NATIVE is set at that call, or the compile fails, every
+later call returns None.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 import ctypes
 import logging
 import os
+import selectors
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -30,7 +34,10 @@ log = logging.getLogger(__name__)
 RUNNING, C_SAT, C_UNSAT, C_NOMEM = 0, 1, 2, 3  # mcm_run's returns
 C_WIDE = 1  # mcm_build's return for a counter row beyond int32
 SLICE = 0.05  # seconds per mcm_run call: the stop predicate is asked in between
-SOURCE = Path(__file__).with_name("core.c")
+# The core's sources: a header and two units, compiled at the same time
+HEADER = Path(__file__).with_name("core.h")
+UNITS = (HEADER.with_name("core_search.c"), HEADER.with_name("core_arena.c"))
+TIMEOUT = 120  # seconds per compile, and for the link
 
 _UNDECIDED = object()
 _core = _UNDECIDED  # the handle or None, once load has decided
@@ -42,11 +49,54 @@ def _cache_dir() -> Path:
     return path
 
 
+def _run_together(commands) -> str | None:
+    """Run the commands at once; None when each exits 0, else the first
+    failure's first error line, once every other command is killed and
+    reaped."""
+    procs = {}  # by stderr's descriptor: the process and what it printed
+    try:
+        for command in commands:
+            # Each in its own process group, so a kill reaches its children too.
+            proc = subprocess.Popen(command, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.PIPE, start_new_session=True)
+            procs[proc.stderr.fileno()] = proc, []
+        deadline = time.monotonic() + TIMEOUT
+        with selectors.DefaultSelector() as sel:
+            for fd in procs:
+                sel.register(fd, selectors.EVENT_READ)
+            while sel.get_map():
+                if not (ready := sel.select(deadline - time.monotonic())):
+                    return f"timed out after {TIMEOUT} s"
+                for key, _ in ready:
+                    proc, err = procs[key.fd]
+                    if chunk := os.read(key.fd, 65536):
+                        err.append(chunk)
+                        continue
+                    sel.unregister(key.fd)  # stderr closed: the command is over
+                    if proc.wait():
+                        lines = (b"".join(err).decode(errors="replace").splitlines()
+                                 or [f"exit status {proc.returncode}"])
+                        return next((line for line in lines if "error" in line), lines[0])
+        return None
+    finally:
+        for proc, _ in procs.values():
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            proc.stderr.close()
+
+
 def _compile() -> Path | None:
-    # Named by a checksum and the length of the source: hashlib would load
-    # OpenSSL, several MB of resident memory in every process.
-    source = SOURCE.read_bytes()
-    so_path = _cache_dir() / f"mcmcore_{zlib.crc32(source):08x}_{len(source)}.so"
+    # Named by a checksum and the length of the sources: hashlib would
+    # load OpenSSL, several MB of resident memory in every process.  Each
+    # source's length enters the checksum too, so no text moved from one
+    # file to the next keeps the name.
+    crc = size = 0
+    for path in (HEADER, *UNITS):
+        source = path.read_bytes()
+        crc = zlib.crc32(b"%d\n%s" % (len(source), source), crc)
+        size += len(source)
+    so_path = _cache_dir() / f"mcmcore_{crc:08x}_{size}.so"
     if so_path.exists():
         return so_path
     tried = set()
@@ -57,25 +107,25 @@ def _compile() -> Path | None:
             continue
         tried.add(found)
         # Built in a temporary directory beside the cached library, then
-        # renamed, so no process opens a half-written one.
+        # renamed, so no process opens a half-written one; the object
+        # files go with the directory.
         with tempfile.TemporaryDirectory(dir=so_path.parent) as tmp:
+            objects = [str(Path(tmp) / f"{unit.stem}.o") for unit in UNITS]
             out = Path(tmp) / so_path.name
             try:
-                proc = subprocess.run(
-                    # -O1: -O2 compiles this core about 1.5x slower for a
-                    # search only 5-10% faster, and a first use pays both.
-                    [compiler, "-O1", "-shared", "-fPIC", str(SOURCE), "-o", str(out)],
-                    capture_output=True, text=True, errors="replace", timeout=120,
-                )
-            except (FileNotFoundError, subprocess.TimeoutExpired) as exc:
+                # Both units at once, each at -O1: -O2 compiles the core
+                # about 1.5x slower for a search only 5-10% faster, and a
+                # first use pays both.  Then one link.
+                failed = (_run_together([[compiler, "-O1", "-fPIC", "-c", str(unit), "-o", obj]
+                                         for unit, obj in zip(UNITS, objects)])
+                          or _run_together([[compiler, "-shared", *objects, "-o", str(out)]]))
+            except OSError as exc:
                 log.info("%s could not compile the core: %s", compiler, exc)
                 continue
-            if proc.returncode == 0:
+            if failed is None:
                 out.replace(so_path)
                 return so_path
-            lines = proc.stderr.splitlines() or [f"exit status {proc.returncode}"]
-            log.info("%s failed to compile the core: %s", compiler,
-                     next((line for line in lines if "error" in line), lines[0]))
+            log.info("%s failed to compile the core: %s", compiler, failed)
     return None
 
 

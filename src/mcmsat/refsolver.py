@@ -22,7 +22,7 @@ Nordstrom 2018) do:
   LBD (literal block distance: the decision levels a clause spans).
 
 A compiled core with the identical algorithm is used when a C compiler
-is available (core.c, via native.py); the Python paths below are the reference
+is available (via native.py); the Python paths below are the reference
 and the fallback.  Both read one store of flat int32 arrays, the counter
 rows and the clauses apart, which the core builds from the formula's
 arena when it loads and RefSolver._build builds otherwise; a search
@@ -55,9 +55,12 @@ REDUCE_FIRST, REDUCE_STEP = 2000, 300  # conflicts before reduction k: first + s
 class RefSolver:
     def __init__(self, formula: PbFormula, phases=None):
         self.nvars = nv = formula.var_count
-        # Preferred first value per variable; affects search order only.
-        phases = phases or {}
-        self.phases = array("B", [phases.get(v, 0) for v in range(nv + 1)])
+        # Preferred first value per variable, 0 where none is hinted;
+        # affects search order only.
+        self.phases = array("B", bytes(nv + 1))
+        for v, value in (phases or {}).items():
+            if 0 < v <= nv:
+                self.phases[v] = value
         # The row store: each row normalized once to positive coefficients
         # over literals (+v / -v) and a >= bound, its terms ordered by
         # coefficient descending, then literal.  Clauses go to clause_ptr /

@@ -371,50 +371,65 @@ def test_a_core_that_cannot_start_a_search_raises(monkeypatch):
         solver.solve()
 
 
+@pytest.fixture
+def core_copy(tmp_path, monkeypatch):
+    """The core's sources copied into a directory of their own, which
+    native._compile then compiles, with the cache in tmp_path."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    copy_dir = tmp_path / "src"
+    copy_dir.mkdir()
+    for source in (native.HEADER, *native.UNITS):
+        (copy_dir / source.name).write_bytes(source.read_bytes())
+    monkeypatch.setattr(native, "HEADER", copy_dir / native.HEADER.name)
+    monkeypatch.setattr(native, "UNITS", tuple(copy_dir / unit.name for unit in native.UNITS))
+    return copy_dir
+
+
+def compile_units(tmp_path, *flags) -> Path:
+    """The core built as native._compile builds it, with the extra flags
+    on every compile and on the link."""
+    objects = [str(tmp_path / f"{unit.stem}.o") for unit in native.UNITS]
+    for unit, obj in zip(native.UNITS, objects):
+        proc = subprocess.run([COMPILER, *flags, "-O1", "-fPIC", "-c", str(unit), "-o", obj],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    library = tmp_path / "mcmcore.so"
+    subprocess.run([COMPILER, *flags, "-shared", *objects, "-o", str(library)],
+                   capture_output=True, check=True, timeout=120)
+    return library
+
+
 @needs_compiler
 def test_compiled_core_has_no_warnings(tmp_path):
-    proc = subprocess.run(
-        [COMPILER, "-Wall", "-Wextra", "-Werror", "-O1", "-shared", "-fPIC", str(native.SOURCE),
-         "-o", str(tmp_path / "mcmcore.so")],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    compile_units(tmp_path, "-Wall", "-Wextra", "-Werror")
 
 
-def test_one_optimization_boundary_follows_the_search():
-    # What runs per search step or per appended block is compiled at -O1,
-    # what runs once per formula or search after the one O0 pragma.
-    text = native.SOURCE.read_text()
-    assert text.count("#pragma GCC optimize") == 1
-    boundary = text.index("#pragma GCC optimize")
-    defined = {name: re.search(rf"^\w.*\b{name}\(", text, re.M).start()
-               for name in ("mcm_run", "propagate", "watch", "analyze", "reduce", "by_key",
-                            "mcm_check_block", "mcm_new", "mcm_build", "mcm_emit", "mcm_parse",
-                            "mcm_check_model")}
-    assert [name for name, at in defined.items() if at < boundary] == [
-        "mcm_run", "propagate", "watch", "analyze", "reduce", "by_key", "mcm_check_block"]
+def test_no_source_sets_its_own_optimization():
+    # Every function is compiled at the one -O1 of native._compile.
+    for source in (native.HEADER, *native.UNITS):
+        text = source.read_text()
+        assert "#pragma GCC optimize" not in text
+        assert not re.search(r"__attribute__\s*\(\(\s*(__)?optimize", text)
 
 
 @needs_compiler
-def test_the_cache_is_named_by_the_compiled_bytes(tmp_path, monkeypatch):
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    source = tmp_path / "core.c"
-    source.write_bytes(native.SOURCE.read_bytes())
-    monkeypatch.setattr(native, "SOURCE", source)
-    first = native._compile()
-    source.write_bytes(source.read_bytes().replace(b"/* The", b"/* the", 1))
-    second = native._compile()
-    assert first and second and first.name != second.name
-    # Compiled in place: the cache holds the two libraries and nothing else.
-    assert {p.name for p in (tmp_path / "cache" / "mcmsat").iterdir()} == {first.name, second.name}
+def test_the_cache_is_named_by_the_compiled_bytes(core_copy, tmp_path):
+    names = [native._compile()]
+    for source in core_copy.iterdir():
+        text = source.read_bytes()
+        assert text.startswith(b"/* ")
+        source.write_bytes(b"/*  " + text[3:])  # a one-byte edit
+        names.append(native._compile())
+    assert all(names) and len({path.name for path in names}) == 4
+    # Compiled in place: the cache holds the libraries and nothing else,
+    # no object file and no temporary directory.
+    assert {p.name for p in (tmp_path / "mcmsat").iterdir()} == {path.name for path in names}
 
 
 @needs_compiler
-def test_a_failed_compile_logs_why(tmp_path, monkeypatch, caplog):
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    broken = tmp_path / "broken.c"
-    broken.write_text("int f(void) {\n    return undeclared_name;\n}\n")
-    monkeypatch.setattr(native, "SOURCE", broken)
+def test_a_failed_compile_logs_why(core_copy, tmp_path, caplog):
+    broken = native.UNITS[1]
+    broken.write_text(broken.read_text() + "int f(void) {\n    return undeclared_name;\n}\n")
     with caplog.at_level(logging.INFO, logger=native.log.name):
         assert native._compile() is None
     # once per compiler executable: where cc is gcc, gcc is not tried again
@@ -423,10 +438,97 @@ def test_a_failed_compile_logs_why(tmp_path, monkeypatch, caplog):
     assert list((tmp_path / "mcmsat").iterdir()) == []  # no temporary library left
 
 
+def test_a_failed_unit_stops_the_other_compile(core_copy, tmp_path, monkeypatch, caplog):
+    # A stand-in compiler: on the arena unit it fails, once the other
+    # compile has started a child that would sleep for a minute.
+    sleeper = tmp_path / "sleeper.pid"
+    fake = tmp_path / "bin" / "cc"
+    fake.parent.mkdir()
+    fake.write_text(f"""#!/bin/sh
+case "$*" in
+*core_arena.c*)
+    while [ ! -s {sleeper} ]; do {shutil.which("sleep")} 0.01; done
+    echo "core_arena.c:1:1: error: stand-in failure" >&2
+    exit 1 ;;
+*)
+    {shutil.which("sleep")} 60 &
+    echo $! > {sleeper}
+    wait ;;
+esac
+""")
+    fake.chmod(0o755)
+    monkeypatch.setenv("PATH", str(fake.parent))
+    start = time.monotonic()
+    with caplog.at_level(logging.INFO, logger=native.log.name):
+        assert native._compile() is None
+    assert time.monotonic() - start < 30
+    assert caplog.text.count("stand-in failure") == 1
+    assert list((tmp_path / "mcmsat").iterdir()) == []
+    # The compile's own child is killed with it: gone, or a zombie until
+    # its new parent reaps it.
+    status = Path(f"/proc/{sleeper.read_text().strip()}/stat")
+
+    def state():
+        try:
+            return status.read_text().rpartition(")")[2].split()[0]
+        except FileNotFoundError:
+            return "X"  # reaped
+
+    deadline = time.monotonic() + 10
+    while state() not in "ZX":
+        assert time.monotonic() < deadline, "the other compile's child outlived the compile"
+        time.sleep(0.01)
+
+
+@needs_compiler
+def test_the_core_runs_without_undefined_behaviour(tmp_path):
+    # -O1 may exploit undefined behaviour that O0 left harmless: a build
+    # that aborts on the first case found runs every pass of the core.
+    probe = subprocess.run([COMPILER, "-fsanitize=undefined", "-fPIC", "-shared", "-x", "c", "-",
+                            "-o", str(tmp_path / "probe.so")],
+                           input="int f(void) { return 0; }\n", capture_output=True, text=True,
+                           timeout=120)
+    if probe.returncode:
+        pytest.skip("the compiler builds no library with -fsanitize=undefined")
+    library = compile_units(tmp_path, "-fsanitize=undefined", "-fno-sanitize-recover=all")
+    code = f"""
+from pathlib import Path
+from mcmsat import native
+native._compile = lambda: Path({str(library)!r})
+from mcmsat.encoder import EncodingConfig, encode_mcm
+from mcmsat.model import normalize_targets, recoding_witness
+from mcmsat.pb import Model, parse_opb
+from mcmsat.refsolver import RefSolver
+from mcmsat.solve import SolverError, _check_model, csd_upper_bound, solve_encoding
+assert native.load() is not None
+for targets, ops, variant in (((1701, 709, 1015, 1269), 6, 3), ((731951,), 5, 1), ((821,), 3, 3)):
+    enc = encode_mcm(normalize_targets(targets), EncodingConfig(ops=ops, variant=variant))
+    text = enc.formula.emit_opb()
+    parsed = parse_opb(text)
+    assert parsed.emit_opb() == text
+    solver = RefSolver(parsed, phases=enc.phase_hints)
+    for value in (0, 1):
+        try:
+            _check_model(parsed, Model((value,) * (parsed.var_count + 1)), "core")
+        except SolverError:
+            pass
+assert solver.solve()[0] == "UNSAT"
+# a SAT model, which _check_model checks over every row
+inst = normalize_targets([731951])
+enc = encode_mcm(inst, EncodingConfig(ops=csd_upper_bound(inst)))
+assert solve_encoding(enc, hint_graph=recoding_witness(inst)).status == "SAT"
+"""
+    env = {k: v for k, v in os.environ.items() if k != "MCMSAT_NO_NATIVE"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_core_c_is_package_data():
     tomllib = pytest.importorskip("tomllib")
     config = tomllib.loads((ROOT / "pyproject.toml").read_text())
-    assert "core.c" in config["tool"]["setuptools"]["package-data"]["mcmsat"]
+    shipped = config["tool"]["setuptools"]["package-data"]["mcmsat"]
+    assert {native.HEADER.name, *(unit.name for unit in native.UNITS)} <= set(shipped)
 
 
 @needs_core

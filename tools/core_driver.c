@@ -1,12 +1,12 @@
 /* Runs one row store that tools/dump_store.py wrote through the compiled
-   core's search, without Python, and prints the verdict, the decisions,
+   core's search unit, without Python, and prints the verdict, the decisions,
    propagations and conflicts, and the seconds of mcm_new and mcm_run:
 
        cc -O1 -o core_driver tools/core_driver.c && ./core_driver < 821.store */
 #include <stdio.h>
 #include <time.h>
 
-#include "../src/mcmsat/core.c"
+#include "../src/mcmsat/core_search.c"
 
 /* One array: its int64 length n, then n elements of the given size. */
 static void *read_array(size_t size, int64_t *n) {
